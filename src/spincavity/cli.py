@@ -101,11 +101,8 @@ def _parse_fringe(text: str) -> FringeModel:
 
 def _dit_view(params: SystemParams) -> dict:
     """Single-transition view of the dominant (transition 4) coupling."""
-    return {
-        "g": params.g4,
-        "gamma": params.gamma4 / 2.0 + params.gamma_d4,
-        "delta": params.omega_x - params.delta_h - params.omega_c,
-    }
+    _, (g4, gamma_perp4, omega4) = spectra.spin_down_lines(vars(params))
+    return {"g": g4, "gamma": gamma_perp4, "delta": omega4 - params.omega_c}
 
 
 def _clean_spectrum(model: str, params: SystemParams, cfg: ScanConfig,
@@ -162,10 +159,6 @@ def _flush_writes(pending) -> None:
         dataio.atomic_write_text(path, text)
 
 
-def _render_plot(entries, title, nm_axis=False) -> str:
-    return svgplot.render_spectra(entries, title=title, nm_axis=nm_axis)
-
-
 def _cmd_simulate(args) -> dict:
     if args.pup is not None and args.model != "mixed":
         raise CliError("--pup only applies to --model mixed")
@@ -174,9 +167,9 @@ def _cmd_simulate(args) -> dict:
     spec, extras = _clean_spectrum(args.model, params, cfg, args.pup)
     pending = [(args.out, dataio.spectrum_to_text(spec))]
     if args.plot:
-        pending.append((args.plot, _render_plot(
+        pending.append((args.plot, svgplot.render_spectra(
             [(spec, args.model, False)],
-            f"simulated reflectivity ({args.model})",
+            title=f"simulated reflectivity ({args.model})",
             nm_axis=args.wavelength_axis)))
     _flush_writes(pending)
     return _summary("simulate", [args.params], [p for p, _ in pending], **extras)
@@ -201,20 +194,15 @@ _SINGLE_DEFAULTS_NOTE = (
 
 def _fit_fixed_values(model: ModelKind, params: SystemParams,
                       overrides: dict) -> dict:
-    values = {"kappa": params.kappa, "omega_c": params.omega_c,
-              "scale": 1.0, "background": 0.0}
+    names = fitkit.MODEL_PARAMS[model]
+    values = {k: v for k, v in vars(params).items() if k in names}
+    values.update(scale=1.0, background=0.0)
     if model is ModelKind.SINGLE_TRANSITION:
         view = _dit_view(params)
         view["g"] = float(np.hypot(params.g3, params.g4))
         values.update(view)
     elif model is ModelKind.MIXED_TWO_TRANSITION:
-        values.update({
-            "p_up": 0.0,
-            "g3": params.g3, "g4": params.g4,
-            "gamma3": params.gamma3, "gamma4": params.gamma4,
-            "gamma_d3": params.gamma_d3, "gamma_d4": params.gamma_d4,
-            "omega_x": params.omega_x, "delta_h": params.delta_h,
-        })
+        values["p_up"] = 0.0
     values.update(overrides)
     return values
 
@@ -227,8 +215,7 @@ def _fit_seeds(model: ModelKind, data, params: SystemParams,
         return fitkit.seed_single_transition(data, params.kappa)
     total = g_total if g_total is not None else max(
         float(np.hypot(params.g3, params.g4)), 1e-3)
-    seeds = fitkit.seed_mixed(data, params.kappa, params.delta_h, total)
-    return seeds
+    return fitkit.seed_mixed(data, params.kappa, params.delta_h, total)
 
 
 def _cmd_fit(args) -> dict:
@@ -285,9 +272,9 @@ def _cmd_fit(args) -> dict:
         curve = spectra.Spectrum(data.freq_ghz,
                                  model_fn(data.freq_ghz, values),
                                  meta={"label": "fit"})
-        pending.append((args.plot, _render_plot(
+        pending.append((args.plot, svgplot.render_spectra(
             [(data, "data", True), (curve, "fit", False)],
-            f"fit ({model.value})")))
+            title=f"fit ({model.value})")))
     _flush_writes(pending)
     return _summary("fit", [args.data, args.params], [p for p, _ in pending],
                     converged=result.converged,

@@ -28,6 +28,7 @@ SPECTRUM_HEADER = "freq_ghz,reflectivity,weight"
 _SYSTEM_KEYS = tuple(f.name for f in dataclass_fields(SystemParams))
 _TRION_KEYS = tuple(f.name for f in dataclass_fields(TrionLevels))
 _TRION_REQUIRED = ("zero_field_frequency", "electron_g", "hole_g")
+_PARAM_FILE_KEYS = frozenset(_SYSTEM_KEYS + _TRION_KEYS)
 
 
 def _fmt(x: float) -> str:
@@ -128,6 +129,32 @@ def load_spectrum(path) -> Spectrum:
     return Spectrum(arr[:, 0], arr[:, 1], arr[:, 2], meta=meta)
 
 
+def _read_json_object(path: Path, known_keys=None) -> dict:
+    """Parse a JSON file holding one object, optionally of known keys only."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            record = json.load(fh)
+    except ValueError as exc:
+        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise SchemaError(f"{path}: expected a JSON object at the top level")
+    if known_keys is not None:
+        unknown = sorted(set(record) - known_keys)
+        if unknown:
+            raise SchemaError(f"{path}: unknown keys {unknown}")
+    return record
+
+
+def _levels_from(record: dict, path: Path) -> TrionLevels:
+    missing = [k for k in _TRION_REQUIRED if k not in record]
+    if missing:
+        raise SchemaError(f"{path}: missing level-structure keys {missing}")
+    try:
+        return TrionLevels(**{k: record[k] for k in _TRION_KEYS if k in record})
+    except DomainError as exc:
+        raise DataValidationError(f"{path}: {exc}") from exc
+
+
 def save_params(params: SystemParams, path, levels: TrionLevels | None = None) -> None:
     record = {k: getattr(params, k) for k in _SYSTEM_KEYS}
     if levels is not None:
@@ -143,21 +170,11 @@ def load_params(path) -> tuple[SystemParams, TrionLevels | None]:
     and field 0).
     """
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise SchemaError(f"{path}: expected a JSON object at the top level")
-    unknown = sorted(set(record) - set(_SYSTEM_KEYS) - set(_TRION_KEYS))
-    if unknown:
-        raise SchemaError(f"{path}: unknown keys {unknown}")
-
+    record = _read_json_object(path, _PARAM_FILE_KEYS)
     sys_kwargs = {k: record[k] for k in _SYSTEM_KEYS if k in record}
-    if "fock_dim" in sys_kwargs:
-        fd = sys_kwargs["fock_dim"]
-        if not float(fd).is_integer():
+    fd = sys_kwargs.get("fock_dim")
+    if isinstance(fd, float):
+        if not fd.is_integer():
             raise SchemaError(f"{path}: fock_dim must be an integer, got {fd}")
         sys_kwargs["fock_dim"] = int(fd)
     missing = [k for k in ("kappa", "g3", "g4", "gamma_d3", "gamma_d4",
@@ -169,19 +186,9 @@ def load_params(path) -> tuple[SystemParams, TrionLevels | None]:
     except DomainError as exc:
         raise DataValidationError(f"{path}: {exc}") from exc
 
-    trion_present = [k for k in _TRION_KEYS if k in record]
-    levels = None
-    if trion_present:
-        missing = [k for k in _TRION_REQUIRED if k not in record]
-        if missing:
-            raise SchemaError(
-                f"{path}: level-structure keys {trion_present} present but "
-                f"{missing} missing")
-        try:
-            levels = TrionLevels(**{k: record[k] for k in _TRION_KEYS if k in record})
-        except DomainError as exc:
-            raise DataValidationError(f"{path}: {exc}") from exc
-    return params, levels
+    if any(k in record for k in _TRION_KEYS):
+        return params, _levels_from(record, path)
+    return params, None
 
 
 def load_levels(path) -> TrionLevels:
@@ -192,23 +199,7 @@ def load_levels(path) -> TrionLevels:
     required.
     """
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise SchemaError(f"{path}: expected a JSON object at the top level")
-    unknown = sorted(set(record) - set(_SYSTEM_KEYS) - set(_TRION_KEYS))
-    if unknown:
-        raise SchemaError(f"{path}: unknown keys {unknown}")
-    missing = [k for k in _TRION_REQUIRED if k not in record]
-    if missing:
-        raise SchemaError(f"{path}: missing level-structure keys {missing}")
-    try:
-        return TrionLevels(**{k: record[k] for k in _TRION_KEYS if k in record})
-    except DomainError as exc:
-        raise DataValidationError(f"{path}: {exc}") from exc
+    return _levels_from(_read_json_object(path, _PARAM_FILE_KEYS), path)
 
 
 def save_fit_report(report: dict, path) -> None:
@@ -216,15 +207,7 @@ def save_fit_report(report: dict, path) -> None:
 
 
 def load_fit_report(path) -> dict:
-    path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(report, dict):
-        raise SchemaError(f"{path}: expected a JSON object at the top level")
-    return report
+    return _read_json_object(Path(path))
 
 
 def fit_report_record(result, provenance: dict | None = None) -> dict:

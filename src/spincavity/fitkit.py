@@ -1,12 +1,19 @@
 """Weighted nonlinear least-squares fitting of reflectivity spectra.
 
-Three models are supported:
+Every model is a parameter-name map onto the one cavity response of
+:func:`spectra.cavity_response`,
+
+    R(w) = B + S / | -i (w - omega_c) + kappa/2
+                     + sum_i g_i^2 / (-i (w - w_i) + gamma_perp_i) |^2
+
+with gamma_perp_i = gamma_i/2 + gamma_d_i; the three models are its 0-,
+1- and 2-line cases:
 
 * ``lorentzian``: bare cavity. Parameters kappa, omega_c, scale,
   background.
 * ``single``: one transition coupled to the cavity. Parameters g,
-  gamma (transverse dipole rate), delta (dot-cavity detuning), kappa,
-  omega_c, scale, background.
+  gamma (the transverse rate gamma_perp itself), delta (dot-cavity
+  detuning, so w_1 = omega_c + delta), kappa, omega_c, scale, background.
 * ``mixed``: convex mixture of the bare-cavity response (spin up) and
   the two-transition response (spin down), sharing one scale and
   background. Parameters p_up, g3, g4, gamma3, gamma4, gamma_d3,
@@ -32,7 +39,8 @@ import numpy as np
 
 from .errors import DomainError, SchemaError
 from .physcalc import TWO_PI, cooperativity, is_strongly_coupled
-from .spectra import (Spectrum, lorentzian_response, single_transition_response)
+from .spectra import (Spectrum, cavity_response, lorentzian_response,
+                      spin_down_lines)
 
 # 95% two-sided normal quantile and 95% chi-square quantile (1 dof).
 Z_95 = 1.959963984540054
@@ -56,22 +64,15 @@ def _lorentzian_model(freq, p):
 
 
 def _single_model(freq, p):
-    return p["background"] + p["scale"] * single_transition_response(
-        freq, p["g"], p["kappa"], p["gamma"], p["delta"], p["omega_c"])
+    return p["background"] + p["scale"] * cavity_response(
+        freq, p["kappa"], p["omega_c"],
+        ((p["g"], p["gamma"], p["omega_c"] + p["delta"]),))
 
 
 def _mixed_model(freq, p):
     # Spin-up leaves the bare cavity; spin-down couples both transitions.
-    dw = TWO_PI * (freq - p["omega_c"])
-    bare = -1j * dw + TWO_PI * p["kappa"] / 2.0
-    gp3 = TWO_PI * (p["gamma3"] / 2.0 + p["gamma_d3"])
-    gp4 = TWO_PI * (p["gamma4"] / 2.0 + p["gamma_d4"])
-    coupled = bare \
-        + (TWO_PI * p["g3"]) ** 2 / (-1j * TWO_PI * (freq - p["omega_x"]) + gp3) \
-        + (TWO_PI * p["g4"]) ** 2 / (
-            -1j * TWO_PI * (freq - p["omega_x"] + p["delta_h"]) + gp4)
-    up = 1.0 / np.abs(bare) ** 2
-    down = 1.0 / np.abs(coupled) ** 2
+    up = lorentzian_response(freq, p["kappa"], p["omega_c"])
+    down = cavity_response(freq, p["kappa"], p["omega_c"], spin_down_lines(p))
     return p["background"] + p["scale"] * (
         p["p_up"] * up + (1.0 - p["p_up"]) * down)
 
@@ -208,15 +209,18 @@ class FitResult:
     ci_method: dict[str, str] = dc_field(default_factory=dict)
 
 
+def _constrained_g3(g_total: float, g4: float) -> float:
+    return math.sqrt(max(g_total ** 2 - g4 ** 2, 0.0))
+
+
 def _model_with_constraint(problem: FitProblem) -> Callable:
     base = MODEL_FUNCS[problem.model]
     if problem.g_total is None:
         return base
-    g_total_sq = problem.g_total ** 2
 
     def constrained(freq, p):
         q = dict(p)
-        q["g3"] = math.sqrt(max(g_total_sq - q["g4"] ** 2, 0.0))
+        q["g3"] = _constrained_g3(problem.g_total, q["g4"])
         return base(freq, q)
 
     return constrained
@@ -238,7 +242,8 @@ def _levenberg_marquardt(residual_fn, theta0, lo, hi,
                          max_iter=MAX_ITERATIONS, gtol=GRADIENT_TOL):
     """Damped Gauss-Newton minimization of sum(residual^2) in a box.
 
-    Returns (theta, ssr, n_iterations, converged, jacobian, residual).
+    Returns (theta, ssr, n_iterations, converged, jacobian, residual),
+    with the Jacobian evaluated at the returned theta.
     """
     theta = np.clip(np.asarray(theta0, dtype=float), lo, hi)
     r = residual_fn(theta)
@@ -271,7 +276,8 @@ def _levenberg_marquardt(residual_fn, theta0, lo, hi,
                 lam *= 10.0
                 continue
             trial = np.clip(theta + step, lo, hi)
-            r_new = residual_fn(trial)
+            # a step lost to rounding or to the bounds needs no evaluation
+            r_new = r if np.array_equal(trial, theta) else residual_fn(trial)
             ssr_new = float(r_new @ r_new)
             if ssr_new < ssr * (1.0 - 1e-15):
                 rel_drop = (ssr - ssr_new) / max(ssr, 1e-300)
@@ -286,13 +292,13 @@ def _levenberg_marquardt(residual_fn, theta0, lo, hi,
             lam *= 5.0
             if lam > 1e13:
                 break
-        if not accepted or converged:
+        if not accepted:
             # no descent direction left within the damping budget
-            converged = converged or not accepted
+            converged = True
             break
         jac = _jacobian(residual_fn, theta, r, lo, hi)
-    # evaluate the covariance where the optimizer actually stopped
-    jac = _jacobian(residual_fn, theta, r, lo, hi)
+        if converged:
+            break
     return theta, ssr, n_iter, converged, jac, r
 
 
@@ -387,9 +393,9 @@ def fit(problem: FitProblem) -> FitResult:
     full.update(params)
     if problem.g_total is not None:
         full["g_total"] = problem.g_total
-        full["g3"] = math.sqrt(max(problem.g_total ** 2 - full["g4"] ** 2, 0.0))
-        params["g3"] = full["g3"]
-    derived = _derived_subset(full)
+    derived = _derived_quantities(full)
+    if problem.g_total is not None:
+        params["g3"] = derived["g3"]
 
     return FitResult(params=params, ci95=ci,
                      residual_rms=_weighted_rms(problem, ssr),
@@ -397,12 +403,19 @@ def fit(problem: FitProblem) -> FitResult:
                      derived=derived, ci_method=method)
 
 
-def _derived_subset(values: Mapping[str, float]) -> dict:
-    """Computable subset of the derived-quantity report; never raises."""
+def _derived_quantities(values: Mapping[str, float]) -> dict:
+    """Each derived group whose inputs are present; never raises.
+
+    The cooperativity group is skipped unless the coupling is
+    non-negative and kappa and gamma are positive; an infeasible
+    constraint gives g3 = 0.
+    """
     out = {}
+    if "g_total" in values and "g4" in values:
+        out["g3"] = _constrained_g3(values["g_total"], values["g4"])
     g_for_c = values.get("g_total", values.get("g"))
-    if g_for_c is not None and "kappa" in values and "gamma" in values \
-            and values["kappa"] > 0 and values["gamma"] > 0:
+    if g_for_c is not None and g_for_c >= 0 and values.get("kappa", 0.0) > 0 \
+            and values.get("gamma", 0.0) > 0:
         out["cooperativity"] = cooperativity(g_for_c, values["kappa"], values["gamma"])
         out["strong_coupling"] = is_strongly_coupled(
             g_for_c, values["kappa"], values["gamma"])
@@ -411,8 +424,6 @@ def _derived_subset(values: Mapping[str, float]) -> dict:
             values["omega_x"] - values["delta_h"] - values["omega_c"])
     elif "delta" in values:
         out["detuning_sigma4_cavity"] = abs(values["delta"])
-    if "g_total" in values and "g4" in values:
-        out["g3"] = math.sqrt(max(values["g_total"] ** 2 - values["g4"] ** 2, 0.0))
     return out
 
 
@@ -422,48 +433,60 @@ def derive_report(values: Mapping[str, float]) -> dict:
     Computes the coupling of transition 3 from the constraint
     g3 = sqrt(g_total^2 - g4^2), the cooperativity and strong-coupling
     flag from (g_total or g, kappa, gamma), and the transition-4 to
-    cavity detuning |omega_x - delta_h - omega_c|. Raises SchemaError
-    when none of the output groups has its inputs present, and
-    DomainError when the constraint is infeasible (g4 > g_total).
+    cavity detuning, |omega_x - delta_h - omega_c| or, for the
+    single-transition parameters, |delta|. Raises SchemaError when none
+    of the output groups has its inputs present, and DomainError when
+    the constraint is infeasible (g4 > g_total), a given coupling is
+    negative, or a given kappa or gamma is not positive.
     """
-    out = {}
-    if "g_total" in values and "g4" in values:
-        if values["g4"] > values["g_total"]:
-            raise DomainError(
-                f"constraint infeasible: g4={values['g4']} exceeds "
-                f"g_total={values['g_total']}")
-        out["g3"] = math.sqrt(values["g_total"] ** 2 - values["g4"] ** 2)
-    g_for_c = values.get("g_total", values.get("g"))
-    if g_for_c is not None and "kappa" in values and "gamma" in values:
-        out["cooperativity"] = cooperativity(g_for_c, values["kappa"], values["gamma"])
-        out["strong_coupling"] = is_strongly_coupled(
-            g_for_c, values["kappa"], values["gamma"])
-    if all(k in values for k in ("omega_x", "delta_h", "omega_c")):
-        out["detuning_sigma4_cavity"] = abs(
-            values["omega_x"] - values["delta_h"] - values["omega_c"])
+    if "g_total" in values and "g4" in values and values["g4"] > values["g_total"]:
+        raise DomainError(
+            f"constraint infeasible: g4={values['g4']} exceeds "
+            f"g_total={values['g_total']}")
+    for name in ("g", "g_total"):
+        if name in values and not values[name] >= 0:
+            raise DomainError(f"{name} must be >= 0, got {values[name]}")
+    for name in ("kappa", "gamma"):
+        if name in values and not values[name] > 0:
+            raise DomainError(f"{name} must be positive, got {values[name]}")
+    out = _derived_quantities(values)
     if not out:
         raise SchemaError(
             "insufficient inputs: need (g_total, g4) for g3, "
             "(g or g_total, kappa, gamma) for cooperativity, or "
-            "(omega_x, delta_h, omega_c) for the detuning")
+            "(omega_x, delta_h, omega_c) or delta for the detuning")
     return out
+
+
+def _pinned_ssr(problem: FitProblem, param_name: str,
+                start: Mapping[str, float]) -> Callable[[float], float]:
+    """SSR versus one pinned parameter, re-optimizing all other free ones.
+
+    Each solve starts from the previous optimum; the first starts from
+    ``start``, falling back to the free parameters' initial values.
+    """
+    if param_name not in problem.free:
+        raise DomainError(f"'{param_name}' is not a free parameter")
+    others = [n for n in problem.free if n != param_name]
+    warm = {n: start[n] for n in others if n in start}
+
+    def ssr_at(value):
+        nonlocal warm
+        _, theta, ssr, _, _, _, _, _ = _solve_problem(
+            problem, free_names=others, inits=warm,
+            extra_fixed={param_name: float(value)})
+        warm = dict(zip(others, theta))
+        return ssr
+
+    return ssr_at
 
 
 def goodness_profile(problem: FitProblem, param_name: str,
                      grid) -> list[tuple[float, float]]:
     """Residual RMS versus one parameter, re-optimizing all others."""
-    if param_name not in problem.free:
-        raise DomainError(f"'{param_name}' is not a free parameter")
-    others = [n for n in problem.free if n != param_name]
-    warm = {n: problem.free[n].init for n in others}
-    out = []
-    for value in grid:
-        _, theta, ssr, _, _, _, _, _ = _solve_problem(
-            problem, free_names=others, inits=warm,
-            extra_fixed={param_name: float(value)})
-        warm = dict(zip(others, theta))
-        out.append((float(value), _weighted_rms(problem, ssr)))
-    return out
+    ssr_at = _pinned_ssr(problem, param_name, {})
+    return [(float(value), _weighted_rms(problem, ssr_at(value)))
+            for value in grid]
 
 
 def profile_bound(problem: FitProblem, param_name: str,
@@ -475,22 +498,11 @@ def profile_bound(problem: FitProblem, param_name: str,
     analogue of a single-parameter likelihood-ratio interval with the
     noise variance estimated from the fit itself.
     """
-    if param_name not in problem.free:
-        raise DomainError(f"'{param_name}' is not a free parameter")
+    profile_ssr = _pinned_ssr(problem, param_name, best_params)
     dof = max(problem.data.n_points - len(problem.free), 1)
     threshold = ssr_min * (1.0 + CHI2_95_DF1 / dof)
-    others = [n for n in problem.free if n != param_name]
-    warm = {n: best_params[n] for n in others if n in best_params}
     fp = problem.free[param_name]
     limit = fp.upper if upper else fp.lower
-
-    def profile_ssr(value):
-        nonlocal warm
-        _, theta, ssr, _, _, _, _, _ = _solve_problem(
-            problem, free_names=others, inits=warm,
-            extra_fixed={param_name: float(value)})
-        warm = dict(zip(others, theta))
-        return ssr
 
     x0 = float(best_params[param_name])
     span = fp.upper - fp.lower
@@ -539,12 +551,9 @@ def fit_thermal_pup(data: Spectrum, fixed_params,
     frequencies come from ``fixed_params`` (a SystemParams) and only the
     spin-up probability plus the scale and background nuisances float.
     """
-    sp = fixed_params
-    fixed = {"g3": sp.g3, "g4": sp.g4, "gamma3": sp.gamma3, "gamma4": sp.gamma4,
-             "gamma_d3": sp.gamma_d3, "gamma_d4": sp.gamma_d4,
-             "kappa": sp.kappa, "omega_c": sp.omega_c, "omega_x": sp.omega_x,
-             "delta_h": sp.delta_h}
-    seeds = seed_scale_background(data, sp.kappa)
+    names = MODEL_PARAMS[ModelKind.MIXED_TWO_TRANSITION]
+    fixed = {k: v for k, v in vars(fixed_params).items() if k in names}
+    seeds = seed_scale_background(data, fixed_params.kappa)
     problem = FitProblem(
         data=data, model=ModelKind.MIXED_TWO_TRANSITION,
         free={"p_up": free_param("p_up", 0.3),

@@ -33,8 +33,9 @@ equivalence can be asserted numerically.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -53,6 +54,9 @@ _POSITIVITY_FAIL = -1e-6
 _RESIDUAL_REL = 1e-9
 _COND_LIMIT = 1e14
 
+_NON_NEGATIVE = frozenset(("g3", "g4", "gamma3", "gamma4", "gamma_d3", "gamma_d4",
+                           "drive_amp"))
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -61,7 +65,8 @@ class SystemParams:
     Rates and frequencies are value/2pi in GHz. ``drive_amp`` is the
     coherent probe amplitude; it defaults to kappa/100, which keeps the
     system deep in linear response. ``fock_dim`` is the photon-number
-    cutoff (occupied levels 0 .. fock_dim-1).
+    cutoff (occupied levels 0 .. fock_dim-1). Every rate and frequency
+    must be a finite real number.
     """
 
     kappa: float
@@ -78,17 +83,21 @@ class SystemParams:
     fock_dim: int = DEFAULT_FOCK_DIM
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "fock_dim" or (f.name == "drive_amp" and value is None):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise DomainError(f"{f.name} must be a finite number, got {value!r}")
+            if f.name in _NON_NEGATIVE and value < 0:
+                raise DomainError(f"{f.name} must be >= 0, got {value}")
         if not self.kappa > 0:
             raise DomainError(f"kappa must be positive, got {self.kappa}")
-        for name in ("g3", "g4", "gamma3", "gamma4", "gamma_d3", "gamma_d4"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not (isinstance(self.fock_dim, (int, np.integer)) and self.fock_dim >= 2):
             raise DomainError(f"fock_dim must be an integer >= 2, got {self.fock_dim}")
         if self.drive_amp is None:
             object.__setattr__(self, "drive_amp", self.kappa / 100.0)
-        if self.drive_amp < 0:
-            raise DomainError(f"drive_amp must be >= 0, got {self.drive_amp}")
         if self.drive_amp > self.kappa / 10.0:
             warnings.warn(
                 "drive_amp exceeds kappa/10; linear-response comparisons "
@@ -339,8 +348,3 @@ def fock_convergence_shift(params: SystemParams, probe_freq: float,
     if n1 == 0.0:
         return 0.0
     return abs(n1 - n0) / n1
-
-
-def bare_cavity_params(params: SystemParams) -> SystemParams:
-    """Same system with both couplings removed (spin-up response)."""
-    return replace(params, g3=0.0, g4=0.0)

@@ -1,14 +1,16 @@
 """Reflectivity spectra: closed forms, master-equation scans, mixing, sweeps.
 
-The single-transition closed form is
+Every closed form is one weak-probe cavity response,
 
-    R(w) = B + S / | -i dw + kappa/2 + g^2 / (-i (dw - delta) + gamma) |^2
+    R(w) = B + S / | -i (w - omega_c) + kappa/2
+                     + sum_i g_i^2 / (-i (w - w_i) + gamma_perp_i) |^2
 
-with dw the probe-cavity detuning, delta the dot-cavity detuning and
-gamma the transverse (coherence) decay rate of the dipole; all symbols
-are converted to angular units internally. The two-transition form adds
-a second susceptibility term of the same shape in the denominator. Both
-reduce to a Lorentzian of FWHM kappa when the couplings vanish.
+with one term per dipole line i of coupling g_i, frequency w_i and
+transverse (coherence) decay rate gamma_perp_i = gamma_i/2 + gamma_d_i;
+all symbols are converted to angular units internally. The bare-cavity
+Lorentzian of FWHM kappa, the single-transition transparency dip and the
+two-transition spin-down response are its 0-, 1- and 2-line cases, all
+evaluated by :func:`cavity_response`.
 
 The master-equation spectrum reads out the coherently scattered cavity
 response |Tr(rho_ss a)|^2, normalized by the squared drive so that
@@ -117,42 +119,44 @@ class FringeModel:
 NO_FRINGE = FringeModel(amplitude=0.0, period=1.0)
 
 
-def lorentzian_response(freq, kappa, omega_c):
-    """Unscaled bare-cavity response 1/|{-i dw + kappa/2}|^2 (angular)."""
-    dw = TWO_PI * (np.asarray(freq, dtype=float) - omega_c)
-    return 1.0 / (dw**2 + (TWO_PI * kappa / 2.0) ** 2)
+def cavity_response(freq, kappa, omega_c, lines=()):
+    """Unscaled cavity response with any number of coupled dipole lines.
 
-
-def single_transition_response(freq, g, kappa, gamma, delta, omega_c):
-    """Unscaled response of one transition coupled to the cavity.
-
-    ``gamma`` is the transverse dipole decay rate (value/2pi in GHz) and
-    ``delta`` the dot-cavity detuning.
+    ``lines`` holds (g, gamma_perp, omega_i) triples; lines with g = 0 are
+    skipped, and with no lines the result is the bare Lorentzian.
     """
-    dw = TWO_PI * (np.asarray(freq, dtype=float) - omega_c)
-    denom = -1j * dw + TWO_PI * kappa / 2.0
-    denom = denom + (TWO_PI * g) ** 2 / (-1j * (dw - TWO_PI * delta) + TWO_PI * gamma)
-    return 1.0 / np.abs(denom) ** 2
+    freq = np.asarray(freq, dtype=float)
+    # real and imaginary parts of the denominator, in angular units; each
+    # line adds g^2 / (a - i b) = g^2 (a + i b) / (a^2 + b^2)
+    re, im = TWO_PI * kappa / 2.0, -TWO_PI * (freq - omega_c)
+    for g, gamma_perp, omega in lines:
+        if g:
+            a, b = TWO_PI * gamma_perp, TWO_PI * (freq - omega)
+            q = (TWO_PI * g) ** 2 / (a * a + b * b)
+            re = re + a * q
+            im = im + b * q
+    return 1.0 / (re * re + im * im)
+
+
+def spin_down_lines(p) -> tuple:
+    """(g, gamma_perp, omega_i) of transitions 3 and 4 of the spin-down dot.
+
+    ``p`` maps the SystemParams field names to values. Transition 4 sits
+    delta_h below omega_x; gamma_perp_i = gamma_i/2 + gamma_d_i.
+    """
+    return ((p["g3"], p["gamma3"] / 2.0 + p["gamma_d3"], p["omega_x"]),
+            (p["g4"], p["gamma4"] / 2.0 + p["gamma_d4"], p["omega_x"] - p["delta_h"]))
+
+
+def lorentzian_response(freq, kappa, omega_c):
+    """Unscaled bare-cavity response: the kernel with no lines."""
+    return cavity_response(freq, kappa, omega_c)
 
 
 def two_transition_response(freq, params: SystemParams):
-    """Unscaled response with both transitions in the denominator.
-
-    Each transition contributes g_i^2 / (-i (w - w_i) + gamma_perp_i)
-    with transverse rates gamma_perp_i = gamma_i/2 + gamma_d_i.
-    """
-    freq = np.asarray(freq, dtype=float)
-    dw = TWO_PI * (freq - params.omega_c)
-    denom = -1j * dw + TWO_PI * params.kappa / 2.0
-    gp3 = TWO_PI * (params.gamma3 / 2.0 + params.gamma_d3)
-    gp4 = TWO_PI * (params.gamma4 / 2.0 + params.gamma_d4)
-    if params.g3:
-        denom = denom + (TWO_PI * params.g3) ** 2 / (
-            -1j * TWO_PI * (freq - params.omega_x) + gp3)
-    if params.g4:
-        denom = denom + (TWO_PI * params.g4) ** 2 / (
-            -1j * TWO_PI * (freq - params.omega_x + params.delta_h) + gp4)
-    return 1.0 / np.abs(denom) ** 2
+    """Unscaled spin-down response with both transitions coupled."""
+    return cavity_response(freq, params.kappa, params.omega_c,
+                           spin_down_lines(vars(params)))
 
 
 def lorentzian_spectrum(kappa: float, omega_c: float, cfg: ScanConfig,
@@ -179,8 +183,8 @@ def dit_spectrum(g: float, kappa: float, gamma: float, delta: float,
     if not gamma > 0:
         raise DomainError(f"gamma must be positive, got {gamma}")
     f = cfg.grid()
-    r = cfg.background + cfg.scale * single_transition_response(
-        f, g, kappa, gamma, delta, omega_c)
+    r = cfg.background + cfg.scale * cavity_response(
+        f, kappa, omega_c, ((g, gamma, omega_c + delta),))
     return Spectrum(f, r, meta=dict(meta or {}))
 
 

@@ -80,6 +80,8 @@ class _Canvas:
                      f'r="{radius}" fill="{color}" fill-opacity="0.7"/>')
 
     def text(self, x_px, y_px, content, size=13, anchor="middle", rotate=None):
+        # XML-escape; '&' goes first so no entity is escaped twice
+        content = str(content).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         transform = f' transform="rotate(-90 {x_px:.1f} {y_px:.1f})"' if rotate else ""
         self.add(f'<text x="{x_px:.1f}" y="{y_px:.1f}" font-family="sans-serif" '
                  f'font-size="{size}" text-anchor="{anchor}"{transform}>'

@@ -225,6 +225,29 @@ class TestFit:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("key, value", [
+        ("kappa", "31.79"),
+        ("g3", float("nan")),
+        ("omega_c", float("nan")),
+        ("gamma_d4", float("inf")),
+        ("delta_h", None),
+        ("drive_amp", "0.3"),
+        ("fock_dim", "4"),
+    ])
+    def test_mistyped_or_nonfinite_param_exits_2(self, tmp_path, params_file,
+                                                 capsys, key, value):
+        record = json.loads(params_file.read_text())
+        record[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(record))
+        out = tmp_path / "never.csv"
+        code, _, err = run(capsys, "simulate", "--params", str(bad),
+                           "--model", "two", "--scan", "-10,10,11",
+                           "--out", str(out))
+        assert code == 2
+        assert key in err
+        assert not out.exists()
+
     def test_numerical_failure_exits_3(self, tmp_path, params_file, capsys,
                                        monkeypatch):
         # numerical failures map to exit 3 and leave no output behind

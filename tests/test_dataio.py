@@ -133,6 +133,12 @@ class TestParamsFiles:
         with pytest.raises(FormatError, match="garbage.json"):
             load_params(path)
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(FormatError, match="binary.json"):
+            load_params(path)
+
     def test_levels_only_file(self, tmp_path):
         path = tmp_path / "levels.json"
         path.write_text(json.dumps({

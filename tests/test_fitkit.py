@@ -9,8 +9,9 @@ from spincavity import (DomainError, FitProblem, FringeModel, ModelKind,
                         free_param, goodness_profile, lorentzian_spectrum,
                         mixed_spectrum, synthesize_noisy,
                         two_transition_spectrum)
-from spincavity.fitkit import (seed_lorentzian, seed_mixed,
+from spincavity.fitkit import (MODEL_FUNCS, seed_lorentzian, seed_mixed,
                                seed_single_transition)
+from spincavity.spectra import lorentzian_response, two_transition_response
 from conftest import (DELTA_H, G4, G_TOTAL, GAMMA_D3, GAMMA_D4,
                       GAMMA_PERP_0T, KAPPA)
 
@@ -119,6 +120,22 @@ class TestProblemValidation:
             FitProblem(data=tiny, model=ModelKind.LORENTZIAN,
                        free={k: free_param(k, 1.0)
                              for k in ("kappa", "omega_c", "scale", "background")})
+
+
+class TestModels:
+    def test_mixed_model_with_uncoupled_zero_width_line(self):
+        # transition 3 fully switched off: g3 = gamma3 = gamma_d3 = 0
+        params = SystemParams(kappa=KAPPA, g3=0.0, g4=G4, gamma_d3=0.0,
+                              gamma_d4=GAMMA_D4, omega_c=0.0, omega_x=DELTA_H,
+                              delta_h=DELTA_H, gamma3=0.0)
+        freq = np.array([-20.0, 0.0, DELTA_H, 30.0])
+        p = dict(vars(params), p_up=0.3, scale=SCALE, background=BACKGROUND)
+        r = MODEL_FUNCS[ModelKind.MIXED_TWO_TRANSITION](freq, p)
+        assert np.all(np.isfinite(r))
+        expected = BACKGROUND + SCALE * (
+            0.3 * lorentzian_response(freq, KAPPA, 0.0)
+            + 0.7 * two_transition_response(freq, params))
+        np.testing.assert_allclose(r, expected, rtol=1e-14)
 
 
 class TestNoiselessRoundTrips:
@@ -248,6 +265,22 @@ class TestConfidenceBounds:
         assert not np.isfinite(result.ci95["gamma_d4"])
 
 
+class TestEvaluationCount:
+    def test_converged_fit_never_repeats_a_parameter_vector(self, monkeypatch):
+        seen = []
+        base = MODEL_FUNCS[ModelKind.LORENTZIAN]
+
+        def recording(freq, p):
+            seen.append(tuple(sorted(p.items())))
+            return base(freq, p)
+
+        monkeypatch.setitem(MODEL_FUNCS, ModelKind.LORENTZIAN, recording)
+        result = fit(lorentzian_problem(lorentzian_data(noise=0.01, seed=9)))
+        assert result.converged
+        assert all(m == "covariance" for m in result.ci_method.values())
+        assert len(seen) == len(set(seen))
+
+
 class TestGoodnessProfile:
     def test_minimum_at_truth_noiseless(self):
         data = lorentzian_data()
@@ -323,6 +356,14 @@ class TestDeriveReport:
     def test_infeasible_constraint(self):
         with pytest.raises(DomainError):
             derive_report({"g_total": 10.0, "g4": 12.0})
+
+    def test_single_transition_detuning(self):
+        out = derive_report({"delta": -2.5})
+        assert out == {"detuning_sigma4_cavity": 2.5}
+
+    def test_nonpositive_rate_rejected(self):
+        with pytest.raises(DomainError, match="gamma"):
+            derive_report({"g": 18.67, "kappa": 31.79, "gamma": 0.0})
 
     def test_fit_result_carries_derived(self):
         result = fit(single_problem(single_data()))

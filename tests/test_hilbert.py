@@ -77,6 +77,16 @@ class TestSystemParams:
             SystemParams(kappa=1, g3=0, g4=0, gamma_d3=0, gamma_d4=0,
                          omega_c=0, omega_x=0, delta_h=0, fock_dim=1)
 
+    @pytest.mark.parametrize("key, value", [
+        ("kappa", "31.79"), ("g4", float("nan")), ("omega_x", float("-inf")),
+        ("gamma3", True), ("drive_amp", float("nan")), ("fock_dim", 4.0)])
+    def test_rejects_mistyped_and_nonfinite_values(self, key, value):
+        kwargs = dict(kappa=31.79, g3=7.26, g4=17.2, gamma_d3=3.1,
+                      gamma_d4=1.4, omega_c=0.0, omega_x=12.0, delta_h=12.0)
+        kwargs[key] = value
+        with pytest.raises(DomainError, match=key):
+            SystemParams(**kwargs)
+
     def test_strong_drive_warns(self):
         with pytest.warns(UserWarning):
             SystemParams(kappa=10, g3=0, g4=0, gamma_d3=0, gamma_d4=0,

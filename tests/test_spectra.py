@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spincavity import (DomainError, FringeModel, ScanConfig, ShapeError,
                         Spectrum, SystemParams, cooperativity, dit_spectrum,
@@ -9,6 +10,7 @@ from spincavity import (DomainError, FringeModel, ScanConfig, ShapeError,
                         master_equation_spectrum, max_relative_difference,
                         mixed_spectrum, synthesize_noisy,
                         two_transition_spectrum, wavelength_to_frequency)
+from spincavity.spectra import cavity_response
 from conftest import (CAVITY_NM, DELTA_H, G3, G4, G_TOTAL, GAMMA_D3, GAMMA_D4,
                       GAMMA_PERP_0T, KAPPA)
 
@@ -117,6 +119,42 @@ class TestDitSpectrum:
             s = dit_spectrum(G_TOTAL, KAPPA, gamma, 0.0, 0.0, cfg)
             dips.append(s.reflectivity[120])
         assert all(a < b for a, b in zip(dips, dips[1:]))
+
+
+FREQS = st.lists(st.floats(-500, 500), min_size=1, max_size=20).map(np.array)
+KAPPAS = st.floats(0.1, 100)
+CENTERS = st.floats(-100, 100)
+LINES = st.lists(st.tuples(st.floats(0, 50), st.floats(1e-3, 50),
+                           st.floats(-100, 100)), max_size=3)
+PROPERTY = settings(derandomize=True, database=None, max_examples=200,
+                    deadline=None)
+
+
+class TestCavityResponse:
+    @PROPERTY
+    @given(FREQS, KAPPAS, CENTERS)
+    def test_no_lines_is_the_lorentzian(self, f, kappa, omega_c):
+        expected = 1.0 / ((2 * np.pi * (f - omega_c)) ** 2 + (np.pi * kappa) ** 2)
+        np.testing.assert_allclose(cavity_response(f, kappa, omega_c),
+                                   expected, rtol=1e-12, atol=0)
+
+    @PROPERTY
+    @given(FREQS, KAPPAS, CENTERS, LINES)
+    def test_bounded_by_the_bare_peak(self, f, kappa, omega_c, lines):
+        # every line term has a non-negative real part, so the real part
+        # of the denominator never drops below kappa/2 (angular)
+        r = cavity_response(f, kappa, omega_c, lines)
+        assert np.all(r > 0)
+        assert np.all(r <= 1.0 / (np.pi * kappa) ** 2)
+
+    @PROPERTY
+    @given(FREQS, KAPPAS, CENTERS, LINES, st.floats(0, 50), CENTERS)
+    def test_uncoupled_line_changes_nothing(self, f, kappa, omega_c, lines,
+                                            gamma_perp, omega):
+        with_line = lines + [(0.0, gamma_perp, omega)]
+        np.testing.assert_array_equal(
+            cavity_response(f, kappa, omega_c, with_line),
+            cavity_response(f, kappa, omega_c, lines))
 
 
 class TestTwoTransition:
