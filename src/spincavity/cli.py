@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -65,14 +66,12 @@ def _parse_fields(text: str) -> list[float]:
         b0, b1, step = (float(p) for p in parts)
     except ValueError as exc:
         raise CliError(f"--fields expects B0:B1:STEP, got '{text}' ({exc})") from exc
+    if not all(math.isfinite(v) for v in (b0, b1, step)):
+        raise CliError(f"--fields values must be finite, got '{text}'")
     if step <= 0:
         raise CliError(f"--fields step must be positive, got {step}")
-    fields = []
-    b = b0
-    while b <= b1 + 1e-9:
-        fields.append(round(b, 9))
-        b += step
-    return fields or [b0]
+    count = math.floor((b1 - b0 + 1e-9) / step) + 1
+    return [round(b0 + k * step, 9) for k in range(count)] or [b0]
 
 
 def _parse_kv(pairs: list[str]) -> dict[str, float]:

@@ -77,50 +77,54 @@ def load_spectrum(path) -> Spectrum:
     meta = {}
     rows = []
     header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = _parse_meta_value(value.strip())
-                continue
-            if not header_seen:
-                cols = [c.strip() for c in line.split(",")]
-                if cols not in (["freq_ghz", "reflectivity", "weight"],
-                                ["freq_ghz", "reflectivity"]):
-                    raise FormatError(
-                        f"{path}:{lineno}: expected header '{SPECTRUM_HEADER}' "
-                        f"(weight optional), got '{line}'")
-                header_seen = True
-                n_cols = len(cols)
-                continue
-            parts = line.split(",")
-            if len(parts) not in (2, 3) or len(parts) > n_cols:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                meta[key.strip()] = _parse_meta_value(value.strip())
+            continue
+        if not header_seen:
+            cols = [c.strip() for c in line.split(",")]
+            if cols not in (["freq_ghz", "reflectivity", "weight"],
+                            ["freq_ghz", "reflectivity"]):
                 raise FormatError(
-                    f"{path}:{lineno}: expected {n_cols} comma-separated values, "
-                    f"got '{line}'")
-            try:
-                values = [float(p) for p in parts]
-            except ValueError as exc:
-                raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
-            freq, refl = values[0], values[1]
-            weight = values[2] if len(values) == 3 else 1.0
-            if rows and freq <= rows[-1][0]:
-                raise DataValidationError(
-                    f"{path}:{lineno}: frequency {freq} is not strictly "
-                    f"increasing (previous {rows[-1][0]})")
-            if not np.isfinite(refl) or refl < 0:
-                raise DataValidationError(
-                    f"{path}:{lineno}: reflectivity must be finite and >= 0, "
-                    f"got {refl}")
-            if not np.isfinite(weight) or weight <= 0:
-                raise DataValidationError(
-                    f"{path}:{lineno}: weight must be finite and > 0, got {weight}")
-            rows.append((freq, refl, weight))
+                    f"{path}:{lineno}: expected header '{SPECTRUM_HEADER}' "
+                    f"(weight optional), got '{line}'")
+            header_seen = True
+            n_cols = len(cols)
+            continue
+        parts = line.split(",")
+        if len(parts) not in (2, 3) or len(parts) > n_cols:
+            raise FormatError(
+                f"{path}:{lineno}: expected {n_cols} comma-separated values, "
+                f"got '{line}'")
+        try:
+            values = [float(p) for p in parts]
+        except ValueError as exc:
+            raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
+        freq, refl = values[0], values[1]
+        weight = values[2] if len(values) == 3 else 1.0
+        if rows and freq <= rows[-1][0]:
+            raise DataValidationError(
+                f"{path}:{lineno}: frequency {freq} is not strictly "
+                f"increasing (previous {rows[-1][0]})")
+        if not np.isfinite(refl) or refl < 0:
+            raise DataValidationError(
+                f"{path}:{lineno}: reflectivity must be finite and >= 0, "
+                f"got {refl}")
+        if not np.isfinite(weight) or weight <= 0:
+            raise DataValidationError(
+                f"{path}:{lineno}: weight must be finite and > 0, got {weight}")
+        rows.append((freq, refl, weight))
     if not header_seen:
         raise FormatError(f"{path}: missing header '{SPECTRUM_HEADER}'")
     if len(rows) < 3:

@@ -19,7 +19,14 @@ Dissipation enters through the Lindblad terms
     kappa D(a) + gamma3 D(s3) + gamma4 D(s4)
     + 2 gamma_d3 D(s3's3) + 2 gamma_d4 D(s4's4),
 
-where D(O)rho = O rho O' - {O'O, rho}/2. All user-facing rates and
+where D(O)rho = O rho O' - {O'O, rho}/2. The probe frequency enters H
+only through -omega N with N = a'a + s3's3 + s4's4, so the generator is
+affine in it:
+
+    L(omega) = L0 + omega D,    D = i 2pi (1 x N - N x 1),
+
+with D diagonal. L0 and D are built once per parameter set; each probe
+point only adds omega D to a copy of L0. All user-facing rates and
 frequencies are quoted values (value/2pi in GHz); internally one global
 multiplication by 2pi converts them to angular units (rad/ns, with time
 measured in ns).
@@ -33,7 +40,6 @@ equivalence can be asserted numerically.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
@@ -41,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, ModelError, NumericalError, StateError
-from .physcalc import TWO_PI
+from .physcalc import TWO_PI, _require_finite_real
 
 DEFAULT_FOCK_DIM = 4
 
@@ -54,6 +60,10 @@ _POSITIVITY_FAIL = -1e-6
 _RESIDUAL_REL = 1e-9
 _COND_LIMIT = 1e14
 
+# Largest dense generator, 16 (3 fock_dim)^4 bytes, that SystemParams
+# admits. A steady-state solve holds about four matrices of this size.
+_GENERATOR_BYTES_LIMIT = 256 * 2**20
+
 _NON_NEGATIVE = frozenset(("g3", "g4", "gamma3", "gamma4", "gamma_d3", "gamma_d4",
                            "drive_amp"))
 
@@ -65,8 +75,9 @@ class SystemParams:
     Rates and frequencies are value/2pi in GHz. ``drive_amp`` is the
     coherent probe amplitude; it defaults to kappa/100, which keeps the
     system deep in linear response. ``fock_dim`` is the photon-number
-    cutoff (occupied levels 0 .. fock_dim-1). Every rate and frequency
-    must be a finite real number.
+    cutoff (occupied levels 0 .. fock_dim-1); it is refused when the
+    dense generator would pass ``_GENERATOR_BYTES_LIMIT``. Every rate and
+    frequency must be a finite real number.
     """
 
     kappa: float
@@ -87,15 +98,18 @@ class SystemParams:
             value = getattr(self, f.name)
             if f.name == "fock_dim" or (f.name == "drive_amp" and value is None):
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value):
-                raise DomainError(f"{f.name} must be a finite number, got {value!r}")
+            _require_finite_real(f.name, value)
             if f.name in _NON_NEGATIVE and value < 0:
                 raise DomainError(f"{f.name} must be >= 0, got {value}")
         if not self.kappa > 0:
             raise DomainError(f"kappa must be positive, got {self.kappa}")
         if not (isinstance(self.fock_dim, (int, np.integer)) and self.fock_dim >= 2):
             raise DomainError(f"fock_dim must be an integer >= 2, got {self.fock_dim}")
+        matrix_bytes = 16 * (3 * int(self.fock_dim)) ** 4
+        if matrix_bytes > _GENERATOR_BYTES_LIMIT:
+            raise DomainError(
+                f"fock_dim={self.fock_dim} needs a {matrix_bytes / 2**20:.0f} MiB "
+                f"generator, above the {_GENERATOR_BYTES_LIMIT / 2**20:.0f} MiB limit")
         if self.drive_amp is None:
             object.__setattr__(self, "drive_amp", self.kappa / 100.0)
         if self.drive_amp > self.kappa / 10.0:
@@ -160,35 +174,50 @@ def build_hamiltonian(params: SystemParams, probe_freq: float,
     return h
 
 
-def _dissipator(op: np.ndarray, rate_angular: float) -> np.ndarray:
-    """Column-major vectorized Lindblad dissipator rate * D(op)."""
-    d = op.shape[0]
-    eye = np.eye(d)
-    opdop = op.conj().T @ op
-    return rate_angular * (
-        np.kron(op.conj(), op)
-        - 0.5 * np.kron(eye, opdop)
-        - 0.5 * np.kron(opdop.T, eye)
-    )
+@lru_cache(maxsize=1)
+def _generator_parts(params: SystemParams, real_g3: bool):
+    """(L0, D) with L(omega) = L0 + omega * diag(D), cached read-only.
+
+    L rho = H_eff rho + rho H_eff' + sum_r r C rho C' with
+    H_eff = -i H - (1/2) sum_r r C'C, where H is the Hamiltonian at zero
+    probe frequency. On the (d, d, d, d) view of the column-major
+    generator, entry [j, i, l, k] maps rho[k, l] to (L rho)[i, j], so
+    the I x H_eff and conj(H_eff) x I terms are writes on diagonal blocks.
+    """
+    d = params.dim
+    a, s3, s4 = _operators(params.fock_dim)
+    n3 = s3.conj().T @ s3
+    n4 = s4.conj().T @ s4
+    h_eff = -1j * build_hamiltonian(params, 0.0, real_g3=real_g3)
+    liou = np.zeros((d, d, d, d), dtype=complex)
+    for rate, op in ((TWO_PI * params.kappa, a),
+                     (TWO_PI * params.gamma3, s3),
+                     (TWO_PI * params.gamma4, s4),
+                     (2.0 * TWO_PI * params.gamma_d3, n3),
+                     (2.0 * TWO_PI * params.gamma_d4, n4)):
+        h_eff -= 0.5 * rate * (op.conj().T @ op)
+        liou += rate * np.multiply.outer(op.conj(), op).transpose(0, 2, 1, 3)
+    idx = np.arange(d)
+    liou[idx, :, idx, :] += h_eff
+    liou[:, idx, :, idx] += h_eff.conj()
+    liou = liou.reshape(d * d, d * d)
+    # The probe enters H only as -2pi omega N, N = a'a + s3's3 + s4's4.
+    number = np.diag(a.conj().T @ a + n3 + n4).real
+    diag = (1j * TWO_PI * (number[None, :] - number[:, None])).reshape(-1)
+    for part in (liou, diag):
+        part.setflags(write=False)
+    return liou, diag
 
 
 def build_liouvillian(params: SystemParams, probe_freq: float,
                       real_g3: bool = False) -> np.ndarray:
-    """Generator L with d vec(rho)/dt = L vec(rho), column-major vec."""
-    h = build_hamiltonian(params, probe_freq, real_g3=real_g3)
-    d = h.shape[0]
-    eye = np.eye(d)
-    liou = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    a, s3, s4 = _operators(params.fock_dim)
-    liou += _dissipator(a, TWO_PI * params.kappa)
-    if params.gamma3:
-        liou += _dissipator(s3, TWO_PI * params.gamma3)
-    if params.gamma4:
-        liou += _dissipator(s4, TWO_PI * params.gamma4)
-    if params.gamma_d3:
-        liou += _dissipator(s3.conj().T @ s3, 2.0 * TWO_PI * params.gamma_d3)
-    if params.gamma_d4:
-        liou += _dissipator(s4.conj().T @ s4, 2.0 * TWO_PI * params.gamma_d4)
+    """Generator L with d vec(rho)/dt = L vec(rho), column-major vec.
+
+    Returns a fresh, writable L0 + probe_freq * diag(D).
+    """
+    l0, diag = _generator_parts(params, real_g3)
+    liou = l0.copy()
+    liou.reshape(-1)[::liou.shape[0] + 1] += probe_freq * diag
     return liou
 
 
@@ -221,10 +250,13 @@ def steady_state(params: SystemParams, probe_freq: float,
     plus one step of iterative refinement. The result is symmetrized and
     exactly trace-normalized before the invariant checks run.
     """
-    liou = build_liouvillian(params, probe_freq, real_g3=real_g3)
+    # The fresh generator becomes the bordered system in place; its row 0
+    # is kept to form the residual of the full generator.
+    m = build_liouvillian(params, probe_freq, real_g3=real_g3)
     d = params.dim
-    m = liou.copy()
-    m[0, :] = _trace_vector(d)
+    scale = float(np.linalg.norm(m))
+    row0 = m[0].copy()
+    m[0] = _trace_vector(d)
     b = np.zeros(d * d, dtype=complex)
     b[0] = 1.0
     try:
@@ -236,8 +268,9 @@ def steady_state(params: SystemParams, probe_freq: float,
             f"steady-state solve failed ({exc}); condition estimate {cond:.3e}",
             condition_estimate=cond) from exc
 
-    residual = float(np.linalg.norm(liou @ x))
-    scale = float(np.linalg.norm(liou))
+    lx = m @ x
+    lx[0] = row0 @ x
+    residual = float(np.linalg.norm(lx))
     if residual > _RESIDUAL_REL * scale:
         cond = float(np.linalg.cond(m))
         if cond > _COND_LIMIT or not math.isfinite(cond):
@@ -302,6 +335,9 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
     The default step is chosen from the 1-norm of L, which bounds its
     spectral radius and keeps RK4 inside its stability region.
 
+    The n steps are applied as P^n, where P is the exact RK4 step matrix,
+    by repeated squaring; no linear system is solved.
+
     Time is in ns (1/GHz). t_final must be at least 20/kappa.
     """
     if t_final < 20.0 / params.kappa:
@@ -324,12 +360,22 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
     if rho0 is None:
         rho0 = ground_state(params.fock_dim)
     v = rho0.reshape(-1, order="F").astype(complex)
-    for _ in range(n_steps):
-        k1 = liou @ v
-        k2 = liou @ (v + 0.5 * dt * k1)
-        k3 = liou @ (v + 0.5 * dt * k2)
-        k4 = liou @ (v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # One RK4 step is v -> P v with P = sum_{k<=4} (dt L)^k / k!, built by
+    # Horner's rule; n_steps of them are applied by binary powering of P.
+    liou *= dt
+    step = liou / 4.0
+    for k in (3.0, 2.0, 1.0):
+        step.reshape(-1)[::d * d + 1] += 1.0
+        step = liou @ step
+        step /= k
+    step.reshape(-1)[::d * d + 1] += 1.0
+    while True:
+        if n_steps & 1:
+            v = step @ v
+        n_steps >>= 1
+        if not n_steps:
+            break
+        step = step @ step
     rho = v.reshape((d, d), order="F")
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spincavity.cli import main
+from spincavity.cli import _parse_fields, main
 from spincavity.dataio import (load_fit_report, load_spectrum, save_params,
                                save_spectrum)
 from spincavity import (ScanConfig, SystemParams, TrionLevels,
@@ -248,6 +248,35 @@ class TestExitCodes:
         assert key in err
         assert not out.exists()
 
+    def test_undecodable_data_exits_2(self, tmp_path, params_file, capsys):
+        data = tmp_path / "utf16.csv"
+        data.write_bytes(b"\xff\xfe" + "freq_ghz,reflectivity\n".encode("utf-16-le"))
+        out = tmp_path / "never.json"
+        code, _, err = run(capsys, "fit", "--data", str(data),
+                           "--params", str(params_file), "--model", "lorentzian",
+                           "--free", "kappa,omega_c,scale,background",
+                           "--out", str(out))
+        assert code == 2
+        assert "utf16.csv" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("zero_field_frequency", "321838.42"), ("hole_g", float("nan")),
+        ("electron_g", True)])
+    def test_mistyped_or_nonfinite_level_exits_2(self, tmp_path, levels_file,
+                                                 capsys, key, value):
+        record = json.loads(levels_file.read_text())
+        record[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(record))
+        outdir = tmp_path / "never"
+        code, _, err = run(capsys, "sweep", "--params", str(bad),
+                           "--fields", "0:1:0.5", "--scan", "321795,321915,11",
+                           "--out", str(outdir))
+        assert code == 2
+        assert key in err
+        assert not outdir.exists()
+
     def test_numerical_failure_exits_3(self, tmp_path, params_file, capsys,
                                        monkeypatch):
         # numerical failures map to exit 3 and leave no output behind
@@ -311,6 +340,26 @@ class TestSweep:
                          "--scan", "321795,321915,101", "--out", str(outdir))
         assert code == 0
         assert len(list(outdir.glob("field_*.csv"))) == 1
+
+    @pytest.mark.parametrize("text, count, last", [
+        ("0:6.5:0.5", 14, 6.5), ("0:1000:0.01", 100001, 1000.0),
+        ("0:1000:0.03", 33334, 999.99), ("2.0:3.0:5.0", 1, 2.0),
+        ("3.0:1.0:0.5", 1, 3.0), ("1.5", 1, 1.5)])
+    def test_fields_from_a_count(self, text, count, last):
+        fields = _parse_fields(text)
+        assert len(fields) == count
+        assert fields[-1] == last
+        assert fields == sorted(set(fields))
+
+    # No infinite upper bound: a parser that accumulates b += step never
+    # returns on one, and this table must fail against such code, not hang.
+    @pytest.mark.parametrize("text", ["0:nan:0.5", "0:1:inf", "0:1:0", "0:1"])
+    def test_bad_fields_exit_2(self, tmp_path, levels_file, capsys, text):
+        code, _, err = run(capsys, "sweep", "--params", str(levels_file),
+                           "--fields", text, "--scan", "321795,321915,11",
+                           "--out", str(tmp_path / "nope"))
+        assert code == 2
+        assert "--fields" in err
 
     def test_missing_levels(self, tmp_path, params_file, capsys):
         code, _, err = run(capsys, "sweep", "--params", str(params_file),

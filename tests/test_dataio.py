@@ -70,6 +70,12 @@ class TestSpectrumFiles:
         with pytest.raises(DataValidationError, match="text.csv:3"):
             load_spectrum(path)
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes(b"\xff\xfe" + "freq_ghz,reflectivity\n".encode("utf-16-le"))
+        with pytest.raises(FormatError, match="utf16.csv"):
+            load_spectrum(path)
+
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("freq_ghz,reflectivity,weight\n1.0,0.5,1\n2.0,0.6,1\n")

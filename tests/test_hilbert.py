@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from spincavity import (DomainError, NumericalError, StateError, SystemParams,
                         expectation_photon_number, fock_convergence_shift,
                         steady_state, time_evolve_oracle,
                         validate_density_matrix)
+from spincavity import hilbert
 from spincavity.hilbert import (annihilation_operator, ground_state,
                                 lowering_operator, _trace_vector)
 from spincavity.physcalc import TWO_PI
@@ -23,6 +25,37 @@ def empty_cavity_photon_number(kappa, drive, detuning):
     """Analytic driven damped cavity occupation (angular internally)."""
     eps = TWO_PI * drive
     return eps**2 / ((TWO_PI * detuning) ** 2 + (TWO_PI * kappa / 2.0) ** 2)
+
+
+def textbook_liouvillian(params, probe, real_g3=False):
+    """Reference generator: -i[H, .] plus one Kronecker-built dissipator
+    rate * (C* x C - (1/2) I x C'C - (1/2) (C'C)^T x I) per collapse operator."""
+    h = build_hamiltonian(params, probe, real_g3=real_g3)
+    fock = params.fock_dim
+    eye = np.eye(params.dim)
+    liou = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    s3 = lowering_operator(3, fock)
+    s4 = lowering_operator(4, fock)
+    for rate, op in ((params.kappa, annihilation_operator(fock)),
+                     (params.gamma3, s3), (params.gamma4, s4),
+                     (2 * params.gamma_d3, s3.conj().T @ s3),
+                     (2 * params.gamma_d4, s4.conj().T @ s4)):
+        opdop = op.conj().T @ op
+        liou += TWO_PI * rate * (np.kron(op.conj(), op)
+                                 - 0.5 * np.kron(eye, opdop)
+                                 - 0.5 * np.kron(opdop.T, eye))
+    return liou
+
+
+def rk4_loop(liou, v, dt, n_steps):
+    """n_steps classical Runge-Kutta steps of dv/dt = liou v, 4 matvecs each."""
+    for _ in range(n_steps):
+        k1 = liou @ v
+        k2 = liou @ (v + 0.5 * dt * k1)
+        k3 = liou @ (v + 0.5 * dt * k2)
+        k4 = liou @ (v + dt * k3)
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return v
 
 
 def liouvillian_timescales(liou):
@@ -86,6 +119,25 @@ class TestSystemParams:
         kwargs[key] = value
         with pytest.raises(DomainError, match=key):
             SystemParams(**kwargs)
+
+    @pytest.mark.parametrize("fock_dim", [40, np.int64(10**6)])
+    def test_oversized_fock_dim_refused_before_allocation(self, fock_dim):
+        hilbert._generator_parts.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="fock_dim"):
+                SystemParams(kappa=31.79, g3=7.2, g4=17.2, gamma_d3=3.1,
+                             gamma_d4=1.4, omega_c=0.0, omega_x=12.0,
+                             delta_h=12.0, fock_dim=fock_dim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert hilbert._generator_parts.cache_info().currsize == 0
+
+    def test_largest_used_cutoff_admitted(self, ref_params):
+        # fock_dim 8 plus the +2 of fock_convergence_shift
+        assert replace(ref_params, fock_dim=10).dim == 30
 
     def test_strong_drive_warns(self):
         with pytest.warns(UserWarning):
@@ -177,6 +229,25 @@ class TestLiouvillian:
                 np.abs(image))
             assert abs(np.trace(image)) < 1e-10 * np.max(np.abs(image))
 
+    @pytest.mark.parametrize("fock_dim", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("real_g3", [False, True])
+    @pytest.mark.parametrize("dephasing", [0.0, 2.3])
+    def test_matches_textbook_construction(self, ref_params, fock_dim, real_g3,
+                                           dephasing):
+        p = replace(ref_params, fock_dim=fock_dim, omega_c=1.5,
+                    gamma_d3=dephasing, gamma_d4=0.4 * dephasing)
+        for probe in (-60.0, 0.0, 7.25, 41.0):
+            ref = textbook_liouvillian(p, probe, real_g3=real_g3)
+            liou = build_liouvillian(p, probe, real_g3=real_g3)
+            assert np.max(np.abs(liou - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_returns_a_fresh_writable_matrix(self, ref_params):
+        first = build_liouvillian(ref_params, 3.0)
+        expected = first.copy()
+        assert first.flags.writeable
+        first[:] = 0.0
+        assert np.array_equal(build_liouvillian(ref_params, 3.0), expected)
+
 
 class TestSteadyState:
     def test_undriven_relaxes_to_vacuum(self, ref_params):
@@ -213,6 +284,15 @@ class TestSteadyState:
             validate_density_matrix(rho)
             liou = build_liouvillian(ref_params, probe)
             assert np.linalg.norm(liou @ vec(rho)) <= 1e-9 * np.linalg.norm(liou)
+
+    def test_one_generator_assembly_per_parameter_set(self, ref_params):
+        hilbert._generator_parts.cache_clear()
+        for probe in (-20.0, 0.0, 5.0, 20.0):
+            steady_state(ref_params, probe)
+        info = hilbert._generator_parts.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        steady_state(replace(ref_params, g3=ref_params.g3 + 1.0), 0.0)
+        assert hilbert._generator_parts.cache_info().misses == 2
 
     def test_degenerate_system_raises(self):
         # no decay at all from the atomic sector: steady state not unique
@@ -278,6 +358,23 @@ class TestTimeEvolveOracle:
                                     t_final=max(t_settle, 20 / ref_params.kappa),
                                     dt=dt)
         assert np.max(np.abs(rho_rk - rho_lu)) < 1e-6
+
+    def test_powering_equals_step_loop(self, ref_params):
+        p = replace(ref_params, fock_dim=2)
+        liou = build_liouvillian(p, 5.0)
+        t_final = 20.0 / p.kappa
+        dt = 2.0 / np.linalg.norm(liou, 1)
+        n_steps = math.ceil(t_final / dt)
+        assert 100 < n_steps < 1000
+        rng = np.random.default_rng(8)
+        psi = rng.standard_normal(p.dim) + 1j * rng.standard_normal(p.dim)
+        rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        v = rk4_loop(liou, vec(rho0), t_final / n_steps, n_steps)
+        rho = v.reshape((p.dim, p.dim), order="F")
+        rho = 0.5 * (rho + rho.conj().T)
+        rho /= np.trace(rho).real
+        rho_rk = time_evolve_oracle(p, 5.0, t_final=t_final, dt=dt, rho0=rho0)
+        assert np.max(np.abs(rho_rk - rho)) <= 1e-12
 
     def test_short_horizon_rejected(self, ref_params):
         with pytest.raises(DomainError):

@@ -240,3 +240,14 @@ class TestTrionLevels:
         with pytest.raises(DomainError):
             TrionLevels(zero_field_frequency=1000.0, electron_g=math.nan,
                         hole_g=0.1)
+
+    @pytest.mark.parametrize("key, value", [
+        ("zero_field_frequency", "321838.42"), ("electron_g", math.nan),
+        ("hole_g", True), ("diamagnetic_coeff", math.inf), ("field", "6.2"),
+        ("field", math.nan), ("electron_g", None)])
+    def test_rejects_mistyped_and_nonfinite_values(self, key, value):
+        kwargs = dict(zero_field_frequency=321838.42, electron_g=0.478,
+                      hole_g=0.143, diamagnetic_coeff=1.15, field=6.2)
+        kwargs[key] = value
+        with pytest.raises(DomainError, match=key):
+            TrionLevels(**kwargs)
