@@ -26,7 +26,7 @@ from .hilbert import SystemParams
 from .physcalc import (cooperativity, is_strongly_coupled, lande_g_factor,
                        splitting_nm_to_ghz, thermal_spin_up_population,
                        wavelength_to_frequency)
-from .spectra import FringeModel, ScanConfig
+from .spectra import _ROW_LIMIT, FringeModel, ScanConfig
 
 _VALIDATION_ERRORS = (DomainError, SchemaError, FormatError,
                       DataValidationError, ShapeError)
@@ -37,23 +37,30 @@ class CliError(Exception):
     """Flag-level validation problem; maps to exit code 2."""
 
 
-def _parse_scan(text: str, wavelength_axis: bool, scale: float,
-                background: float) -> ScanConfig:
+def _numbers(flag: str, text: str, form: str, types: tuple) -> tuple:
+    """The comma-separated values of one flag, each converted by its type."""
     parts = text.split(",")
-    if len(parts) != 3:
-        raise CliError(f"--scan expects START,STOP,N, got '{text}'")
+    if len(parts) != len(types):
+        raise CliError(f"{flag} expects {form}, got '{text}'")
     try:
-        start, stop = float(parts[0]), float(parts[1])
-        n = int(parts[2])
+        values = tuple(kind(part) for kind, part in zip(types, parts))
     except ValueError as exc:
-        raise CliError(f"--scan expects numbers: {exc}") from exc
-    if wavelength_axis:
+        raise CliError(f"{flag} expects {form}, got '{text}' ({exc})") from exc
+    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+        raise CliError(f"{flag} must be finite, got '{text}'")
+    return values
+
+
+def _parse_scan(args) -> ScanConfig:
+    start, stop, n = _numbers("--scan", args.scan, "START,STOP,N",
+                              (float, float, int))
+    if args.wavelength_axis:
         # interpret the endpoints as nm and convert; order flips
         a = wavelength_to_frequency(start)
         b = wavelength_to_frequency(stop)
         start, stop = min(a, b), max(a, b)
     return ScanConfig(start=start, stop=stop, n_points=n,
-                      scale=scale, background=background)
+                      scale=args.scale, background=args.background)
 
 
 def _parse_fields(text: str) -> list[float]:
@@ -71,6 +78,9 @@ def _parse_fields(text: str) -> list[float]:
     if step <= 0:
         raise CliError(f"--fields step must be positive, got {step}")
     count = math.floor((b1 - b0 + 1e-9) / step) + 1
+    if count > _ROW_LIMIT:
+        raise CliError(f"--fields '{text}' asks for {count} fields, above "
+                       f"the limit of {_ROW_LIMIT}")
     return [round(b0 + k * step, 9) for k in range(count)] or [b0]
 
 
@@ -80,22 +90,9 @@ def _parse_kv(pairs: list[str]) -> dict[str, float]:
         key, sep, value = pair.partition("=")
         if not sep:
             raise CliError(f"expected KEY=VALUE, got '{pair}'")
-        try:
-            out[key.strip()] = float(value)
-        except ValueError as exc:
-            raise CliError(f"value of '{key}' is not a number: {value}") from exc
+        key = key.strip()
+        (out[key],) = _numbers(key, value, "a number", (float,))
     return out
-
-
-def _parse_fringe(text: str) -> FringeModel:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise CliError(f"--fringe expects AMP,PERIOD,PHASE, got '{text}'")
-    try:
-        amp, period, phase = (float(p) for p in parts)
-    except ValueError as exc:
-        raise CliError(f"--fringe expects numbers: {exc}") from exc
-    return FringeModel(amplitude=amp, period=period, phase=phase)
 
 
 def _dit_view(params: SystemParams) -> dict:
@@ -104,17 +101,20 @@ def _dit_view(params: SystemParams) -> dict:
     return {"g": g4, "gamma": gamma_perp4, "delta": omega4 - params.omega_c}
 
 
-def _clean_spectrum(model: str, params: SystemParams, cfg: ScanConfig,
-                    p_up: float | None):
+def _clean_spectrum(args):
     """Spectrum plus summary extras for simulate/synth."""
+    if (args.pup is None) == (args.model == "mixed"):
+        raise CliError("--pup is required by, and only applies to, --model mixed")
+    params, _ = dataio.load_params(args.params)
+    cfg = _parse_scan(args)
     extras = {}
-    if model == "dit":
+    if args.model == "dit":
         view = _dit_view(params)
         spec = spectra.dit_spectrum(view["g"], params.kappa, view["gamma"],
                                     view["delta"], params.omega_c, cfg)
-    elif model == "two":
+    elif args.model == "two":
         spec = spectra.two_transition_spectrum(params, cfg)
-    elif model == "master":
+    elif args.model == "master":
         spec = spectra.master_equation_spectrum(params, cfg)
         closed = spectra.two_transition_spectrum(params, cfg)
         extras["max_rel_diff_master_vs_two"] = spectra.max_relative_difference(
@@ -122,14 +122,12 @@ def _clean_spectrum(model: str, params: SystemParams, cfg: ScanConfig,
         dip = float(spec.freq_ghz[int(np.argmin(spec.reflectivity))])
         extras["fock_convergence_shift"] = hilbert.fock_convergence_shift(
             params, dip)
-    elif model == "mixed":
-        if p_up is None:
-            raise CliError("--model mixed requires --pup")
+    elif args.model == "mixed":
         up = spectra.lorentzian_spectrum(params.kappa, params.omega_c, cfg)
         down = spectra.two_transition_spectrum(params, cfg)
-        spec = spectra.mixed_spectrum(p_up, up, down)
+        spec = spectra.mixed_spectrum(args.pup, up, down)
     else:
-        raise CliError(f"unknown model '{model}'")
+        raise CliError(f"unknown model '{args.model}'")
     return spec, extras
 
 
@@ -159,11 +157,7 @@ def _flush_writes(pending) -> None:
 
 
 def _cmd_simulate(args) -> dict:
-    if args.pup is not None and args.model != "mixed":
-        raise CliError("--pup only applies to --model mixed")
-    params, _ = dataio.load_params(args.params)
-    cfg = _parse_scan(args.scan, args.wavelength_axis, args.scale, args.background)
-    spec, extras = _clean_spectrum(args.model, params, cfg, args.pup)
+    spec, extras = _clean_spectrum(args)
     pending = [(args.out, dataio.spectrum_to_text(spec))]
     if args.plot:
         pending.append((args.plot, svgplot.render_spectra(
@@ -175,12 +169,9 @@ def _cmd_simulate(args) -> dict:
 
 
 def _cmd_synth(args) -> dict:
-    if args.pup is not None and args.model != "mixed":
-        raise CliError("--pup only applies to --model mixed")
-    params, _ = dataio.load_params(args.params)
-    cfg = _parse_scan(args.scan, args.wavelength_axis, args.scale, args.background)
-    fringe = _parse_fringe(args.fringe)
-    spec, extras = _clean_spectrum(args.model, params, cfg, args.pup)
+    fringe = FringeModel(*_numbers("--fringe", args.fringe, "AMP,PERIOD,PHASE",
+                                   (float, float, float)))
+    spec, extras = _clean_spectrum(args)
     noisy = spectra.synthesize_noisy(spec, args.noise, fringe, seed=args.seed)
     _flush_writes([(args.out, dataio.spectrum_to_text(noisy))])
     return _summary("synth", [args.params], [args.out], seed=args.seed, **extras)
@@ -232,26 +223,22 @@ def _cmd_fit(args) -> dict:
         g_total = float(value)
     overrides = _parse_kv(args.set or [])
     inits = _parse_kv(args.init or [])
+    unknown = ({*free_names, *overrides, *inits}
+               - set(fitkit.MODEL_PARAMS[model]))
+    if unknown:
+        raise CliError(f"not parameters of model '{model.value}': "
+                       f"{sorted(unknown)}")
+    center_weight = None
+    if args.center_weight is not None:
+        center_weight = _numbers("--center-weight", args.center_weight,
+                                 "N,FACTOR", (int, float))
 
     all_values = _fit_fixed_values(model, params, overrides)
     seeds = _fit_seeds(model, data, params, g_total)
-    free = {}
-    for name in free_names:
-        if name not in fitkit.MODEL_PARAMS[model]:
-            raise CliError(f"'{name}' is not a parameter of model '{model.value}'")
-        init = inits.get(name, seeds.get(name, all_values.get(name)))
-        if init is None:
-            raise CliError(f"no initial value available for '{name}'")
-        free[name] = free_param(name, float(init))
+    free = {n: free_param(n, float(inits.get(n, seeds.get(n, all_values[n]))))
+            for n in free_names}
     fixed = {n: all_values[n] for n in fitkit.MODEL_PARAMS[model]
              if n not in free and not (g_total is not None and n == "g3")}
-
-    center_weight = None
-    if args.center_weight:
-        parts = args.center_weight.split(",")
-        if len(parts) != 2:
-            raise CliError("--center-weight expects N,FACTOR")
-        center_weight = (int(parts[0]), float(parts[1]))
 
     problem = FitProblem(data=data, model=model, free=free, fixed=fixed,
                          g_total=g_total, center_weight=center_weight)
@@ -288,7 +275,7 @@ def _cmd_sweep(args) -> dict:
         raise CliError("no level structure: provide --levels or put the "
                        "level keys in the params file")
     fields = _parse_fields(args.fields)
-    cfg = _parse_scan(args.scan, args.wavelength_axis, args.scale, args.background)
+    cfg = _parse_scan(args)
     sweep = spectra.field_sweep(levels, params, fields, cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -356,13 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--wavelength-axis", action="store_true",
                        help="interpret --scan in nm and label plots in nm")
 
+    def add_model_options(p):
+        p.add_argument("--params", required=True)
+        p.add_argument("--model", required=True,
+                       choices=("dit", "two", "master", "mixed"))
+        p.add_argument("--pup", type=float, default=None,
+                       help="spin-up occupation for --model mixed")
+        add_scan_options(p)
+
     sim = sub.add_parser("simulate", help="compute a reflectivity spectrum")
-    sim.add_argument("--params", required=True)
-    sim.add_argument("--model", required=True,
-                     choices=("dit", "two", "master", "mixed"))
-    sim.add_argument("--pup", type=float, default=None,
-                     help="spin-up occupation for --model mixed")
-    add_scan_options(sim)
+    add_model_options(sim)
     sim.add_argument("--out", required=True)
     sim.add_argument("--plot", default=None, help="SVG output path")
     sim.set_defaults(func=_cmd_simulate)
@@ -403,11 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     dv.set_defaults(func=_cmd_derive)
 
     sy = sub.add_parser("synth", help="deterministic synthetic noisy spectrum")
-    sy.add_argument("--params", required=True)
-    sy.add_argument("--model", required=True,
-                    choices=("dit", "two", "master", "mixed"))
-    sy.add_argument("--pup", type=float, default=None)
-    add_scan_options(sy)
+    add_model_options(sy)
     sy.add_argument("--noise", type=float, required=True,
                     help="relative noise level")
     sy.add_argument("--fringe", default="0,1,0", metavar="AMP,PERIOD,PHASE")

@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import fields as dataclass_fields
+from dataclasses import MISSING, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,16 @@ SPECTRUM_HEADER = "freq_ghz,reflectivity,weight"
 
 _SYSTEM_KEYS = tuple(f.name for f in dataclass_fields(SystemParams))
 _TRION_KEYS = tuple(f.name for f in dataclass_fields(TrionLevels))
-_TRION_REQUIRED = ("zero_field_frequency", "electron_g", "hole_g")
+
+
+def _required_keys(cls) -> tuple[str, ...]:
+    """Names of the dataclass fields that have no default."""
+    return tuple(f.name for f in dataclass_fields(cls)
+                 if f.default is MISSING and f.default_factory is MISSING)
+
+
+_SYSTEM_REQUIRED = _required_keys(SystemParams)
+_TRION_REQUIRED = _required_keys(TrionLevels)
 _PARAM_FILE_KEYS = frozenset(_SYSTEM_KEYS + _TRION_KEYS)
 
 
@@ -181,8 +190,7 @@ def load_params(path) -> tuple[SystemParams, TrionLevels | None]:
         if not fd.is_integer():
             raise SchemaError(f"{path}: fock_dim must be an integer, got {fd}")
         sys_kwargs["fock_dim"] = int(fd)
-    missing = [k for k in ("kappa", "g3", "g4", "gamma_d3", "gamma_d4",
-                           "omega_c", "omega_x", "delta_h") if k not in sys_kwargs]
+    missing = [k for k in _SYSTEM_REQUIRED if k not in sys_kwargs]
     if missing:
         raise SchemaError(f"{path}: missing required keys {missing}")
     try:

@@ -38,7 +38,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import DomainError, SchemaError
-from .physcalc import TWO_PI, cooperativity, is_strongly_coupled
+from .physcalc import (TWO_PI, _require_finite_real, cooperativity,
+                       is_strongly_coupled)
 from .spectra import (Spectrum, cavity_response, lorentzian_response,
                       spin_down_lines)
 
@@ -157,9 +158,12 @@ class FitProblem:
         if self.g_total is not None:
             if model is not ModelKind.MIXED_TWO_TRANSITION:
                 raise DomainError("the coupling constraint applies to the mixed model only")
-            if self.g_total <= 0:
-                raise DomainError(f"g_total must be positive, got {self.g_total}")
+            if not 0 < self.g_total < math.inf:
+                raise DomainError(
+                    f"g_total must be positive and finite, got {self.g_total}")
             derived = {"g3"}
+        for name, value in self.fixed.items():
+            _require_finite_real(name, value)
         claimed = set(self.free) | set(self.fixed) | derived
         overlap = (set(self.free) & set(self.fixed)) | (derived & (set(self.free) | set(self.fixed)))
         if overlap:
@@ -238,8 +242,7 @@ def effective_weights(problem: FitProblem) -> np.ndarray:
     return w
 
 
-def _levenberg_marquardt(residual_fn, theta0, lo, hi,
-                         max_iter=MAX_ITERATIONS, gtol=GRADIENT_TOL):
+def _levenberg_marquardt(residual_fn, theta0, lo, hi):
     """Damped Gauss-Newton minimization of sum(residual^2) in a box.
 
     Returns (theta, ssr, n_iterations, converged, jacobian, residual),
@@ -252,7 +255,7 @@ def _levenberg_marquardt(residual_fn, theta0, lo, hi,
     n_iter = 0
     converged = False
     jac = _jacobian(residual_fn, theta, r, lo, hi)
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, MAX_ITERATIONS + 1):
         grad = jac.T @ r
         # first-order condition for the box: gradient components that
         # push against an active bound do not count
@@ -262,7 +265,8 @@ def _levenberg_marquardt(residual_fn, theta0, lo, hi,
         at_hi = np.isfinite(hi) & (hi - theta <= 1e-12 * scale_t)
         pgrad[at_lo & (pgrad > 0)] = 0.0
         pgrad[at_hi & (pgrad < 0)] = 0.0
-        if float(np.max(np.abs(pgrad))) <= gtol * max(1.0, ssr):
+        # initial=0: with nothing free (a pinned profile) LM is at rest
+        if float(np.max(np.abs(pgrad), initial=0.0)) <= GRADIENT_TOL * max(1.0, ssr):
             converged = True
             break
         jtj = jac.T @ jac
@@ -508,39 +512,30 @@ def profile_bound(problem: FitProblem, param_name: str,
     span = fp.upper - fp.lower
     step = 1e-3 * span if np.isfinite(span) else max(0.05 * abs(x0), 1e-3)
     sign = 1.0 if upper else -1.0
-    x = x0
-    crossed = False
+    # walk outward with doubling steps until the threshold is crossed,
+    # then bisect between the last point inside (near) and outside (far)
+    near = x0
     for _ in range(80):
-        x_next = x + sign * step
-        if upper and x_next >= limit:
-            x_next = limit
-        if not upper and x_next <= limit:
-            x_next = limit
-        if profile_ssr(x_next) >= threshold:
-            crossed = True
-            lo_x, hi_x = (x, x_next) if upper else (x_next, x)
+        far = near + sign * step
+        if sign * far >= sign * limit:
+            far = limit
+        if profile_ssr(far) >= threshold:
             break
-        x = x_next
-        if x == limit:
-            break
+        near = far
+        if near == limit:
+            return limit
         step *= 2.0
-    if not crossed:
+    else:
         return limit
     for _ in range(48):
-        mid = 0.5 * (lo_x + hi_x)
+        mid = 0.5 * (near + far)
         if profile_ssr(mid) >= threshold:
-            if upper:
-                hi_x = mid
-            else:
-                lo_x = mid
+            far = mid
         else:
-            if upper:
-                lo_x = mid
-            else:
-                hi_x = mid
-        if hi_x - lo_x < max(1e-7, 1e-9 * abs(x0)):
+            near = mid
+        if abs(far - near) < max(1e-7, 1e-9 * abs(x0)):
             break
-    return 0.5 * (lo_x + hi_x)
+    return 0.5 * (near + far)
 
 
 def fit_thermal_pup(data: Spectrum, fixed_params,

@@ -34,6 +34,10 @@ from .errors import DomainError, ShapeError
 from .hilbert import SystemParams
 from .physcalc import TWO_PI, TrionLevels, transition_frequencies
 
+# Most spectrum rows one scan or field sweep may ask for; counts read
+# from outside input are refused above it before anything is allocated.
+_ROW_LIMIT = 10**6
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -87,8 +91,9 @@ class ScanConfig:
     def __post_init__(self):
         if not self.start < self.stop:
             raise DomainError(f"need start < stop, got [{self.start}, {self.stop}]")
-        if self.n_points < 3:
-            raise DomainError(f"need at least 3 points, got {self.n_points}")
+        if not 3 <= self.n_points <= _ROW_LIMIT:
+            raise DomainError(
+                f"need 3 to {_ROW_LIMIT} points, got {self.n_points}")
         if self.scale <= 0:
             raise DomainError(f"scale must be positive, got {self.scale}")
         if self.background < 0:
@@ -243,6 +248,10 @@ def field_sweep(levels: TrionLevels, params: SystemParams,
     fields = list(fields)
     if not fields:
         raise DomainError("need at least one field value")
+    if len(fields) * cfg.n_points > _ROW_LIMIT:
+        raise DomainError(
+            f"{len(fields)} fields of {cfg.n_points} points pass the "
+            f"{_ROW_LIMIT}-row limit")
     out = []
     for b in fields:
         if b < 0:

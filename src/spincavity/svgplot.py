@@ -67,17 +67,15 @@ class _Canvas:
     def add(self, element: str) -> None:
         self.parts.append(element)
 
-    def polyline(self, xs, ys, color: str, width: float = 1.5,
-                 dashed: bool = False) -> None:
+    def polyline(self, xs, ys, color: str, width: float = 1.5) -> None:
         pts = " ".join(f"{self.px(x):.2f},{self.py(y):.2f}" for x, y in zip(xs, ys))
-        dash = ' stroke-dasharray="6,4"' if dashed else ""
         self.add(f'<polyline fill="none" stroke="{color}" '
-                 f'stroke-width="{width}"{dash} points="{pts}"/>')
+                 f'stroke-width="{width}" points="{pts}"/>')
 
-    def dots(self, xs, ys, color: str, radius: float = 2.0) -> None:
+    def dots(self, xs, ys, color: str) -> None:
         for x, y in zip(xs, ys):
             self.add(f'<circle cx="{self.px(x):.2f}" cy="{self.py(y):.2f}" '
-                     f'r="{radius}" fill="{color}" fill-opacity="0.7"/>')
+                     f'r="2.0" fill="{color}" fill-opacity="0.7"/>')
 
     def text(self, x_px, y_px, content, size=13, anchor="middle", rotate=None):
         # XML-escape; '&' goes first so no entity is escaped twice

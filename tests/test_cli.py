@@ -1,9 +1,12 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spincavity.cli import _parse_fields, main
+from spincavity.cli import CliError, _numbers, _parse_fields, main
 from spincavity.dataio import (load_fit_report, load_spectrum, save_params,
                                save_spectrum)
 from spincavity import (ScanConfig, SystemParams, TrionLevels,
@@ -39,6 +42,13 @@ def levels_file(tmp_path):
                          diamagnetic_coeff=DIAMAGNETIC)
     path = tmp_path / "full.json"
     save_params(params, path, levels)
+    return path
+
+
+@pytest.fixture
+def data_file(tmp_path):
+    path = tmp_path / "data.csv"
+    save_spectrum(lorentzian_spectrum(KAPPA, 0.0, ScanConfig(-60, 60, 21)), path)
     return path
 
 
@@ -124,6 +134,39 @@ class TestSimulate:
                            "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "START,STOP,N" in err
+
+
+def _converts(kind, part):
+    try:
+        value = kind(part)
+    except ValueError:
+        return False
+    return kind is int or math.isfinite(value)
+
+
+NUMBER_TEXT = st.lists(
+    st.one_of(st.floats().map(repr), st.integers().map(str),
+              st.text(max_size=4)), max_size=4).map(",".join)
+FORMS = st.sampled_from([(float, float, int), (int, float),
+                         (float, float, float)])
+
+
+class TestNumbers:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(NUMBER_TEXT, FORMS)
+    def test_values_of_the_right_count_or_cli_error(self, text, types):
+        parts = text.split(",")
+        valid = len(parts) == len(types) and all(
+            _converts(kind, part) for kind, part in zip(types, parts))
+        try:
+            values = _numbers("--flag", text, "FORM", types)
+        except CliError as exc:
+            assert not valid
+            assert "--flag" in str(exc)
+        else:
+            assert valid
+            assert values == tuple(kind(p) for kind, p in zip(types, parts))
+            assert [type(v) for v in values] == list(types)
 
 
 class TestSynth:
@@ -214,14 +257,26 @@ class TestFit:
         report = load_fit_report(out)
         assert 0.48 <= report["params"]["p_up"] <= 0.56
 
-    def test_unknown_free_name(self, tmp_path, params_file, capsys):
-        data = self._synth_single(tmp_path)
-        code, _, err = run(capsys, "fit", "--data", str(data),
-                           "--params", str(params_file), "--model", "single",
-                           "--free", "nonsense", "--out",
-                           str(tmp_path / "no.json"))
-        assert code == 2
-        assert "nonsense" in err
+    def test_profile_with_nothing_left_free(self, tmp_path, params_file,
+                                            capsys):
+        # p_up alone is free and finishes on its bound, so its profile
+        # re-optimizes an empty parameter vector
+        data = tmp_path / "down.csv"
+        out = tmp_path / "pup.json"
+        scale = repr(SCALE)
+        assert run(capsys, "synth", "--params", str(params_file),
+                   "--model", "two", "--seed", "2", "--scan", "-60,60,301",
+                   "--scale", scale, "--background", "0.05",
+                   "--noise", "0.01", "--out", str(data))[0] == 0
+        code, _, _ = run(capsys, "fit", "--data", str(data),
+                         "--params", str(params_file), "--model", "mixed",
+                         "--free", "p_up", "--set", f"scale={scale}",
+                         "--set", "background=0.05", "--out", str(out))
+        assert code == 0
+        report = load_fit_report(out)
+        assert report["params"]["p_up"] == 0.0
+        assert report["ci_method"]["p_up"] == "profile"
+        assert report["ci95"]["p_up"] == pytest.approx(0.0012, abs=1e-4)
 
 
 class TestExitCodes:
@@ -246,6 +301,37 @@ class TestExitCodes:
                            "--out", str(out))
         assert code == 2
         assert key in err
+        assert not out.exists()
+
+    # Each flag value is checked before anything runs: exit 2, nothing
+    # written, and the flag or the offending name in the message.
+    @pytest.mark.parametrize("argv, named", [
+        (["fit", "--center-weight", "3,x"], "--center-weight"),
+        (["fit", "--center-weight", "3.5,10"], "--center-weight"),
+        (["fit", "--set", "bogus=1"], "bogus"),
+        (["fit", "--init", "bogus=1"], "bogus"),
+        (["fit", "--free", "nonsense"], "nonsense"),
+        (["fit", "--set", "kappa=nan"], "kappa"),
+        (["fit", "--init", "g4=inf"], "g4"),
+        (["fit", "--constraint", "gtotal=inf"], "g_total"),
+        (["synth", "--fringe", "0.1,2"], "--fringe"),
+        (["synth", "--fringe", "0.1,x,0"], "--fringe"),
+        (["simulate", "--scan", "0,1,100000000000000"], "100000000000000"),
+    ])
+    def test_malformed_flag_exits_2(self, tmp_path, params_file, data_file,
+                                    capsys, argv, named):
+        base = {"fit": ["--data", str(data_file), "--model", "mixed",
+                        "--free", "p_up"],
+                "synth": ["--model", "two", "--scan", "-10,10,11",
+                          "--noise", "0"],
+                "simulate": ["--model", "two", "--scan", "-10,10,11"]}
+        command, *flags = argv
+        out = tmp_path / "never.out"
+        code, stdout, err = run(capsys, command, "--params", str(params_file),
+                                *base[command], *flags, "--out", str(out))
+        assert code == 2
+        assert named in err
+        assert stdout == ""
         assert not out.exists()
 
     def test_undecodable_data_exits_2(self, tmp_path, params_file, capsys):
@@ -351,6 +437,16 @@ class TestSweep:
         assert fields[-1] == last
         assert fields == sorted(set(fields))
 
+    def test_field_count_refused_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CliError, match="--fields"):
+                _parse_fields("0:2:1e-6")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
     # No infinite upper bound: a parser that accumulates b += step never
     # returns on one, and this table must fail against such code, not hang.
     @pytest.mark.parametrize("text", ["0:nan:0.5", "0:1:inf", "0:1:0", "0:1"])
@@ -396,6 +492,14 @@ class TestDerive:
                               "g=18.67", "kappa=31.79", "gamma=1.78")
         assert code == 0
         assert json.loads(stdout)["strong_coupling"] is True
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_value_exits_2(self, capsys, value):
+        code, stdout, err = run(capsys, "derive", "--what", "gfactor",
+                                f"splitting_ghz={value}", "field=1")
+        assert code == 2
+        assert "splitting_ghz" in err
+        assert stdout == ""
 
     def test_missing_key(self, capsys):
         code, _, err = run(capsys, "derive", "--what", "pup")

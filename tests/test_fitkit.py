@@ -7,7 +7,7 @@ from spincavity import (DomainError, FitProblem, FringeModel, ModelKind,
                         ScanConfig, SchemaError, Spectrum, SystemParams,
                         derive_report, dit_spectrum, fit, fit_thermal_pup,
                         free_param, goodness_profile, lorentzian_spectrum,
-                        mixed_spectrum, synthesize_noisy,
+                        mixed_spectrum, profile_bound, synthesize_noisy,
                         two_transition_spectrum)
 from spincavity.fitkit import (MODEL_FUNCS, seed_lorentzian, seed_mixed,
                                seed_single_transition)
@@ -113,6 +113,18 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             FitProblem(data=data, model=problem.model, free=bad_free,
                        fixed=problem.fixed, g_total=G_TOTAL)
+
+    @pytest.mark.parametrize("g_total", [0.0, np.inf, np.nan])
+    def test_constraint_must_be_positive_and_finite(self, g_total):
+        problem = mixed_problem(mixed_data(0.0))
+        with pytest.raises(DomainError, match="g_total"):
+            replace(problem, g_total=g_total)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, "31.79"])
+    def test_fixed_values_must_be_finite_numbers(self, value):
+        problem = mixed_problem(mixed_data(0.0))
+        with pytest.raises(DomainError, match="kappa"):
+            replace(problem, fixed={**problem.fixed, "kappa": value})
 
     def test_needs_enough_points(self):
         tiny = Spectrum([0, 1, 2], [1.0, 2.0, 1.0])
@@ -265,6 +277,21 @@ class TestConfidenceBounds:
         assert not np.isfinite(result.ci95["gamma_d4"])
 
 
+    @pytest.mark.parametrize("name", ["kappa", "omega_c"])
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_profile_bound_matches_covariance_at_interior_optimum(self, name,
+                                                                 upper):
+        # the first run of the downward search; near a quadratic optimum
+        # the profile limit sits one covariance half-width from the fit
+        problem = lorentzian_problem(lorentzian_data(noise=0.01, seed=9))
+        result = fit(problem)
+        ssr = result.residual_rms ** 2 * float(np.sum(problem.data.weight))
+        bound = profile_bound(problem, name, result.params, ssr, upper=upper)
+        offset = bound - result.params[name]
+        assert (offset > 0) == upper
+        assert abs(offset) == pytest.approx(result.ci95[name], rel=0.01)
+
+
 class TestEvaluationCount:
     def test_converged_fit_never_repeats_a_parameter_vector(self, monkeypatch):
         seen = []
@@ -307,6 +334,17 @@ class TestGoodnessProfile:
         ssr = [r**2 for _, r in prof]
         assert ssr[0] == pytest.approx(ssr[2], rel=0.05)
         assert ssr[1] < ssr[0]
+
+    def test_one_free_parameter_profile_pins_everything(self):
+        # the profile re-optimizes nothing: LM gets an empty vector
+        data = lorentzian_data()
+        problem = FitProblem(data=data, model=ModelKind.LORENTZIAN,
+                             free={"kappa": free_param("kappa", 30.0)},
+                             fixed={"omega_c": 0.0, "scale": SCALE,
+                                    "background": BACKGROUND})
+        prof = goodness_profile(problem, "kappa", [KAPPA - 1, KAPPA, KAPPA + 1])
+        rms = [r for _, r in prof]
+        assert rms[1] < 1e-12 < min(rms[0], rms[2])
 
     def test_requires_free_parameter(self):
         problem = lorentzian_problem(lorentzian_data())

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,18 @@ from conftest import (CAVITY_NM, DELTA_H, G3, G4, G_TOTAL, GAMMA_D3, GAMMA_D4,
 
 def peak_indices(y):
     return np.where((y[1:-1] > y[:-2]) & (y[1:-1] > y[2:]))[0] + 1
+
+
+def refused_peak_bytes(call, match):
+    """Peak traced allocation of a call that must raise DomainError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=match):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 class TestSpectrumType:
@@ -248,6 +261,19 @@ class TestMixedSpectrum:
         up = lorentzian_spectrum(ref_params.kappa, ref_params.omega_c, ref_scan)
         with pytest.raises(DomainError):
             mixed_spectrum(1.2, up, up)
+
+
+class TestRowLimit:
+    def test_scan_refused_before_allocation(self):
+        peak = refused_peak_bytes(lambda: ScanConfig(0.0, 1.0, 10**14), "points")
+        assert peak < 100_000
+
+    def test_sweep_refused_before_allocation(self, ref_levels, ref_params):
+        fields = [0.0] * 2000
+        cfg = ScanConfig(0.0, 1.0, 1000)
+        peak = refused_peak_bytes(
+            lambda: field_sweep(ref_levels, ref_params, fields, cfg), "row")
+        assert peak < 100_000
 
 
 class TestFieldSweep:
