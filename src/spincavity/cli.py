@@ -178,8 +178,9 @@ def _cmd_synth(args) -> dict:
 
 
 _SINGLE_DEFAULTS_NOTE = (
-    "for --model single, g/gamma/delta default to the transition-4 view of "
-    "the params file; for --model mixed, p_up defaults to 0 unless freed")
+    "for --model single, g defaults to sqrt(g3^2 + g4^2) of the params "
+    "file and gamma/delta to its transition-4 view; for --model mixed, "
+    "p_up defaults to 0 unless freed")
 
 
 def _fit_fixed_values(model: ModelKind, params: SystemParams,
@@ -228,6 +229,9 @@ def _cmd_fit(args) -> dict:
     if unknown:
         raise CliError(f"not parameters of model '{model.value}': "
                        f"{sorted(unknown)}")
+    not_free = set(inits) - set(free_names)
+    if not_free:
+        raise CliError(f"--init names parameters not in --free: {sorted(not_free)}")
     center_weight = None
     if args.center_weight is not None:
         center_weight = _numbers("--center-weight", args.center_weight,

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 import numpy as np
@@ -51,6 +52,8 @@ MAX_ITERATIONS = 500
 GRADIENT_TOL = 1e-10
 
 DEFAULT_CENTER_WEIGHT = (3, 10.0)
+
+_NOTHING: Mapping[str, float] = MappingProxyType({})
 
 
 class ModelKind(str, Enum):
@@ -217,17 +220,22 @@ def _constrained_g3(g_total: float, g4: float) -> float:
     return math.sqrt(max(g_total ** 2 - g4 ** 2, 0.0))
 
 
-def _model_with_constraint(problem: FitProblem) -> Callable:
-    base = MODEL_FUNCS[problem.model]
-    if problem.g_total is None:
-        return base
+def _values(problem: FitProblem, names, theta,
+            pinned: Mapping[str, float]) -> dict:
+    """Every model value: fixed, then pinned, then free, then constrained g3."""
+    p = {**problem.fixed, **pinned}
+    p.update(zip(names, theta))
+    if problem.g_total is not None:
+        p["g3"] = _constrained_g3(problem.g_total, p["g4"])
+    return p
 
-    def constrained(freq, p):
-        q = dict(p)
-        q["g3"] = _constrained_g3(problem.g_total, q["g4"])
-        return base(freq, q)
 
-    return constrained
+def _box(problem: FitProblem, name: str) -> tuple[float, float]:
+    """Bounds of a free parameter; the constraint caps g4 at g_total."""
+    fp = problem.free[name]
+    if name == "g4" and problem.g_total is not None:
+        return fp.lower, min(fp.upper, problem.g_total)
+    return fp.lower, fp.upper
 
 
 def effective_weights(problem: FitProblem) -> np.ndarray:
@@ -245,8 +253,8 @@ def effective_weights(problem: FitProblem) -> np.ndarray:
 def _levenberg_marquardt(residual_fn, theta0, lo, hi):
     """Damped Gauss-Newton minimization of sum(residual^2) in a box.
 
-    Returns (theta, ssr, n_iterations, converged, jacobian, residual),
-    with the Jacobian evaluated at the returned theta.
+    Returns (theta, ssr, n_iterations, converged, jacobian), with the
+    Jacobian evaluated at the returned theta.
     """
     theta = np.clip(np.asarray(theta0, dtype=float), lo, hi)
     r = residual_fn(theta)
@@ -303,7 +311,7 @@ def _levenberg_marquardt(residual_fn, theta0, lo, hi):
         jac = _jacobian(residual_fn, theta, r, lo, hi)
         if converged:
             break
-    return theta, ssr, n_iter, converged, jac, r
+    return theta, ssr, n_iter, converged, jac
 
 
 def _jacobian(residual_fn, theta, r0, lo, hi):
@@ -321,33 +329,25 @@ def _jacobian(residual_fn, theta, r0, lo, hi):
 
 
 def _solve_problem(problem: FitProblem,
-                   free_names: list[str] | None = None,
-                   inits: Mapping[str, float] | None = None,
-                   extra_fixed: Mapping[str, float] | None = None):
-    """LM solve of a problem, optionally with some free params pinned."""
-    model = _model_with_constraint(problem)
+                   pinned: Mapping[str, float] = _NOTHING,
+                   warm: Mapping[str, float] = _NOTHING):
+    """LM solve of the free parameters not in ``pinned``.
+
+    Each starts from its ``warm`` value, falling back to its initial value.
+    """
+    model = MODEL_FUNCS[problem.model]
     freq = problem.data.freq_ghz
     y = problem.data.reflectivity
     sw = np.sqrt(effective_weights(problem))
-    names = list(problem.free) if free_names is None else list(free_names)
-    fixed = dict(problem.fixed)
-    if extra_fixed:
-        fixed.update(extra_fixed)
+    names = [n for n in problem.free if n not in pinned]
 
     def residual(theta):
-        p = dict(fixed)
-        p.update(zip(names, theta))
-        return sw * (model(freq, p) - y)
+        return sw * (model(freq, _values(problem, names, theta, pinned)) - y)
 
-    lo = np.array([problem.free[n].lower for n in names])
-    hi = np.array([problem.free[n].upper for n in names])
-    if problem.g_total is not None and "g4" in names:
-        hi[names.index("g4")] = min(hi[names.index("g4")], problem.g_total)
-    theta0 = np.array([problem.free[n].init if inits is None or n not in inits
-                       else inits[n] for n in names])
-    theta, ssr, n_iter, converged, jac, r = _levenberg_marquardt(
-        residual, theta0, lo, hi)
-    return names, theta, ssr, n_iter, converged, jac, lo, hi
+    lo = np.array([_box(problem, n)[0] for n in names])
+    hi = np.array([_box(problem, n)[1] for n in names])
+    theta0 = np.array([warm.get(n, problem.free[n].init) for n in names])
+    return (names, *_levenberg_marquardt(residual, theta0, lo, hi))
 
 
 def _weighted_rms(problem: FitProblem, ssr: float) -> float:
@@ -356,7 +356,7 @@ def _weighted_rms(problem: FitProblem, ssr: float) -> float:
 
 def fit(problem: FitProblem) -> FitResult:
     """Weighted least-squares fit of the problem's model to its data."""
-    names, theta, ssr, n_iter, converged, jac, lo, hi = _solve_problem(problem)
+    names, theta, ssr, n_iter, converged, jac = _solve_problem(problem)
     n, p = problem.data.n_points, len(names)
     dof = max(n - p, 1)
     s2 = ssr / dof
@@ -378,12 +378,13 @@ def fit(problem: FitProblem) -> FitResult:
                 if null_dir[j] > 0.5:
                     sd[j] = np.inf
 
-    params = dict(zip(names, (float(t) for t in theta)))
+    params = dict(zip(names, theta.tolist()))
     for j, name in enumerate(names):
-        span = hi[j] - lo[j]
+        lo, hi = _box(problem, name)
+        span = hi - lo
         tol = 1e-6 * span if np.isfinite(span) else 1e-9 * max(abs(theta[j]), 1.0)
-        on_lower = theta[j] - lo[j] <= tol
-        on_upper = hi[j] - theta[j] <= tol
+        on_lower = theta[j] - lo <= tol
+        on_upper = hi - theta[j] <= tol
         if (on_lower or on_upper) and np.isfinite(sd[j]):
             bound = profile_bound(problem, name, params, ssr,
                                   upper=on_lower)
@@ -393,13 +394,11 @@ def fit(problem: FitProblem) -> FitResult:
             ci[name] = float(Z_95 * sd[j])
             method[name] = "covariance"
 
-    full = dict(problem.fixed)
-    full.update(params)
+    values = _values(problem, names, params.values(), _NOTHING)
     if problem.g_total is not None:
-        full["g_total"] = problem.g_total
-    derived = _derived_quantities(full)
-    if problem.g_total is not None:
-        params["g3"] = derived["g3"]
+        params["g3"] = values["g3"]
+        values["g_total"] = problem.g_total
+    derived = _derived_quantities(values)
 
     return FitResult(params=params, ci95=ci,
                      residual_rms=_weighted_rms(problem, ssr),
@@ -471,15 +470,12 @@ def _pinned_ssr(problem: FitProblem, param_name: str,
     """
     if param_name not in problem.free:
         raise DomainError(f"'{param_name}' is not a free parameter")
-    others = [n for n in problem.free if n != param_name]
-    warm = {n: start[n] for n in others if n in start}
+    warm = dict(start)
 
     def ssr_at(value):
-        nonlocal warm
-        _, theta, ssr, _, _, _, _, _ = _solve_problem(
-            problem, free_names=others, inits=warm,
-            extra_fixed={param_name: float(value)})
-        warm = dict(zip(others, theta))
+        names, theta, ssr = _solve_problem(
+            problem, {param_name: float(value)}, warm)[:3]
+        warm.update(zip(names, theta))
         return ssr
 
     return ssr_at
@@ -505,11 +501,11 @@ def profile_bound(problem: FitProblem, param_name: str,
     profile_ssr = _pinned_ssr(problem, param_name, best_params)
     dof = max(problem.data.n_points - len(problem.free), 1)
     threshold = ssr_min * (1.0 + CHI2_95_DF1 / dof)
-    fp = problem.free[param_name]
-    limit = fp.upper if upper else fp.lower
+    lo, hi = _box(problem, param_name)
+    limit = hi if upper else lo
 
     x0 = float(best_params[param_name])
-    span = fp.upper - fp.lower
+    span = hi - lo
     step = 1e-3 * span if np.isfinite(span) else max(0.05 * abs(x0), 1e-3)
     sign = 1.0 if upper else -1.0
     # walk outward with doubling steps until the threshold is crossed,

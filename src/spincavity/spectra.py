@@ -24,6 +24,7 @@ for that observable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -94,10 +95,11 @@ class ScanConfig:
         if not 3 <= self.n_points <= _ROW_LIMIT:
             raise DomainError(
                 f"need 3 to {_ROW_LIMIT} points, got {self.n_points}")
-        if self.scale <= 0:
-            raise DomainError(f"scale must be positive, got {self.scale}")
-        if self.background < 0:
-            raise DomainError(f"background must be >= 0, got {self.background}")
+        if not 0 < self.scale < math.inf:
+            raise DomainError(f"scale must be positive and finite, got {self.scale}")
+        if not 0 <= self.background < math.inf:
+            raise DomainError(
+                f"background must be finite and >= 0, got {self.background}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.n_points)
@@ -270,10 +272,13 @@ def synthesize_noisy(spectrum: Spectrum, noise_rel: float,
     The signal is first multiplied by the sinusoidal fringe factor, then
     Gaussian noise with standard deviation noise_rel times the local
     (fringed) value is added. Results are floored at zero so the output
-    remains a valid reflectivity. Identical seeds give identical output.
+    remains a valid reflectivity. Identical seeds give identical output;
+    the seed must be a non-negative integer.
     """
-    if noise_rel < 0:
-        raise DomainError(f"noise_rel must be >= 0, got {noise_rel}")
+    if not 0 <= noise_rel < math.inf:
+        raise DomainError(f"noise_rel must be finite and >= 0, got {noise_rel}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     clean = spectrum.reflectivity * fringe.factor(spectrum.freq_ghz)
     noisy = clean + rng.standard_normal(clean.size) * (noise_rel * clean)

@@ -317,6 +317,11 @@ class TestExitCodes:
         (["synth", "--fringe", "0.1,2"], "--fringe"),
         (["synth", "--fringe", "0.1,x,0"], "--fringe"),
         (["simulate", "--scan", "0,1,100000000000000"], "100000000000000"),
+        (["synth", "--seed", "-1"], "seed"),
+        (["synth", "--noise", "nan"], "noise"),
+        (["simulate", "--scale", "nan"], "scale"),
+        (["simulate", "--background", "inf"], "background"),
+        (["fit", "--init", "g4=17"], "g4"),
     ])
     def test_malformed_flag_exits_2(self, tmp_path, params_file, data_file,
                                     capsys, argv, named):

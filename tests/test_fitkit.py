@@ -9,8 +9,8 @@ from spincavity import (DomainError, FitProblem, FringeModel, ModelKind,
                         free_param, goodness_profile, lorentzian_spectrum,
                         mixed_spectrum, profile_bound, synthesize_noisy,
                         two_transition_spectrum)
-from spincavity.fitkit import (MODEL_FUNCS, seed_lorentzian, seed_mixed,
-                               seed_single_transition)
+from spincavity.fitkit import (MODEL_FUNCS, effective_weights, seed_lorentzian,
+                               seed_mixed, seed_single_transition)
 from spincavity.spectra import lorentzian_response, two_transition_response
 from conftest import (DELTA_H, G4, G_TOTAL, GAMMA_D3, GAMMA_D4,
                       GAMMA_PERP_0T, KAPPA)
@@ -290,6 +290,20 @@ class TestConfidenceBounds:
         offset = bound - result.params[name]
         assert (offset > 0) == upper
         assert abs(offset) == pytest.approx(result.ci95[name], rel=0.01)
+
+    def test_profile_bound_respects_the_coupling_constraint(self):
+        # g4 just below the total: the upward profile of g4 must stop at
+        # g_total, where the constraint leaves g3 = 0
+        g4 = 18.66
+        params = replace(mixed_params(0.0), g4=g4,
+                         g3=float(np.sqrt(G_TOTAL**2 - g4**2)))
+        cfg = ScanConfig(-60, 60, 301, scale=SCALE, background=BACKGROUND)
+        clean = two_transition_spectrum(params, cfg)
+        problem = mixed_problem(synthesize_noisy(clean, 0.1, seed=1))
+        result = fit(problem)
+        ssr = result.residual_rms ** 2 * float(np.sum(effective_weights(problem)))
+        bound = profile_bound(problem, "g4", result.params, ssr, upper=True)
+        assert result.params["g4"] <= bound <= G_TOTAL
 
 
 class TestEvaluationCount:

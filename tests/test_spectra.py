@@ -59,6 +59,13 @@ class TestSpectrumType:
         with pytest.raises(DomainError):
             ScanConfig(start=0.0, stop=1.0, n_points=5, background=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("scale", np.nan), ("scale", np.inf),
+        ("background", np.nan), ("background", np.inf)])
+    def test_scan_config_refuses_nonfinite(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            ScanConfig(start=0.0, stop=1.0, n_points=5, **{field: value})
+
     def test_fringe_validation(self):
         with pytest.raises(DomainError):
             FringeModel(amplitude=0.5, period=1.0)
@@ -360,3 +367,17 @@ class TestSynthesizeNoisy:
         clean = lorentzian_spectrum(KAPPA, 0.0, ref_scan)
         with pytest.raises(DomainError):
             synthesize_noisy(clean, -0.01, FringeModel(0.0, 1.0), seed=0)
+
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"noise_rel": np.nan}, "noise_rel"), ({"noise_rel": np.inf}, "noise_rel"),
+        ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"seed": True}, "seed")])
+    def test_refuses_nonfinite_noise_and_bad_seed(self, ref_scan, kwargs, named):
+        clean = lorentzian_spectrum(KAPPA, 0.0, ref_scan)
+        with pytest.raises(DomainError, match=named):
+            synthesize_noisy(clean, **{"noise_rel": 0.01, "seed": 0, **kwargs})
+
+    def test_accepts_numpy_integer_seed(self, ref_scan):
+        clean = lorentzian_spectrum(KAPPA, 0.0, ref_scan)
+        a = synthesize_noisy(clean, 0.01, seed=np.int64(5))
+        b = synthesize_noisy(clean, 0.01, seed=5)
+        assert np.array_equal(a.reflectivity, b.reflectivity)
