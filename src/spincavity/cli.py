@@ -21,8 +21,6 @@ from . import __version__, dataio, fitkit, hilbert, spectra, svgplot
 from .errors import (DataValidationError, DomainError, FormatError,
                      ModelError, NumericalError, SchemaError, ShapeError,
                      StateError)
-from .fitkit import FitProblem, ModelKind, free_param
-from .hilbert import SystemParams
 from .physcalc import (cooperativity, is_strongly_coupled, lande_g_factor,
                        splitting_nm_to_ghz, thermal_spin_up_population,
                        wavelength_to_frequency)
@@ -77,11 +75,13 @@ def _parse_fields(text: str) -> list[float]:
         raise CliError(f"--fields values must be finite, got '{text}'")
     if step <= 0:
         raise CliError(f"--fields step must be positive, got {step}")
+    if b1 < b0:
+        raise CliError(f"--fields needs B0 <= B1, got '{text}'")
     count = math.floor((b1 - b0 + 1e-9) / step) + 1
     if count > _ROW_LIMIT:
         raise CliError(f"--fields '{text}' asks for {count} fields, above "
                        f"the limit of {_ROW_LIMIT}")
-    return [round(b0 + k * step, 9) for k in range(count)] or [b0]
+    return [round(b0 + k * step, 9) for k in range(count)]
 
 
 def _parse_kv(pairs: list[str]) -> dict[str, float]:
@@ -95,12 +95,6 @@ def _parse_kv(pairs: list[str]) -> dict[str, float]:
     return out
 
 
-def _dit_view(params: SystemParams) -> dict:
-    """Single-transition view of the dominant (transition 4) coupling."""
-    _, (g4, gamma_perp4, omega4) = spectra.spin_down_lines(vars(params))
-    return {"g": g4, "gamma": gamma_perp4, "delta": omega4 - params.omega_c}
-
-
 def _clean_spectrum(args):
     """Spectrum plus summary extras for simulate/synth."""
     if (args.pup is None) == (args.model == "mixed"):
@@ -109,9 +103,10 @@ def _clean_spectrum(args):
     cfg = _parse_scan(args)
     extras = {}
     if args.model == "dit":
-        view = _dit_view(params)
-        spec = spectra.dit_spectrum(view["g"], params.kappa, view["gamma"],
-                                    view["delta"], params.omega_c, cfg)
+        _, (g4, gamma_perp4, omega4) = spectra.spin_down_lines(vars(params))
+        spec = spectra.dit_spectrum(g4, params.kappa, gamma_perp4,
+                                    omega4 - params.omega_c, params.omega_c,
+                                    cfg)
     elif args.model == "two":
         spec = spectra.two_transition_spectrum(params, cfg)
     elif args.model == "master":
@@ -183,36 +178,9 @@ _SINGLE_DEFAULTS_NOTE = (
     "p_up defaults to 0 unless freed")
 
 
-def _fit_fixed_values(model: ModelKind, params: SystemParams,
-                      overrides: dict) -> dict:
-    names = fitkit.MODEL_PARAMS[model]
-    values = {k: v for k, v in vars(params).items() if k in names}
-    values.update(scale=1.0, background=0.0)
-    if model is ModelKind.SINGLE_TRANSITION:
-        view = _dit_view(params)
-        view["g"] = float(np.hypot(params.g3, params.g4))
-        values.update(view)
-    elif model is ModelKind.MIXED_TWO_TRANSITION:
-        values["p_up"] = 0.0
-    values.update(overrides)
-    return values
-
-
-def _fit_seeds(model: ModelKind, data, params: SystemParams,
-               g_total: float | None) -> dict:
-    if model is ModelKind.LORENTZIAN:
-        return fitkit.seed_lorentzian(data)
-    if model is ModelKind.SINGLE_TRANSITION:
-        return fitkit.seed_single_transition(data, params.kappa)
-    total = g_total if g_total is not None else max(
-        float(np.hypot(params.g3, params.g4)), 1e-3)
-    return fitkit.seed_mixed(data, params.kappa, params.delta_h, total)
-
-
 def _cmd_fit(args) -> dict:
     data = dataio.load_spectrum(args.data)
     params, _ = dataio.load_params(args.params)
-    model = ModelKind(args.model)
     free_names = [n.strip() for n in args.free.split(",") if n.strip()]
     if not free_names:
         raise CliError("--free needs at least one parameter name")
@@ -222,30 +190,16 @@ def _cmd_fit(args) -> dict:
         if key.strip() != "gtotal" or not sep:
             raise CliError("--constraint expects gtotal=VALUE")
         g_total = float(value)
-    overrides = _parse_kv(args.set or [])
-    inits = _parse_kv(args.init or [])
-    unknown = ({*free_names, *overrides, *inits}
-               - set(fitkit.MODEL_PARAMS[model]))
-    if unknown:
-        raise CliError(f"not parameters of model '{model.value}': "
-                       f"{sorted(unknown)}")
-    not_free = set(inits) - set(free_names)
-    if not_free:
-        raise CliError(f"--init names parameters not in --free: {sorted(not_free)}")
+    fixed = _parse_kv(args.set or [])
+    init = _parse_kv(args.init or [])
     center_weight = None
     if args.center_weight is not None:
         center_weight = _numbers("--center-weight", args.center_weight,
                                  "N,FACTOR", (int, float))
 
-    all_values = _fit_fixed_values(model, params, overrides)
-    seeds = _fit_seeds(model, data, params, g_total)
-    free = {n: free_param(n, float(inits.get(n, seeds.get(n, all_values[n]))))
-            for n in free_names}
-    fixed = {n: all_values[n] for n in fitkit.MODEL_PARAMS[model]
-             if n not in free and not (g_total is not None and n == "g3")}
-
-    problem = FitProblem(data=data, model=model, free=free, fixed=fixed,
-                         g_total=g_total, center_weight=center_weight)
+    problem = fitkit.problem_from_params(
+        data, args.model, params, free_names, fixed=fixed, init=init,
+        g_total=g_total, center_weight=center_weight)
     result = fitkit.fit(problem)
 
     provenance = {"data_sha256": dataio.sha256_of(args.data),
@@ -256,15 +210,14 @@ def _cmd_fit(args) -> dict:
     report = dataio.fit_report_record(result, provenance)
     pending = [(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")]
     if args.plot:
-        model_fn = fitkit.MODEL_FUNCS[model]
-        values = dict(fixed)
-        values.update(result.params)
-        curve = spectra.Spectrum(data.freq_ghz,
-                                 model_fn(data.freq_ghz, values),
-                                 meta={"label": "fit"})
+        model_fn = fitkit.MODEL_FUNCS[problem.model]
+        curve = spectra.Spectrum(
+            data.freq_ghz,
+            model_fn(data.freq_ghz, {**problem.fixed, **result.params}),
+            meta={"label": "fit"})
         pending.append((args.plot, svgplot.render_spectra(
             [(data, "data", True), (curve, "fit", False)],
-            title=f"fit ({model.value})")))
+            title=f"fit ({args.model})")))
     _flush_writes(pending)
     return _summary("fit", [args.data, args.params], [p for p, _ in pending],
                     converged=result.converged,
@@ -365,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     fitp.add_argument("--data", required=True)
     fitp.add_argument("--params", required=True)
     fitp.add_argument("--model", required=True,
-                      choices=tuple(m.value for m in ModelKind))
+                      choices=tuple(m.value for m in fitkit.ModelKind))
     fitp.add_argument("--free", required=True,
                       help="comma-separated free parameter names")
     fitp.add_argument("--constraint", default=None,

@@ -19,6 +19,12 @@ with gamma_perp_i = gamma_i/2 + gamma_d_i; the three models are its 0-,
   background. Parameters p_up, g3, g4, gamma3, gamma4, gamma_d3,
   gamma_d4, kappa, omega_c, omega_x, delta_h, scale, background.
 
+:func:`problem_from_params` builds every fit problem that starts from a
+parameter set: the values of fixed parameters, the seeds of free ones
+and the split that leaves g3 to the coupling constraint. The ``fit``
+command and :func:`fit_thermal_pup` (stage two of the two-stage
+protocol) both go through it, so they fit the same problem.
+
 The optimizer is a damped Gauss-Newton (Levenberg-Marquardt) loop with
 forward-difference Jacobians and box bounds enforced by projection.
 Confidence half-widths come from the residual-variance-scaled linearized
@@ -407,11 +413,12 @@ def fit(problem: FitProblem) -> FitResult:
 
 
 def _derived_quantities(values: Mapping[str, float]) -> dict:
-    """Each derived group whose inputs are present; never raises.
+    """Each derived group whose inputs are present.
 
     The cooperativity group is skipped unless the coupling is
     non-negative and kappa and gamma are positive; an infeasible
-    constraint gives g3 = 0.
+    constraint gives g3 = 0. Raises DomainError only for a cooperativity
+    that is not a finite number.
     """
     out = {}
     if "g_total" in values and "g4" in values:
@@ -440,7 +447,8 @@ def derive_report(values: Mapping[str, float]) -> dict:
     single-transition parameters, |delta|. Raises SchemaError when none
     of the output groups has its inputs present, and DomainError when
     the constraint is infeasible (g4 > g_total), a given coupling is
-    negative, or a given kappa or gamma is not positive.
+    negative, a given kappa or gamma is not positive, or the
+    cooperativity is not a finite number.
     """
     if "g_total" in values and "g4" in values and values["g4"] > values["g_total"]:
         raise DomainError(
@@ -534,6 +542,54 @@ def profile_bound(problem: FitProblem, param_name: str,
     return 0.5 * (near + far)
 
 
+def problem_from_params(data: Spectrum, model, params, free_names,
+                        fixed: Mapping[str, float] = _NOTHING,
+                        init: Mapping[str, float] = _NOTHING,
+                        g_total: float | None = None,
+                        center_weight: tuple[int, float] | None = None
+                        ) -> FitProblem:
+    """The fit problem of ``model`` on ``data``, valued from ``params``.
+
+    A parameter not in ``fixed`` takes its value from ``params`` (a
+    SystemParams), with scale 1, background 0, p_up 0 and the single
+    transition's g = sqrt(g3^2 + g4^2) and transition-4 gamma and delta.
+    Free ones start from ``init``, else from the model's seed heuristic,
+    else from that value. DomainError refuses names foreign to the model,
+    ``init`` names not free and ``fixed`` names free or derived.
+    """
+    model = ModelKind(model)
+    names = MODEL_PARAMS[model]
+    unknown = {*free_names, *fixed, *init} - set(names)
+    if unknown:
+        raise DomainError(
+            f"not parameters of model '{model.value}': {sorted(unknown)}")
+    not_free = set(init) - set(free_names)
+    if not_free:
+        raise DomainError(
+            f"initial values for parameters that are not free: {sorted(not_free)}")
+    g = float(np.hypot(params.g3, params.g4))
+    _, (_, gamma_perp4, omega4) = spin_down_lines(vars(params))
+    values = {**vars(params), "scale": 1.0, "background": 0.0, "p_up": 0.0,
+              "g": g, "gamma": gamma_perp4, "delta": omega4 - params.omega_c,
+              **fixed}
+    if model is ModelKind.LORENTZIAN:
+        seeds = seed_lorentzian(data)
+    elif model is ModelKind.SINGLE_TRANSITION:
+        seeds = seed_single_transition(data, params.kappa)
+    else:
+        seeds = seed_mixed(data, params.kappa, params.delta_h,
+                           max(g, 1e-3) if g_total is None else g_total)
+    # FitProblem refuses a fixed name that is also free or derived
+    derived = () if g_total is None else ("g3",)
+    return FitProblem(
+        data=data, model=model,
+        free={n: free_param(n, float(init.get(n, seeds.get(n, values[n]))))
+              for n in free_names},
+        fixed={n: values[n] for n in names
+               if n in fixed or n not in {*free_names, *derived}},
+        g_total=g_total, center_weight=center_weight)
+
+
 def fit_thermal_pup(data: Spectrum, fixed_params,
                     center_weight: tuple[int, float] | None = None) -> FitResult:
     """Occupation-only fit with all quantum parameters pinned.
@@ -542,16 +598,9 @@ def fit_thermal_pup(data: Spectrum, fixed_params,
     frequencies come from ``fixed_params`` (a SystemParams) and only the
     spin-up probability plus the scale and background nuisances float.
     """
-    names = MODEL_PARAMS[ModelKind.MIXED_TWO_TRANSITION]
-    fixed = {k: v for k, v in vars(fixed_params).items() if k in names}
-    seeds = seed_scale_background(data, fixed_params.kappa)
-    problem = FitProblem(
-        data=data, model=ModelKind.MIXED_TWO_TRANSITION,
-        free={"p_up": free_param("p_up", 0.3),
-              "scale": free_param("scale", seeds["scale"]),
-              "background": free_param("background", seeds["background"])},
-        fixed=fixed, center_weight=center_weight)
-    return fit(problem)
+    return fit(problem_from_params(
+        data, ModelKind.MIXED_TWO_TRANSITION, fixed_params,
+        ("p_up", "scale", "background"), center_weight=center_weight))
 
 
 # ---------------------------------------------------------------------------

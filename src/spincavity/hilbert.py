@@ -228,6 +228,13 @@ def _trace_vector(d: int) -> np.ndarray:
     return t
 
 
+def _density_matrix(v: np.ndarray, d: int) -> np.ndarray:
+    """The hermitized, unit-trace matrix of a column-major vec(rho)."""
+    rho = v.reshape((d, d), order="F")
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
 def validate_density_matrix(rho: np.ndarray) -> None:
     """Check hermiticity, unit trace and numerical positivity."""
     herm = float(np.max(np.abs(rho - rho.conj().T)))
@@ -282,10 +289,7 @@ def steady_state(params: SystemParams, probe_freq: float,
             f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_REL} * "
             f"norm {scale:.3e}", condition_estimate=cond)
 
-    rho = x.reshape((d, d), order="F")
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-
+    rho = _density_matrix(x, d)
     min_eig = float(np.linalg.eigvalsh(rho)[0])
     if min_eig < _POSITIVITY_FAIL:
         raise ModelError(
@@ -294,13 +298,19 @@ def steady_state(params: SystemParams, probe_freq: float,
     return rho
 
 
-def expectation_photon_number(rho: np.ndarray) -> float:
-    """Tr(rho a'a); validates the state first."""
+def _fock_dim_of(rho: np.ndarray) -> int:
+    """fock_dim of a square matrix on the 3*fock_dim space, else StateError."""
     d = rho.shape[0]
     if rho.ndim != 2 or rho.shape != (d, d) or d % 3 != 0:
         raise StateError(f"expected a square matrix on a 3*fock_dim space, got {rho.shape}")
+    return d // 3
+
+
+def expectation_photon_number(rho: np.ndarray) -> float:
+    """Tr(rho a'a); validates the state first."""
+    fock_dim = _fock_dim_of(rho)
     validate_density_matrix(rho)
-    value = complex(np.trace(rho @ number_operator(d // 3)))
+    value = complex(np.trace(rho @ number_operator(fock_dim)))
     if abs(value.imag) > 1e-10:
         raise StateError(f"photon number has imaginary part {value.imag:.3e}")
     return max(value.real, 0.0)
@@ -308,10 +318,7 @@ def expectation_photon_number(rho: np.ndarray) -> float:
 
 def expectation_cavity_amplitude(rho: np.ndarray) -> complex:
     """Coherent cavity amplitude Tr(rho a)."""
-    d = rho.shape[0]
-    if rho.ndim != 2 or rho.shape != (d, d) or d % 3 != 0:
-        raise StateError(f"expected a square matrix on a 3*fock_dim space, got {rho.shape}")
-    a, _, _ = _operators(d // 3)
+    a, _, _ = _operators(_fock_dim_of(rho))
     return complex(np.trace(rho @ a))
 
 
@@ -376,9 +383,7 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
         if not n_steps:
             break
         step = step @ step
-    rho = v.reshape((d, d), order="F")
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
+    return _density_matrix(v, d)
 
 
 def fock_convergence_shift(params: SystemParams, probe_freq: float,

@@ -59,6 +59,14 @@ def _require_finite_real(name: str, value) -> None:
         raise DomainError(f"{name} must be a finite number, got {value!r}")
 
 
+def _finite_quotient(numerator: float, denominator: float, what: str) -> float:
+    """numerator / denominator, inf for a 0 denominator; DomainError unless finite."""
+    value = numerator / denominator if denominator else math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{what} is not a finite number")
+    return value
+
+
 def wavelength_to_frequency(lambda_nm: float) -> float:
     """Convert a vacuum wavelength in nm to a frequency in GHz."""
     if not lambda_nm > 0:
@@ -82,7 +90,12 @@ def splitting_nm_to_ghz(delta_lambda_nm: float, center_lambda_nm: float) -> floa
     if not center_lambda_nm > 0:
         raise DomainError(
             f"center wavelength must be positive, got {center_lambda_nm}")
-    return _C_NM_GHZ * delta_lambda_nm / center_lambda_nm**2
+    try:
+        square = center_lambda_nm**2
+    except OverflowError:
+        square = math.inf
+    return _finite_quotient(_C_NM_GHZ * delta_lambda_nm, square,
+                            "splitting c dlambda / lambda^2")
 
 
 def lande_g_factor(splitting_ghz: float, field: float) -> float:
@@ -92,8 +105,9 @@ def lande_g_factor(splitting_ghz: float, field: float) -> float:
     """
     if not field > 0:
         raise DomainError(f"field must be positive, got {field}")
-    return CONSTANTS.planck_h * splitting_ghz * 1e9 / (
-        CONSTANTS.bohr_magneton * field)
+    return _finite_quotient(CONSTANTS.planck_h * splitting_ghz * 1e9,
+                            CONSTANTS.bohr_magneton * field,
+                            "g-factor h dnu / (mu_B B)")
 
 
 def zeeman_splitting_ghz(g_factor: float, field: float) -> float:
@@ -107,12 +121,14 @@ def thermal_spin_up_population(delta_e_mev: float,
 
     With Boltzmann ratio r = exp(-dE / kT) the two-level occupation of
     the upper state is r / (1 + r), which lies in (0, 0.5] for dE >= 0.
+    For dE < 0 it is evaluated as 1 / (1 + 1/r), so nothing overflows.
     """
     if not temperature > 0:
         raise DomainError(f"temperature must be positive, got {temperature}")
-    ratio = math.exp(-delta_e_mev * 1e-3 * EV_JOULES /
-                     (CONSTANTS.boltzmann_k * temperature))
-    return ratio / (1.0 + ratio)
+    x = _finite_quotient(delta_e_mev * 1e-3 * EV_JOULES,
+                         CONSTANTS.boltzmann_k * temperature, "dE / kT")
+    ratio = math.exp(-abs(x))
+    return (ratio if x >= 0 else 1.0) / (1.0 + ratio)
 
 
 def cooperativity(g: float, kappa: float, gamma: float) -> float:
@@ -125,7 +141,8 @@ def cooperativity(g: float, kappa: float, gamma: float) -> float:
         raise DomainError(f"kappa must be positive, got {kappa}")
     if not gamma > 0:
         raise DomainError(f"gamma must be positive, got {gamma}")
-    return 2.0 * g * g / (kappa * gamma)
+    return _finite_quotient(2.0 * g * g, kappa * gamma,
+                            "cooperativity 2 g^2 / (kappa gamma)")
 
 
 def is_strongly_coupled(g: float, kappa: float, gamma: float) -> bool:

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spincavity.cli import CliError, _numbers, _parse_fields, main
-from spincavity.dataio import (load_fit_report, load_spectrum, save_params,
-                               save_spectrum)
+from spincavity.dataio import (load_fit_report, load_params, load_spectrum,
+                               save_params, save_spectrum)
 from spincavity import (ScanConfig, SystemParams, TrionLevels,
-                        lorentzian_spectrum, mixed_spectrum, synthesize_noisy,
-                        two_transition_spectrum)
+                        fit_thermal_pup, lorentzian_spectrum, mixed_spectrum,
+                        synthesize_noisy, two_transition_spectrum)
 from spincavity.spectra import FringeModel
 from conftest import (CAVITY_NM, DELTA_H, DIAMAGNETIC, DOT_0T_NM, ELECTRON_G,
                       G3, G4, G_TOTAL, GAMMA_D3, GAMMA_D4, HOLE_G, KAPPA)
@@ -256,6 +256,11 @@ class TestFit:
         assert code == 0
         report = load_fit_report(out)
         assert 0.48 <= report["params"]["p_up"] <= 0.56
+        # the library's stage two builds the same problem, to the last bit
+        library = fit_thermal_pup(load_spectrum(data_path),
+                                  load_params(params_file)[0])
+        assert report["params"] == library.params
+        assert report["ci95"] == library.ci95
 
     def test_profile_with_nothing_left_free(self, tmp_path, params_file,
                                             capsys):
@@ -322,6 +327,7 @@ class TestExitCodes:
         (["simulate", "--scale", "nan"], "scale"),
         (["simulate", "--background", "inf"], "background"),
         (["fit", "--init", "g4=17"], "g4"),
+        (["fit", "--set", "p_up=0.1"], "p_up"),
     ])
     def test_malformed_flag_exits_2(self, tmp_path, params_file, data_file,
                                     capsys, argv, named):
@@ -435,7 +441,7 @@ class TestSweep:
     @pytest.mark.parametrize("text, count, last", [
         ("0:6.5:0.5", 14, 6.5), ("0:1000:0.01", 100001, 1000.0),
         ("0:1000:0.03", 33334, 999.99), ("2.0:3.0:5.0", 1, 2.0),
-        ("3.0:1.0:0.5", 1, 3.0), ("1.5", 1, 1.5)])
+        ("1.5", 1, 1.5)])
     def test_fields_from_a_count(self, text, count, last):
         fields = _parse_fields(text)
         assert len(fields) == count
@@ -454,7 +460,8 @@ class TestSweep:
 
     # No infinite upper bound: a parser that accumulates b += step never
     # returns on one, and this table must fail against such code, not hang.
-    @pytest.mark.parametrize("text", ["0:nan:0.5", "0:1:inf", "0:1:0", "0:1"])
+    @pytest.mark.parametrize("text", ["0:nan:0.5", "0:1:inf", "0:1:0", "0:1",
+                                      "5:1:0.5"])
     def test_bad_fields_exit_2(self, tmp_path, levels_file, capsys, text):
         code, _, err = run(capsys, "sweep", "--params", str(levels_file),
                            "--fields", text, "--scan", "321795,321915,11",
@@ -505,6 +512,33 @@ class TestDerive:
         assert code == 2
         assert "splitting_ghz" in err
         assert stdout == ""
+
+    # Each quotient whose denominator underflows to 0 or whose value
+    # overflows is refused, not raised out of main.
+    @pytest.mark.parametrize("what, values, named", [
+        ("cooperativity", ["g=1", "kappa=1e-320", "gamma=1e-10"], "cooperativity"),
+        ("cooperativity", ["g=1e200", "kappa=1", "gamma=1"], "cooperativity"),
+        ("gfactor", ["splitting_ghz=1", "field=1e-320"], "g-factor"),
+        ("gfactor", ["splitting_nm=1", "center_nm=1e-200", "field=1"], "splitting"),
+        ("pup", ["delta_e_mev=1", "temp=1e-320"], "dE / kT"),
+    ])
+    def test_nonfinite_result_exits_2(self, capsys, what, values, named):
+        code, stdout, err = run(capsys, "derive", "--what", what, *values)
+        assert code == 2
+        assert named in err
+        assert stdout == ""
+
+    # An intermediate that overflows has a finite limit here.
+    @pytest.mark.parametrize("what, values, key, limit", [
+        ("pup", ["delta_e_mev=-1", "temp=1e-300"], "p_up", 1.0),
+        ("gfactor", ["splitting_nm=0.12", "center_nm=1e200", "field=6.2"],
+         "g_factor", 0.0),
+    ])
+    def test_overflowing_intermediate_gives_its_limit(self, capsys, what,
+                                                      values, key, limit):
+        code, stdout, _ = run(capsys, "derive", "--what", what, *values)
+        assert code == 0
+        assert json.loads(stdout)[key] == limit
 
     def test_missing_key(self, capsys):
         code, _, err = run(capsys, "derive", "--what", "pup")

@@ -135,9 +135,18 @@ class TestThermalPopulation:
             p = thermal_spin_up_population(de, t)
             assert 0.0 < p <= 0.5
 
+    def test_negative_energy_is_the_complement(self):
+        rng = np.random.default_rng(4)
+        for de, t in zip(rng.uniform(0, 5, 40), rng.uniform(0.1, 50, 40)):
+            assert thermal_spin_up_population(-de, t) == pytest.approx(
+                1.0 - thermal_spin_up_population(de, t), rel=1e-12)
+        assert thermal_spin_up_population(-1.0, 1e-300) == 1.0
+
     def test_domain(self):
         with pytest.raises(DomainError):
             thermal_spin_up_population(0.165, 0.0)
+        with pytest.raises(DomainError, match="kT"):
+            thermal_spin_up_population(0.165, 1e-320)
 
 
 class TestCooperativity:
