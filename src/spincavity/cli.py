@@ -279,6 +279,9 @@ def _cmd_derive(args) -> dict:
             raise CliError(f"unknown derivation '{what}'")
     except KeyError as exc:
         raise CliError(f"missing required value {exc} for --what {what}") from exc
+    for key, value in out.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NumericalError(f"--what {what}: {key} is {value}, not finite")
     return out
 
 

@@ -26,10 +26,17 @@ affine in it:
     L(omega) = L0 + omega D,    D = i 2pi (1 x N - N x 1),
 
 with D diagonal. L0 and D are built once per parameter set; each probe
-point only adds omega D to a copy of L0. All user-facing rates and
-frequencies are quoted values (value/2pi in GHz); internally one global
-multiplication by 2pi converts them to angular units (rad/ns, with time
-measured in ns).
+point only adds omega D to a copy of L0. Ordered by the excitation
+difference k = N_i - N_j of rho[i, j], L(omega) is block tridiagonal
+(the undriven generator conserves k, the drive moves it by one) and D
+is i 2pi k on block k. The steady state is found by eliminating these
+blocks, cached per parameter set, from both ends towards k = 0: the
+matrix continued fraction of Risken, The Fokker-Planck Equation, ch. 9.
+The dense L(omega) checks the residual of the result.
+
+All user-facing rates and frequencies are quoted values (value/2pi in
+GHz); internally one global multiplication by 2pi converts them to
+angular units (rad/ns, with time measured in ns).
 
 The i g3 coupling phase is a pure gauge choice: conjugating the atomic
 basis maps it to a real coupling without changing any observable. The
@@ -61,7 +68,10 @@ _RESIDUAL_REL = 1e-9
 _COND_LIMIT = 1e14
 
 # Largest dense generator, 16 (3 fock_dim)^4 bytes, that SystemParams
-# admits. A steady-state solve holds about four matrices of this size.
+# admits. A steady-state solve holds two matrices of this size, the
+# cached L0 and L(omega), and a failed one adds a bordered copy and SVD
+# workspace for its condition number. Assembling L0 and the RK4 oracle
+# each hold up to four.
 _GENERATOR_BYTES_LIMIT = 256 * 2**20
 
 _NON_NEGATIVE = frozenset(("g3", "g4", "gamma3", "gamma4", "gamma_d3", "gamma_d4",
@@ -209,6 +219,42 @@ def _generator_parts(params: SystemParams, real_g3: bool):
     return liou, diag
 
 
+@lru_cache(maxsize=1)
+def _block_parts(params: SystemParams, real_g3: bool):
+    """Blocks k >= 0 of the bordered L0, ordered by k = N_i - N_j.
+
+    k is read off D = i 2pi k. The trace row that replaces row 0
+    (rho[0, 0]) lives on block 0. L0 maps rho' to (L0 rho)', so block -k,
+    its entries in the transposed order of block k's, is the complex
+    conjugate of block k and is not stored.
+
+    Returns (centre, sides, spans, diag, up, down, swap), cached
+    read-only: the column-major flat indices of block 0; rows pairing
+    each index of a block k > 0 with that of its transpose, and the
+    slice ``spans[k]`` of block k's rows; the diagonal blocks and the
+    couplings of block k to k + 1 and to k - 1 (``down[0]`` is None);
+    and the permutation that orders block 0 as its own transpose.
+    """
+    l0, diag_d = _generator_parts(params, real_g3)
+    d = params.dim
+    k_of = np.rint(diag_d.imag / TWO_PI).astype(int)
+    index = [np.flatnonzero(k_of == k) for k in range(params.fock_dim + 1)]
+    diag = [l0[np.ix_(idx, idx)] for idx in index]
+    diag[0][0] = _trace_vector(d)[index[0]]
+    up = [l0[np.ix_(a, b)] for a, b in zip(index, index[1:])]
+    up[0][0] = 0.0
+    down = [None] + [l0[np.ix_(a, b)] for a, b in zip(index[1:], index)]
+    centre = index[0]
+    upper = np.concatenate(index[1:])
+    sides = np.stack((upper, upper // d + d * (upper % d)), axis=1)
+    ends = np.cumsum([0] + [len(idx) for idx in index[1:]])
+    spans = [None] + [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
+    swap = np.searchsorted(centre, centre // d + d * (centre % d))
+    for part in (centre, sides, *diag, *up, *down[1:], swap):
+        part.setflags(write=False)
+    return centre, sides, spans, diag, up, down, swap
+
+
 def build_liouvillian(params: SystemParams, probe_freq: float,
                       real_g3: bool = False) -> np.ndarray:
     """Generator L with d vec(rho)/dt = L vec(rho), column-major vec.
@@ -248,38 +294,101 @@ def validate_density_matrix(rho: np.ndarray) -> None:
         raise StateError(f"density matrix not positive: min eigenvalue {min_eig:.3e}")
 
 
+def _eliminate(blocks, probe_freq: float):
+    """Inverse Schur complements of the bordered L(probe_freq).
+
+    The blocks k > 0 are eliminated from k = fock_dim down to 1:
+    S_k = A_k + i 2pi k omega - up_k T_(k+1) and T_k = S_k^-1 down_k.
+    The side k < 0 is the complex conjugate of this one and folds into
+    the centre block through ``swap``. Returns (inverses, couplings):
+    S_k^-1 and T_k for k >= 1, and at k = 0 the inverse of the centre.
+    A singular block raises ``np.linalg.LinAlgError``.
+    """
+    _, _, _, diag, up, down, swap = blocks
+    top = len(diag) - 1
+    inverses, couplings = [None] * (top + 1), [None] * (top + 1)
+    for k in range(top, 0, -1):
+        s = diag[k].copy()
+        s.reshape(-1)[::s.shape[0] + 1] += 1j * TWO_PI * k * probe_freq
+        if k < top:
+            s -= up[k] @ couplings[k + 1]
+        inverses[k] = np.linalg.inv(s)
+        couplings[k] = inverses[k] @ down[k]
+    w = up[0] @ couplings[1]
+    inverses[0] = np.linalg.inv(diag[0] - w - w[swap][:, swap].conj())
+    return inverses, couplings
+
+
+def _block_solve(blocks, factors, rhs: np.ndarray) -> np.ndarray:
+    """Solve the bordered system for ``rhs`` with the factors of ``_eliminate``.
+
+    The entries of blocks k and -k run together as the two columns
+    [v_k, conj(v_-k)], so both sides go through the same k > 0 factors.
+    """
+    centre, sides, spans, _, up, _, swap = blocks
+    inverses, couplings = factors
+    top = len(spans) - 1
+    y = rhs[sides]
+    y[:, 1] = y[:, 1].conj()
+    for k in range(top, 0, -1):
+        if k < top:
+            y[spans[k]] -= up[k] @ y[spans[k + 1]]
+        y[spans[k]] = inverses[k] @ y[spans[k]]
+    w = up[0] @ y[spans[1]]
+    x0 = inverses[0] @ (rhs[centre] - w[:, 0] - w[swap, 1].conj())
+    below = np.stack((x0, x0[swap].conj()), axis=1)
+    for k in range(1, top + 1):
+        y[spans[k]] -= couplings[k] @ below
+        below = y[spans[k]]
+    y[:, 1] = y[:, 1].conj()
+    x = np.empty_like(rhs)
+    x[centre] = x0
+    x[sides] = y
+    return x
+
+
+def _bordered_condition(liou: np.ndarray, d: int) -> float:
+    """Condition number of L with row 0 replaced by the trace row."""
+    bordered = liou.copy()
+    bordered[0] = _trace_vector(d)
+    return float(np.linalg.cond(bordered))
+
+
 def steady_state(params: SystemParams, probe_freq: float,
                  real_g3: bool = False) -> np.ndarray:
     """Unique steady state of the driven damped system.
 
-    Solves L vec(rho) = 0 with one row of the (singular) generator
-    replaced by the trace-normalization equation, using a dense LU solve
-    plus one step of iterative refinement. The result is symmetrized and
-    exactly trace-normalized before the invariant checks run.
+    Solves L vec(rho) = 0 with row 0 of the (singular) generator replaced
+    by the trace-normalization equation. The bordered system is block
+    tridiagonal in the excitation-difference ordering (``_block_parts``);
+    it is solved by block elimination from both ends towards k = 0, plus
+    one step of iterative refinement that reuses the inverse Schur
+    complements. The residual of the refinement and the final check are
+    formed with the dense L(omega). The result is symmetrized and exactly
+    trace-normalized before the invariant checks run.
     """
-    # The fresh generator becomes the bordered system in place; its row 0
-    # is kept to form the residual of the full generator.
-    m = build_liouvillian(params, probe_freq, real_g3=real_g3)
+    liou = build_liouvillian(params, probe_freq, real_g3=real_g3)
+    blocks = _block_parts(params, real_g3)
     d = params.dim
-    scale = float(np.linalg.norm(m))
-    row0 = m[0].copy()
-    m[0] = _trace_vector(d)
+    scale = float(np.linalg.norm(liou))
     b = np.zeros(d * d, dtype=complex)
     b[0] = 1.0
     try:
-        x = np.linalg.solve(m, b)
-        x += np.linalg.solve(m, b - m @ x)
+        factors = _eliminate(blocks, probe_freq)
+        x = _block_solve(blocks, factors, b)
+        # Residual of the bordered system: row 0 is the trace equation.
+        r = -(liou @ x)
+        r[0] = 1.0 - x[::d + 1].sum()
+        x += _block_solve(blocks, factors, r)
     except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(m))
+        cond = _bordered_condition(liou, d)
         raise NumericalError(
             f"steady-state solve failed ({exc}); condition estimate {cond:.3e}",
             condition_estimate=cond) from exc
 
-    lx = m @ x
-    lx[0] = row0 @ x
-    residual = float(np.linalg.norm(lx))
-    if residual > _RESIDUAL_REL * scale:
-        cond = float(np.linalg.cond(m))
+    residual = float(np.linalg.norm(liou @ x))
+    if not residual <= _RESIDUAL_REL * scale:
+        cond = _bordered_condition(liou, d)
         if cond > _COND_LIMIT or not math.isfinite(cond):
             raise NumericalError(
                 f"ill-conditioned steady-state solve: residual {residual:.3e} "

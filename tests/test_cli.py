@@ -528,6 +528,18 @@ class TestDerive:
         assert named in err
         assert stdout == ""
 
+    # An output that overflows from finite inputs would print Infinity,
+    # which is not JSON.
+    @pytest.mark.parametrize("values, named", [
+        (["g=1e308", "kappa=1", "gamma=1"], "coherent_side_4g"),
+        (["g=1", "kappa=1e308", "gamma=1e308"], "loss_side_kappa_plus_gamma"),
+    ])
+    def test_overflowing_output_exits_3(self, capsys, values, named):
+        code, stdout, err = run(capsys, "derive", "--what", "strong", *values)
+        assert code == 3
+        assert named in err
+        assert stdout == ""
+
     # An intermediate that overflows has a finite limit here.
     @pytest.mark.parametrize("what, values, key, limit", [
         ("pup", ["delta_e_mev=-1", "temp=1e-300"], "p_up", 1.0),

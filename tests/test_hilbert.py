@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spincavity import (DomainError, NumericalError, StateError, SystemParams,
                         build_hamiltonian, build_liouvillian,
@@ -13,7 +14,8 @@ from spincavity import (DomainError, NumericalError, StateError, SystemParams,
                         validate_density_matrix)
 from spincavity import hilbert
 from spincavity.hilbert import (annihilation_operator, ground_state,
-                                lowering_operator, _trace_vector)
+                                lowering_operator, number_operator,
+                                _trace_vector)
 from spincavity.physcalc import TWO_PI
 
 
@@ -45,6 +47,27 @@ def textbook_liouvillian(params, probe, real_g3=False):
                                  - 0.5 * np.kron(eye, opdop)
                                  - 0.5 * np.kron(opdop.T, eye))
     return liou
+
+
+def excitation_difference(fock_dim):
+    """k = N_i - N_j of each column-major vec(rho) entry, N the excitation number."""
+    s3 = lowering_operator(3, fock_dim)
+    s4 = lowering_operator(4, fock_dim)
+    n = np.diag(number_operator(fock_dim) + s3.conj().T @ s3
+                + s4.conj().T @ s4).real.astype(int)
+    return (n[:, None] - n[None, :]).reshape(-1, order="F")
+
+
+def dense_steady_state(params, probe, real_g3=False):
+    """Reference solve: one dense LU of L with row 0 set to the trace row."""
+    d = params.dim
+    m = build_liouvillian(params, probe, real_g3=real_g3)
+    m[0] = np.eye(d).reshape(-1, order="F")
+    b = np.zeros(d * d, dtype=complex)
+    b[0] = 1.0
+    rho = np.linalg.solve(m, b).reshape((d, d), order="F")
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
 
 
 def rk4_loop(liou, v, dt, n_steps):
@@ -241,6 +264,33 @@ class TestLiouvillian:
             liou = build_liouvillian(p, probe, real_g3=real_g3)
             assert np.max(np.abs(liou - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("fock_dim", range(2, 9))
+    @pytest.mark.parametrize("real_g3", [False, True])
+    def test_block_tridiagonal_in_excitation_difference(self, ref_params,
+                                                        fock_dim, real_g3):
+        p = replace(ref_params, fock_dim=fock_dim)
+        k = excitation_difference(fock_dim)
+        l0, diag = hilbert._generator_parts(p, real_g3)
+        rows, cols = np.nonzero(l0)
+        assert np.max(np.abs(k[rows] - k[cols])) == 1
+        # N comes from sqrt(n)^2, so D is i 2pi k to roundoff
+        assert np.max(np.abs(diag - 1j * TWO_PI * k)) <= 1e-12
+        assert np.all(k[np.nonzero(_trace_vector(p.dim))] == 0)
+        # the solver's blocks are those of this ordering, read off the
+        # bordered generator; block -k holds the transposes of block k
+        bordered = l0.copy()
+        bordered[0] = _trace_vector(p.dim)
+        centre, sides, spans, blocks, up, down, _ = hilbert._block_parts(p, real_g3)
+        index = [centre] + [sides[span, 0] for span in spans[1:]]
+        for kk, idx in enumerate(index):
+            assert np.array_equal(idx, np.flatnonzero(k == kk))
+            assert np.array_equal(blocks[kk], bordered[np.ix_(idx, idx)])
+            if kk:
+                assert np.array_equal(down[kk], bordered[np.ix_(idx, index[kk - 1])])
+                assert np.array_equal(up[kk - 1], bordered[np.ix_(index[kk - 1], idx)])
+        flat = np.arange(p.dim**2).reshape((p.dim, p.dim), order="F")
+        assert np.array_equal(sides[:, 1], flat.T.reshape(-1, order="F")[sides[:, 0]])
+
     def test_returns_a_fresh_writable_matrix(self, ref_params):
         first = build_liouvillian(ref_params, 3.0)
         expected = first.copy()
@@ -287,20 +337,64 @@ class TestSteadyState:
 
     def test_one_generator_assembly_per_parameter_set(self, ref_params):
         hilbert._generator_parts.cache_clear()
+        hilbert._block_parts.cache_clear()
         for probe in (-20.0, 0.0, 5.0, 20.0):
             steady_state(ref_params, probe)
+        # one lookup per build_liouvillian, plus the block assembly's one
         info = hilbert._generator_parts.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+        info = hilbert._block_parts.cache_info()
         assert (info.misses, info.hits) == (1, 3)
         steady_state(replace(ref_params, g3=ref_params.g3 + 1.0), 0.0)
         assert hilbert._generator_parts.cache_info().misses == 2
+        assert hilbert._block_parts.cache_info().misses == 2
 
     def test_degenerate_system_raises(self):
         # no decay at all from the atomic sector: steady state not unique
         p = SystemParams(kappa=20.0, g3=0, g4=0, gamma_d3=0, gamma_d4=0,
                          gamma3=0, gamma4=0, omega_c=0.0, omega_x=5.0,
                          delta_h=2.0, drive_amp=0.0)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError) as excinfo:
             steady_state(p, probe_freq=0.0)
+        assert excinfo.value.condition_estimate > 1e12
+
+    @settings(max_examples=60, deadline=None)
+    @given(kappa=st.floats(10, 50),
+           g3=st.one_of(st.just(0.0), st.floats(0, 15)),
+           g4=st.one_of(st.just(0.0), st.floats(0, 25)),
+           gamma_d3=st.one_of(st.just(0.0), st.floats(0, 5)),
+           gamma_d4=st.one_of(st.just(0.0), st.floats(0, 5)),
+           omega_x=st.floats(-20, 20), delta_h=st.floats(0, 20),
+           probe=st.floats(-190, 190), fock_dim=st.integers(2, 5),
+           real_g3=st.booleans())
+    def test_agrees_with_a_dense_solve(self, kappa, g3, g4, gamma_d3,
+                                       gamma_d4, omega_x, delta_h, probe,
+                                       fock_dim, real_g3):
+        p = SystemParams(kappa=kappa, g3=g3, g4=g4, gamma_d3=gamma_d3,
+                         gamma_d4=gamma_d4, omega_c=0.0, omega_x=omega_x,
+                         delta_h=delta_h, fock_dim=fock_dim)
+        rho = steady_state(p, probe, real_g3=real_g3)
+        assert np.max(np.abs(rho - dense_steady_state(p, probe, real_g3))) <= 1e-12
+
+    def test_elimination_residual_over_seeded_draws(self):
+        # The block elimination does not pivot across blocks; the
+        # full-generator residual shows whether that ever costs accuracy.
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(200):
+            # acceptance criterion 6's ranges, dephasing from 0
+            p = SystemParams(kappa=rng.uniform(10, 50), g3=rng.uniform(0, 15),
+                             g4=rng.uniform(0, 25), gamma_d3=rng.uniform(0, 5),
+                             gamma_d4=rng.uniform(0, 5), omega_c=0.0,
+                             omega_x=rng.uniform(-20, 20),
+                             delta_h=rng.uniform(0, 20))
+            span = max(abs(p.omega_x), abs(p.omega_x - p.delta_h)) + 3 * p.kappa
+            for probe in rng.uniform(-span, span, 3):
+                liou = build_liouvillian(p, probe)
+                rho = steady_state(p, probe)
+                ratio = np.linalg.norm(liou @ vec(rho)) / np.linalg.norm(liou)
+                worst = max(worst, ratio)
+        assert worst <= 1e-12
 
 
 class TestExpectations:
