@@ -70,8 +70,8 @@ _COND_LIMIT = 1e14
 # Largest dense generator, 16 (3 fock_dim)^4 bytes, that SystemParams
 # admits. A steady-state solve holds two matrices of this size, the
 # cached L0 and L(omega), and a failed one adds a bordered copy and SVD
-# workspace for its condition number. Assembling L0 and the RK4 oracle
-# each hold up to four.
+# workspace for its condition number. Assembling L0 holds about one, as
+# its jump terms are scattered in place; the RK4 oracle holds up to four.
 _GENERATOR_BYTES_LIMIT = 256 * 2**20
 
 _NON_NEGATIVE = frozenset(("g3", "g4", "gamma3", "gamma4", "gamma_d3", "gamma_d4",
@@ -193,6 +193,12 @@ def _generator_parts(params: SystemParams, real_g3: bool):
     probe frequency. On the (d, d, d, d) view of the column-major
     generator, entry [j, i, l, k] maps rho[k, l] to (L rho)[i, j], so
     the I x H_eff and conj(H_eff) x I terms are writes on diagonal blocks.
+    Each collapse operator C has at most one nonzero per row, so its
+    jump term r C rho C' has at most d^2 nonzeros: for the nonzeros
+    C[i, k] and C[j, l] it adds r conj(C[j, l]) C[i, k] at [j, i, l, k].
+    These are scattered straight into the generator; within one operator
+    the index tuples are distinct, so no entry is added twice, and the
+    operators are added in a fixed order.
     """
     d = params.dim
     a, s3, s4 = _operators(params.fock_dim)
@@ -206,7 +212,10 @@ def _generator_parts(params: SystemParams, real_g3: bool):
                      (2.0 * TWO_PI * params.gamma_d3, n3),
                      (2.0 * TWO_PI * params.gamma_d4, n4)):
         h_eff -= 0.5 * rate * (op.conj().T @ op)
-        liou += rate * np.multiply.outer(op.conj(), op).transpose(0, 2, 1, 3)
+        r, c = np.nonzero(op)
+        v = op[r, c]
+        liou[r[:, None], r[None, :], c[:, None], c[None, :]] += (
+            rate * np.multiply.outer(v.conj(), v))
     idx = np.arange(d)
     liou[idx, :, idx, :] += h_eff
     liou[:, idx, :, idx] += h_eff.conj()
@@ -259,8 +268,10 @@ def build_liouvillian(params: SystemParams, probe_freq: float,
                       real_g3: bool = False) -> np.ndarray:
     """Generator L with d vec(rho)/dt = L vec(rho), column-major vec.
 
-    Returns a fresh, writable L0 + probe_freq * diag(D).
+    Returns a fresh, writable L0 + probe_freq * diag(D). ``probe_freq``
+    must be a finite real number.
     """
+    _require_finite_real("probe_freq", probe_freq)
     l0, diag = _generator_parts(params, real_g3)
     liou = l0.copy()
     liou.reshape(-1)[::liou.shape[0] + 1] += probe_freq * diag
@@ -348,10 +359,18 @@ def _block_solve(blocks, factors, rhs: np.ndarray) -> np.ndarray:
 
 
 def _bordered_condition(liou: np.ndarray, d: int) -> float:
-    """Condition number of L with row 0 replaced by the trace row."""
+    """Condition number of L with row 0 replaced by the trace row.
+
+    inf when the bordered matrix is not finite or its SVD fails.
+    """
     bordered = liou.copy()
     bordered[0] = _trace_vector(d)
-    return float(np.linalg.cond(bordered))
+    if not np.isfinite(bordered).all():
+        return math.inf
+    try:
+        return float(np.linalg.cond(bordered))
+    except np.linalg.LinAlgError:
+        return math.inf
 
 
 def steady_state(params: SystemParams, probe_freq: float,
@@ -454,8 +473,12 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
     The n steps are applied as P^n, where P is the exact RK4 step matrix,
     by repeated squaring; no linear system is solved.
 
-    Time is in ns (1/GHz). t_final must be at least 20/kappa.
+    Time is in ns (1/GHz). t_final must be at least 20/kappa; it and an
+    explicit dt must be finite real numbers.
     """
+    _require_finite_real("t_final", t_final)
+    if dt is not None:
+        _require_finite_real("dt", dt)
     if t_final < 20.0 / params.kappa:
         raise DomainError(
             f"t_final={t_final} is below 20/kappa={20.0 / params.kappa}; "
@@ -500,8 +523,12 @@ def fock_convergence_shift(params: SystemParams, probe_freq: float,
     """Relative photon-number change when the Fock cutoff grows by ``extra``.
 
     A shift above 1e-3 at drive_amp <= kappa/20 means the truncation is
-    not converged and fock_dim should be raised.
+    not converged and fock_dim should be raised. ``extra`` must be a
+    positive integer.
     """
+    if (isinstance(extra, bool) or not isinstance(extra, (int, np.integer))
+            or extra < 1):
+        raise DomainError(f"extra must be a positive integer, got {extra!r}")
     n0 = expectation_photon_number(steady_state(params, probe_freq))
     bigger = replace(params, fock_dim=params.fock_dim + extra)
     n1 = expectation_photon_number(steady_state(bigger, probe_freq))

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import hilbert
-from .errors import DomainError, ShapeError
+from .errors import DomainError, NumericalError, ShapeError
 from .hilbert import SystemParams
 from .physcalc import TWO_PI, TrionLevels, transition_frequencies
 
@@ -211,12 +211,18 @@ def master_equation_spectrum(params: SystemParams, cfg: ScanConfig,
     The coherent cavity response |Tr(rho_ss a)|^2 is divided by the
     squared angular drive so the result carries the same scale and
     background conventions as the closed forms and agrees with them in
-    the weak-drive limit.
+    the weak-drive limit. A squared drive that overflows (or underflows
+    to 0) raises NumericalError before any steady state is solved.
     """
     if params.drive_amp <= 0:
         raise DomainError("master-equation spectrum needs a positive drive_amp")
+    amp = TWO_PI * params.drive_amp
+    norm = amp * amp
+    if not 0 < norm < math.inf:
+        raise NumericalError(
+            f"squared angular drive (2pi drive_amp)^2 = {norm} is not a "
+            "finite positive number")
     f = cfg.grid()
-    norm = (TWO_PI * params.drive_amp) ** 2
     vals = np.empty_like(f)
     for i, probe in enumerate(f):
         rho = hilbert.steady_state(params, probe, real_g3=real_g3)

@@ -394,6 +394,29 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    # Finite inputs whose generator, or whose default drive of kappa/100
+    # squared, overflows.
+    @pytest.mark.parametrize("key, value, named", [
+        ("omega_x", 1e308, "steady-state"),
+        ("kappa", 1e200, "drive"),
+    ])
+    def test_overflowing_master_inputs_exit_3(self, tmp_path, params_file,
+                                              capsys, key, value, named):
+        record = json.loads(params_file.read_text())
+        del record["drive_amp"]
+        record[key] = value
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(record))
+        out = tmp_path / "never.csv"
+        with np.errstate(all="ignore"):
+            code, _, err = run(capsys, "simulate", "--params", str(bad),
+                               "--model", "master", "--scan", "-10,10,5",
+                               "--out", str(out))
+        assert code == 3
+        assert named in err
+        assert not out.exists()
+
+
 class TestSweep:
     def test_field_range(self, tmp_path, levels_file, capsys):
         outdir = tmp_path / "sweep"

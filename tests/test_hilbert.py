@@ -252,7 +252,7 @@ class TestLiouvillian:
                 np.abs(image))
             assert abs(np.trace(image)) < 1e-10 * np.max(np.abs(image))
 
-    @pytest.mark.parametrize("fock_dim", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("fock_dim", range(2, 9))
     @pytest.mark.parametrize("real_g3", [False, True])
     @pytest.mark.parametrize("dephasing", [0.0, 2.3])
     def test_matches_textbook_construction(self, ref_params, fock_dim, real_g3,
@@ -290,6 +290,29 @@ class TestLiouvillian:
                 assert np.array_equal(up[kk - 1], bordered[np.ix_(index[kk - 1], idx)])
         flat = np.arange(p.dim**2).reshape((p.dim, p.dim), order="F")
         assert np.array_equal(sides[:, 1], flat.T.reshape(-1, order="F")[sides[:, 0]])
+
+    def test_assembly_holds_about_one_generator(self, ref_params):
+        # The jump terms are scattered in place, so the assembly holds
+        # little more than the generator itself.
+        p = replace(ref_params, fock_dim=8)
+        hilbert._operators(p.fock_dim)
+        hilbert._generator_parts.cache_clear()
+        tracemalloc.start()
+        try:
+            hilbert._generator_parts(p, False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            hilbert._generator_parts.cache_clear()
+        assert peak < 1.5 * 16 * p.dim**4
+
+    @pytest.mark.parametrize("probe", [math.nan, math.inf, -math.inf, "3.0",
+                                       None, True])
+    def test_nonfinite_probe_refused(self, ref_params, probe):
+        with pytest.raises(DomainError, match="probe_freq"):
+            build_liouvillian(ref_params, probe)
+        with pytest.raises(DomainError, match="probe_freq"):
+            steady_state(ref_params, probe)
 
     def test_returns_a_fresh_writable_matrix(self, ref_params):
         first = build_liouvillian(ref_params, 3.0)
@@ -474,6 +497,17 @@ class TestTimeEvolveOracle:
         with pytest.raises(DomainError):
             time_evolve_oracle(ref_params, 0.0, t_final=0.1)
 
+    @pytest.mark.parametrize("kwargs, named", [
+        (dict(probe_freq=math.nan, t_final=2.0), "probe_freq"),
+        (dict(probe_freq=0.0, t_final=math.nan), "t_final"),
+        (dict(probe_freq=0.0, t_final=math.inf), "t_final"),
+        (dict(probe_freq=0.0, t_final=2.0, dt=math.nan), "dt"),
+        (dict(probe_freq=0.0, t_final=2.0, dt=math.inf), "dt"),
+    ])
+    def test_nonfinite_inputs_refused(self, ref_params, kwargs, named):
+        with pytest.raises(DomainError, match=named):
+            time_evolve_oracle(ref_params, **kwargs)
+
     def test_randomized_oracle_equivalence(self):
         rng = np.random.default_rng(2024)
         for _ in range(20):
@@ -508,6 +542,12 @@ class TestWeakDriveRegime:
         p = replace(ref_params, drive_amp=ref_params.kappa / 20.0)
         for probe in (0.0, 18.0):
             assert fock_convergence_shift(p, probe) < 1e-3
+
+    @pytest.mark.parametrize("extra", [0, -1, 1.5, True, "2"])
+    def test_convergence_shift_needs_a_positive_integer_extra(self, ref_params,
+                                                              extra):
+        with pytest.raises(DomainError, match="extra"):
+            fock_convergence_shift(ref_params, 0.0, extra=extra)
 
     def test_phase_convention_invariance(self, ref_params):
         for probe in (-25.0, 0.0, 9.0, 30.0):
