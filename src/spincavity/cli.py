@@ -137,16 +137,19 @@ def _summary(command: str, inputs: list, outputs: list, **extras) -> dict:
     return record
 
 
-def _flush_writes(pending) -> None:
+def _flush_writes(pending, outdir: Path | None = None) -> None:
     """Write all rendered outputs, after validating every destination.
 
     Content is rendered before this point, so a validation or numerical
-    failure never leaves partial output files behind.
+    failure never leaves partial output files behind. ``outdir``, the one
+    directory a command creates, is made after every other check passed.
     """
     for path, _ in pending:
         parent = Path(path).parent
-        if not parent.exists():
+        if parent != outdir and not parent.is_dir():
             raise CliError(f"output directory does not exist: {parent}")
+    if outdir is not None:
+        outdir.mkdir(parents=True, exist_ok=True)
     for path, text in pending:
         dataio.atomic_write_text(path, text)
 
@@ -202,8 +205,13 @@ def _cmd_fit(args) -> dict:
         g_total=g_total, center_weight=center_weight)
     result = fitkit.fit(problem)
 
-    provenance = {"data_sha256": dataio.sha256_of(args.data),
-                  "params_sha256": dataio.sha256_of(args.params),
+    # the summary is built before the report so each input is hashed once
+    summary = _summary("fit", [args.data, args.params],
+                       [args.out] + ([args.plot] if args.plot else []),
+                       converged=result.converged,
+                       residual_rms=result.residual_rms)
+    provenance = {"data_sha256": summary["inputs"][str(args.data)],
+                  "params_sha256": summary["inputs"][str(args.params)],
                   "tool_version": __version__}
     if "seed" in data.meta:
         provenance["data_seed"] = data.meta["seed"]
@@ -219,9 +227,7 @@ def _cmd_fit(args) -> dict:
             [(data, "data", True), (curve, "fit", False)],
             title=f"fit ({args.model})")))
     _flush_writes(pending)
-    return _summary("fit", [args.data, args.params], [p for p, _ in pending],
-                    converged=result.converged,
-                    residual_rms=result.residual_rms)
+    return summary
 
 
 def _cmd_sweep(args) -> dict:
@@ -235,7 +241,6 @@ def _cmd_sweep(args) -> dict:
     cfg = _parse_scan(args)
     sweep = spectra.field_sweep(levels, params, fields, cfg)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     pending = [(outdir / f"field_{b:06.3f}T.csv", dataio.spectrum_to_text(spec))
                for b, spec in zip(fields, sweep)]
     if args.plot:
@@ -243,7 +248,7 @@ def _cmd_sweep(args) -> dict:
             params.kappa, params.omega_c, cfg).reflectivity))
         pending.append((args.plot, svgplot.render_sweep_map(
             sweep, title="reflectivity vs magnetic field", norm=bare_peak)))
-    _flush_writes(pending)
+    _flush_writes(pending, outdir)
     inputs = [args.params] + ([args.levels] if args.levels else [])
     return _summary("sweep", inputs, [p for p, _ in pending],
                     n_fields=len(fields))

@@ -27,10 +27,12 @@ protocol) both go through it, so they fit the same problem.
 
 The optimizer is a damped Gauss-Newton (Levenberg-Marquardt) loop with
 forward-difference Jacobians and box bounds enforced by projection.
-Confidence half-widths come from the residual-variance-scaled linearized
-covariance at interior optima; for parameters that finish on a bound the
-95% limit is taken from the profile of the residual sum of squares
-instead, re-optimizing all other free parameters at each trial value.
+At interior optima the 95% half-width of parameter j is Z_95 sqrt(s^2
+sum_k (V_jk / w_k)^2), with s^2 the residual variance and J = U diag(w) V'
+the weighted Jacobian, summed over its determined directions
+(w_k > 1e-7 max w); ``inf`` marks a parameter with a component above 0.5
+on an undetermined one. At an optimum on a bound the limit comes from the
+profile of the residual sum of squares, re-optimizing the others.
 Everything is deterministic: identical inputs give identical results.
 """
 
@@ -56,8 +58,6 @@ CHI2_95_DF1 = 3.841458820694124
 
 MAX_ITERATIONS = 500
 GRADIENT_TOL = 1e-10
-
-DEFAULT_CENTER_WEIGHT = (3, 10.0)
 
 _NOTHING: Mapping[str, float] = MappingProxyType({})
 
@@ -192,6 +192,8 @@ class FitProblem:
             fp = self.free["p_up"]
             if fp.lower < 0.0 or fp.upper > 1.0:
                 raise DomainError("p_up bounds must lie inside [0, 1]")
+        if not self.free:
+            raise DomainError("a fit needs at least one free parameter")
         if self.data.n_points < len(self.free) + 2:
             raise DomainError(
                 f"{self.data.n_points} points cannot determine {len(self.free)} "
@@ -360,30 +362,24 @@ def _weighted_rms(problem: FitProblem, ssr: float) -> float:
     return math.sqrt(ssr / float(np.sum(effective_weights(problem))))
 
 
+def _dof(problem: FitProblem) -> int:
+    return max(problem.data.n_points - len(problem.free), 1)
+
+
 def fit(problem: FitProblem) -> FitResult:
     """Weighted least-squares fit of the problem's model to its data."""
     names, theta, ssr, n_iter, converged, jac = _solve_problem(problem)
-    n, p = problem.data.n_points, len(names)
-    dof = max(n - p, 1)
-    s2 = ssr / dof
-
+    # s^2 (J'J)^-1 = s^2 V diag(w^-2) V'. A J that is not finite (the
+    # model overflowed) determines nothing, and the SVD would refuse it.
+    sd = np.full(len(names), np.inf)
+    if np.isfinite(jac).all():
+        _, w, vt = np.linalg.svd(jac, full_matrices=False)
+        determined = w > 1e-7 * w[0]   # cond(J'J) <= 1e14
+        sd = np.sqrt(ssr / _dof(problem) * np.sum(
+            (vt[determined] / w[determined, None]) ** 2, axis=0))
+        sd[np.any(np.abs(vt[~determined]) > 0.5, axis=0)] = np.inf
     ci = {}
     method = {}
-    jtj = jac.T @ jac
-    try:
-        cov = s2 * np.linalg.inv(jtj)
-        sd = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    except np.linalg.LinAlgError:
-        sd = np.full(p, np.inf)
-    # near-singular directions get an unbounded interval
-    if np.isfinite(sd).all():
-        cond = np.linalg.cond(jtj)
-        if cond > 1e14:
-            null_dir = np.abs(np.linalg.svd(jtj)[2][-1])
-            for j in range(p):
-                if null_dir[j] > 0.5:
-                    sd[j] = np.inf
-
     params = dict(zip(names, theta.tolist()))
     for j, name in enumerate(names):
         lo, hi = _box(problem, name)
@@ -507,8 +503,7 @@ def profile_bound(problem: FitProblem, param_name: str,
     noise variance estimated from the fit itself.
     """
     profile_ssr = _pinned_ssr(problem, param_name, best_params)
-    dof = max(problem.data.n_points - len(problem.free), 1)
-    threshold = ssr_min * (1.0 + CHI2_95_DF1 / dof)
+    threshold = ssr_min * (1.0 + CHI2_95_DF1 / _dof(problem))
     lo, hi = _box(problem, param_name)
     limit = hi if upper else lo
 

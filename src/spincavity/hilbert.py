@@ -65,7 +65,6 @@ POSITIVITY_TOL = -1e-8
 # steady_state escalates to a model error only below this.
 _POSITIVITY_FAIL = -1e-6
 _RESIDUAL_REL = 1e-9
-_COND_LIMIT = 1e14
 
 # Largest dense generator, 16 (3 fock_dim)^4 bytes, that SystemParams
 # admits. A steady-state solve holds two matrices of this size, the
@@ -185,6 +184,7 @@ def build_hamiltonian(params: SystemParams, probe_freq: float,
 
 
 @lru_cache(maxsize=1)
+@np.errstate(over="ignore", invalid="ignore")   # overflow is refused below
 def _generator_parts(params: SystemParams, real_g3: bool):
     """(L0, D) with L(omega) = L0 + omega * diag(D), cached read-only.
 
@@ -220,6 +220,9 @@ def _generator_parts(params: SystemParams, real_g3: bool):
     liou[idx, :, idx, :] += h_eff
     liou[:, idx, :, idx] += h_eff.conj()
     liou = liou.reshape(d * d, d * d)
+    if not np.isfinite(liou).all():
+        raise NumericalError("the generator L0 overflows for these "
+                             "parameters; no steady-state solve can use it")
     # The probe enters H only as -2pi omega N, N = a'a + s3's3 + s4's4.
     number = np.diag(a.conj().T @ a + n3 + n4).real
     diag = (1j * TWO_PI * (number[None, :] - number[:, None])).reshape(-1)
@@ -408,14 +411,10 @@ def steady_state(params: SystemParams, probe_freq: float,
     residual = float(np.linalg.norm(liou @ x))
     if not residual <= _RESIDUAL_REL * scale:
         cond = _bordered_condition(liou, d)
-        if cond > _COND_LIMIT or not math.isfinite(cond):
-            raise NumericalError(
-                f"ill-conditioned steady-state solve: residual {residual:.3e} "
-                f"vs norm {scale:.3e}, condition estimate {cond:.3e}",
-                condition_estimate=cond)
         raise NumericalError(
             f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_REL} * "
-            f"norm {scale:.3e}", condition_estimate=cond)
+            f"norm {scale:.3e}; condition estimate {cond:.3e}",
+            condition_estimate=cond)
 
     rho = _density_matrix(x, d)
     min_eig = float(np.linalg.eigvalsh(rho)[0])

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from spincavity.cli import CliError, _numbers, _parse_fields, main
 from spincavity.dataio import (load_fit_report, load_params, load_spectrum,
                                save_params, save_spectrum)
-from spincavity import (ScanConfig, SystemParams, TrionLevels,
+from spincavity import (ScanConfig, SystemParams, TrionLevels, fit,
                         fit_thermal_pup, lorentzian_spectrum, mixed_spectrum,
                         synthesize_noisy, two_transition_spectrum)
+from spincavity.fitkit import problem_from_params
 from spincavity.spectra import FringeModel
 from conftest import (CAVITY_NM, DELTA_H, DIAMAGNETIC, DOT_0T_NM, ELECTRON_G,
                       G3, G4, G_TOTAL, GAMMA_D3, GAMMA_D4, HOLE_G, KAPPA)
@@ -224,6 +226,44 @@ class TestFit:
         assert report["provenance"]["tool_version"]
         assert plot.exists()
 
+    def _fit_lorentzian(self, tmp_path, params_file, data_file, capsys):
+        out = tmp_path / "lor.json"
+        code, stdout, _ = run(capsys, "fit", "--data", str(data_file),
+                              "--params", str(params_file),
+                              "--model", "lorentzian",
+                              "--free", "kappa,omega_c,scale,background",
+                              "--out", str(out))
+        assert code == 0
+        return load_fit_report(out), json.loads(stdout)
+
+    def test_lorentzian_fit_is_the_library_fit(self, tmp_path, params_file,
+                                               data_file, capsys):
+        report, _ = self._fit_lorentzian(tmp_path, params_file, data_file,
+                                         capsys)
+        library = fit(problem_from_params(
+            load_spectrum(data_file), "lorentzian", load_params(params_file)[0],
+            ("kappa", "omega_c", "scale", "background")))
+        assert report["params"] == library.params
+        assert report["ci95"] == library.ci95
+
+    def test_each_input_hashed_once(self, tmp_path, params_file, data_file,
+                                    capsys, monkeypatch):
+        import spincavity.cli as cli_mod
+        hashed = []
+        sha256_of = cli_mod.dataio.sha256_of
+
+        def counted(path):
+            hashed.append(str(path))
+            return sha256_of(path)
+
+        monkeypatch.setattr(cli_mod.dataio, "sha256_of", counted)
+        report, summary = self._fit_lorentzian(tmp_path, params_file,
+                                               data_file, capsys)
+        digests = report["provenance"]
+        assert summary["inputs"] == {str(data_file): digests["data_sha256"],
+                                     str(params_file): digests["params_sha256"]}
+        assert sorted(hashed) == sorted([str(data_file), str(params_file)])
+
     def test_infeasible_constraint_exits_2(self, tmp_path, params_file, capsys):
         data = self._synth_single(tmp_path)
         out = tmp_path / "r.json"
@@ -417,6 +457,47 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    def test_overflowing_generator_is_refused_quietly(self, tmp_path,
+                                                     params_file, capsys):
+        record = json.loads(params_file.read_text())
+        record["omega_x"] = 1e308
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(record))
+        out = tmp_path / "never.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(capsys, "simulate", "--params", str(bad),
+                               "--model", "master", "--scan", "-10,10,5",
+                               "--out", str(out))
+        assert code == 3
+        assert "generator L0 overflows" in err
+        assert "RuntimeWarning" not in err
+        assert not out.exists()
+
+    def test_plot_under_a_regular_file_writes_nothing(self, tmp_path,
+                                                      params_file, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code, _, err = run(capsys, "simulate", "--params", str(params_file),
+                           "--model", "two", "--scan", "-10,10,11",
+                           "--out", str(tmp_path / "spec.csv"),
+                           "--plot", str(afile / "x.svg"))
+        assert code == 2
+        assert "afile" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile",
+                                                              "params.json"]
+
+    def test_sweep_with_a_bad_plot_creates_no_directory(self, tmp_path,
+                                                        levels_file, capsys):
+        code, _, err = run(capsys, "sweep", "--params", str(levels_file),
+                           "--fields", "0:1:0.5", "--scan", "321795,321915,11",
+                           "--out", str(tmp_path / "outdir"),
+                           "--plot", str(tmp_path / "nodir" / "map.svg"))
+        assert code == 2
+        assert "nodir" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["full.json"]
+
+
 class TestSweep:
     def test_field_range(self, tmp_path, levels_file, capsys):
         outdir = tmp_path / "sweep"
@@ -452,6 +533,23 @@ class TestSweep:
             gaps.append(abs(spec.freq_ghz[two[1]] - spec.freq_ghz[two[0]]))
         assert len(gaps) == 3
         assert min(gaps) >= 2 * G4
+
+    def test_levels_from_their_own_file(self, tmp_path, levels_file, capsys):
+        system = tmp_path / "system.json"
+        save_params(load_params(levels_file)[0], system)
+        argv = ["--fields", "6.0:6.4:0.2", "--scan", "321775,321935,101"]
+        code, stdout, _ = run(capsys, "sweep", "--params", str(system),
+                              "--levels", str(levels_file), *argv,
+                              "--out", str(tmp_path / "split"))
+        assert code == 0
+        assert str(levels_file) in json.loads(stdout)["inputs"]
+        assert run(capsys, "sweep", "--params", str(levels_file), *argv,
+                   "--out", str(tmp_path / "joined"))[0] == 0
+        split = sorted((tmp_path / "split").iterdir())
+        assert len(split) == 3
+        for path in split:
+            joined = tmp_path / "joined" / path.name
+            assert path.read_bytes() == joined.read_bytes()
 
     def test_single_field_and_step_overrun(self, tmp_path, levels_file, capsys):
         outdir = tmp_path / "one"

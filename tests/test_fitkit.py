@@ -126,6 +126,14 @@ class TestProblemValidation:
         with pytest.raises(DomainError, match="kappa"):
             replace(problem, fixed={**problem.fixed, "kappa": value})
 
+    def test_needs_a_free_parameter(self):
+        problem = mixed_problem(mixed_data(0.0))
+        fixed = {**problem.fixed, "g3": 7.26,
+                 **{n: fp.init for n, fp in problem.free.items()}}
+        with pytest.raises(DomainError, match="free parameter"):
+            FitProblem(data=problem.data, model=problem.model, free={},
+                       fixed=fixed)
+
     def test_needs_enough_points(self):
         tiny = Spectrum([0, 1, 2], [1.0, 2.0, 1.0])
         with pytest.raises(DomainError):
@@ -264,18 +272,40 @@ class TestConfidenceBounds:
         assert all(m == "covariance" for m in result.ci_method.values())
 
     def test_unbounded_ci_for_unidentifiable_parameter(self):
-        # with g4 fixed at zero the transition-4 dephasing has no effect
+        # with g4 fixed at zero the transition-4 dephasing has no effect,
+        # so J'J is singular; at 1e-4 it is near-singular (w_min/w_max 3e-9)
         data = mixed_data(0.0, noise=0.0)
         free = {"gamma_d4": free_param("gamma_d4", 1.0),
                 "scale": free_param("scale", SCALE),
                 "background": free_param("background", BACKGROUND)}
-        fixed = {"p_up": 0.0, "g3": 7.26, "g4": 0.0, "gamma3": 0.1,
-                 "gamma4": 0.1, "gamma_d3": GAMMA_D3, "kappa": KAPPA,
-                 "omega_c": 0.0, "omega_x": DELTA_H, "delta_h": DELTA_H}
-        result = fit(FitProblem(data=data, model=ModelKind.MIXED_TWO_TRANSITION,
-                                free=free, fixed=fixed))
-        assert not np.isfinite(result.ci95["gamma_d4"])
+        for g4 in (0.0, 1e-4):
+            fixed = {"p_up": 0.0, "g3": 7.26, "g4": g4, "gamma3": 0.1,
+                     "gamma4": 0.1, "gamma_d3": GAMMA_D3, "kappa": KAPPA,
+                     "omega_c": 0.0, "omega_x": DELTA_H, "delta_h": DELTA_H}
+            result = fit(FitProblem(
+                data=data, model=ModelKind.MIXED_TWO_TRANSITION,
+                free=free, fixed=fixed))
+            assert not np.isfinite(result.ci95["gamma_d4"])
+            # the undetermined direction does not blank the determined ones
+            assert np.isfinite(result.ci95["scale"])
+            assert np.isfinite(result.ci95["background"])
 
+    def test_only_the_swapped_basin_pair_is_unbounded(self):
+        # this fit settles with transitions 3 and 4 swapped: g4 on its
+        # zero bound leaves g4 and gamma_d4 without effect, so J'J is
+        # singular, while the other five stay determined
+        result = fit(mixed_problem(mixed_data(0.3, noise=0.01, seed=2)))
+        assert result.params["g4"] < 1e-6
+        unbounded = {n for n, w in result.ci95.items() if not np.isfinite(w)}
+        assert unbounded == {"g4", "gamma_d4"}
+
+    def test_overflowing_model_gives_unbounded_intervals(self):
+        # residuals near 1e307 overflow the finite-difference Jacobian
+        data = lorentzian_data(noise=0.01, seed=1)
+        huge = Spectrum(data.freq_ghz, data.reflectivity * 1e307)
+        with np.errstate(all="ignore"):
+            result = fit(lorentzian_problem(huge))
+        assert not any(np.isfinite(w) for w in result.ci95.values())
 
     @pytest.mark.parametrize("name", ["kappa", "omega_c"])
     @pytest.mark.parametrize("upper", [False, True])
