@@ -204,6 +204,9 @@ def _cmd_fit(args) -> dict:
         data, args.model, params, free_names, fixed=fixed, init=init,
         g_total=g_total, center_weight=center_weight)
     result = fitkit.fit(problem)
+    if not math.isfinite(result.residual_rms):
+        raise NumericalError(f"the fit's residual RMS is {result.residual_rms}: "
+                             "its weighted residuals overflow on these data")
 
     # the summary is built before the report so each input is hashed once
     summary = _summary("fit", [args.data, args.params],

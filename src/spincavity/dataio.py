@@ -2,9 +2,11 @@
 
 Spectra are CSV with header ``freq_ghz,reflectivity,weight`` (the weight
 column is optional on input and defaults to 1.0); comment lines start
-with '#' and metadata is encoded as ``# key=value``. Parameter sets and
-fit reports are JSON. All loaders reject unknown keys and report the
-file path and line of the first offending value.
+with '#' and metadata is encoded as ``# key=value``. Rows follow the
+point rules of Spectrum: frequencies finite and strictly increasing,
+reflectivity finite and >= 0, weights finite and > 0. Parameter sets
+and fit reports are JSON. All loaders reject unknown keys and report
+the file path, and for a spectrum the line, of the first offending value.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import DataValidationError, DomainError, FormatError, SchemaError
 from .hilbert import SystemParams
 from .physcalc import TrionLevels
-from .spectra import Spectrum
+from .spectra import Spectrum, _first_bad_point
 
 SPECTRUM_HEADER = "freq_ghz,reflectivity,weight"
 
@@ -74,72 +76,50 @@ def save_spectrum(spectrum: Spectrum, path) -> None:
     atomic_write_text(path, spectrum_to_text(spectrum))
 
 
-def _parse_meta_value(text: str):
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def load_spectrum(path) -> Spectrum:
     path = Path(path)
-    meta = {}
-    rows = []
-    header_seen = False
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    meta, rows, row_lines, n_cols = {}, [], [], 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = _parse_meta_value(value.strip())
-            continue
-        if not header_seen:
+            key, sep, value = line[1:].partition("=")
+            if sep:
+                try:
+                    meta[key.strip()] = float(value)
+                except ValueError:
+                    meta[key.strip()] = value.strip()
+        elif line and not n_cols:
             cols = [c.strip() for c in line.split(",")]
-            if cols not in (["freq_ghz", "reflectivity", "weight"],
-                            ["freq_ghz", "reflectivity"]):
+            if ",".join(cols) not in (SPECTRUM_HEADER, "freq_ghz,reflectivity"):
                 raise FormatError(
                     f"{path}:{lineno}: expected header '{SPECTRUM_HEADER}' "
                     f"(weight optional), got '{line}'")
-            header_seen = True
             n_cols = len(cols)
-            continue
-        parts = line.split(",")
-        if len(parts) not in (2, 3) or len(parts) > n_cols:
-            raise FormatError(
-                f"{path}:{lineno}: expected {n_cols} comma-separated values, "
-                f"got '{line}'")
-        try:
-            values = [float(p) for p in parts]
-        except ValueError as exc:
-            raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
-        freq, refl = values[0], values[1]
-        weight = values[2] if len(values) == 3 else 1.0
-        if rows and freq <= rows[-1][0]:
-            raise DataValidationError(
-                f"{path}:{lineno}: frequency {freq} is not strictly "
-                f"increasing (previous {rows[-1][0]})")
-        if not np.isfinite(refl) or refl < 0:
-            raise DataValidationError(
-                f"{path}:{lineno}: reflectivity must be finite and >= 0, "
-                f"got {refl}")
-        if not np.isfinite(weight) or weight <= 0:
-            raise DataValidationError(
-                f"{path}:{lineno}: weight must be finite and > 0, got {weight}")
-        rows.append((freq, refl, weight))
-    if not header_seen:
+        elif line:
+            parts = line.split(",")
+            if not 2 <= len(parts) <= n_cols:
+                raise FormatError(
+                    f"{path}:{lineno}: expected {n_cols} comma-separated "
+                    f"values, got '{line}'")
+            try:
+                values = [float(p) for p in parts]
+            except ValueError as exc:
+                raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
+            rows.append(values + [1.0] * (3 - len(values)))
+            row_lines.append(lineno)
+    if not n_cols:
         raise FormatError(f"{path}: missing header '{SPECTRUM_HEADER}'")
+    columns = np.array(rows, dtype=float).reshape(-1, 3).T
+    if (bad := _first_bad_point(*columns)) is not None:
+        raise DataValidationError(f"{path}:{row_lines[bad[0]]}: {bad[1]}")
     if len(rows) < 3:
         raise DataValidationError(f"{path}: need at least 3 data rows, got {len(rows)}")
-    arr = np.array(rows, dtype=float)
-    return Spectrum(arr[:, 0], arr[:, 1], arr[:, 2], meta=meta)
+    return Spectrum(*columns, meta=meta)
 
 
 def _read_json_object(path: Path, known_keys=None) -> dict:

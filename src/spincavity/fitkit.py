@@ -585,8 +585,7 @@ def problem_from_params(data: Spectrum, model, params, free_names,
         g_total=g_total, center_weight=center_weight)
 
 
-def fit_thermal_pup(data: Spectrum, fixed_params,
-                    center_weight: tuple[int, float] | None = None) -> FitResult:
+def fit_thermal_pup(data: Spectrum, fixed_params) -> FitResult:
     """Occupation-only fit with all quantum parameters pinned.
 
     Stage two of the two-stage protocol: couplings, linewidths and
@@ -595,7 +594,7 @@ def fit_thermal_pup(data: Spectrum, fixed_params,
     """
     return fit(problem_from_params(
         data, ModelKind.MIXED_TWO_TRANSITION, fixed_params,
-        ("p_up", "scale", "background"), center_weight=center_weight))
+        ("p_up", "scale", "background")))
 
 
 # ---------------------------------------------------------------------------

@@ -223,8 +223,9 @@ def _generator_parts(params: SystemParams, real_g3: bool):
     if not np.isfinite(liou).all():
         raise NumericalError("the generator L0 overflows for these "
                              "parameters; no steady-state solve can use it")
-    # The probe enters H only as -2pi omega N, N = a'a + s3's3 + s4's4.
-    number = np.diag(a.conj().T @ a + n3 + n4).real
+    # The probe enters H only as -2pi omega N, N = a'a + s3's3 + s4's4:
+    # at index atom * fock_dim + n, N is n plus 1 if the atom is excited.
+    number = idx % params.fock_dim + (idx >= params.fock_dim)
     diag = (1j * TWO_PI * (number[None, :] - number[:, None])).reshape(-1)
     for part in (liou, diag):
         part.setflags(write=False)
@@ -458,8 +459,8 @@ def ground_state(fock_dim: int) -> np.ndarray:
 
 
 def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
-                       dt: float | None = None, rho0: np.ndarray | None = None,
-                       real_g3: bool = False) -> np.ndarray:
+                       dt: float | None = None,
+                       rho0: np.ndarray | None = None) -> np.ndarray:
     """Brute-force steady-state oracle: explicit RK4 integration to t_final.
 
     Integrates d vec(rho)/dt = L vec(rho) with a fixed-step classical
@@ -482,7 +483,7 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
         raise DomainError(
             f"t_final={t_final} is below 20/kappa={20.0 / params.kappa}; "
             "the oracle contract needs many cavity lifetimes")
-    liou = build_liouvillian(params, probe_freq, real_g3=real_g3)
+    liou = build_liouvillian(params, probe_freq)
     d = params.dim
     if dt is None:
         scale = float(np.linalg.norm(liou, 1))

@@ -33,21 +33,43 @@ import numpy as np
 from . import hilbert
 from .errors import DomainError, NumericalError, ShapeError
 from .hilbert import SystemParams
-from .physcalc import TWO_PI, TrionLevels, transition_frequencies
+from .physcalc import (TWO_PI, TrionLevels, _require_finite_real,
+                       transition_frequencies)
 
 # Most spectrum rows one scan or field sweep may ask for; counts read
 # from outside input are refused above it before anything is allocated.
 _ROW_LIMIT = 10**6
 
 
+def _first_bad_point(freq, refl, weight) -> tuple[int, str] | None:
+    """(index, message) of the first point that breaks a point rule, or None.
+
+    The lowest index comes first and, within one point, the frequency,
+    reflectivity and weight rules in that order. The message names the
+    rule and the offending value.
+    """
+    ok = np.isfinite(np.column_stack((freq, refl, weight)))
+    ok[1:, 0] &= freq[1:] > freq[:-1]
+    ok[:, 1] &= refl >= 0
+    ok[:, 2] &= weight > 0
+    if ok.all():
+        return None
+    i, rule = divmod(int(np.argmin(ok)), 3)
+    rule_text = ("frequency must be finite and strictly increasing",
+                 "reflectivity must be finite and >= 0",
+                 "weight must be finite and > 0")[rule]
+    after = f" after {float(freq[i - 1])}" if rule == 0 and i else ""
+    return i, f"{rule_text}, got {float((freq, refl, weight)[rule][i])}{after}"
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Sampled reflectivity versus probe frequency.
 
-    ``freq_ghz`` must be strictly increasing with at least 3 points;
-    reflectivity is non-negative and finite; per-point weights are
-    positive and default to 1. ``meta`` carries free-form annotations
-    such as field_T or a label.
+    At least 3 points; frequencies are finite and strictly increasing,
+    reflectivity is finite and >= 0, and weights are finite and > 0
+    (default 1). ``meta`` carries free-form annotations such as field_T
+    or a label.
     """
 
     freq_ghz: np.ndarray
@@ -67,12 +89,8 @@ class Spectrum:
             raise DomainError(f"need at least 3 spectrum points, got {f.size}")
         if r.shape != f.shape or w.shape != f.shape:
             raise ShapeError("frequency, reflectivity and weight lengths differ")
-        if not np.all(np.diff(f) > 0):
-            raise DomainError("probe frequencies must be strictly increasing")
-        if not np.all(np.isfinite(r)) or np.any(r < 0):
-            raise DomainError("reflectivity must be finite and >= 0")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
-            raise DomainError("weights must be finite and > 0")
+        if (bad := _first_bad_point(f, r, w)) is not None:
+            raise DomainError(f"spectrum point {bad[0]}: {bad[1]}")
 
     @property
     def n_points(self) -> int:
@@ -90,6 +108,8 @@ class ScanConfig:
     background: float = 0.0
 
     def __post_init__(self):
+        _require_finite_real("start", self.start)
+        _require_finite_real("stop", self.stop)
         if not self.start < self.stop:
             raise DomainError(f"need start < stop, got [{self.start}, {self.stop}]")
         if not 3 <= self.n_points <= _ROW_LIMIT:

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from spincavity.cli import CliError, _numbers, _parse_fields, main
 from spincavity.dataio import (load_fit_report, load_params, load_spectrum,
                                save_params, save_spectrum)
-from spincavity import (ScanConfig, SystemParams, TrionLevels, fit,
-                        fit_thermal_pup, lorentzian_spectrum, mixed_spectrum,
-                        synthesize_noisy, two_transition_spectrum)
+from spincavity import (ScanConfig, Spectrum, SystemParams, TrionLevels,
+                        fit, fit_thermal_pup, lorentzian_spectrum,
+                        mixed_spectrum, synthesize_noisy,
+                        two_transition_spectrum)
 from spincavity.fitkit import problem_from_params
 from spincavity.spectra import FringeModel
 from conftest import (CAVITY_NM, DELTA_H, DIAMAGNETIC, DOT_0T_NM, ELECTRON_G,
@@ -368,6 +369,10 @@ class TestExitCodes:
         (["simulate", "--background", "inf"], "background"),
         (["fit", "--init", "g4=17"], "g4"),
         (["fit", "--set", "p_up=0.1"], "p_up"),
+        # 1e-320 nm is an infinite frequency: refused before any grid
+        pytest.param(["simulate", "--scan", "1e-320,1,5", "--wavelength-axis"],
+                     "stop", marks=pytest.mark.filterwarnings(
+                         "error::RuntimeWarning")),
     ])
     def test_malformed_flag_exits_2(self, tmp_path, params_file, data_file,
                                     capsys, argv, named):
@@ -395,6 +400,49 @@ class TestExitCodes:
                            "--out", str(out))
         assert code == 2
         assert "utf16.csv" in err
+        assert not out.exists()
+
+    # Each broken point rule names the file and line, with no numpy warning.
+    @pytest.mark.parametrize("rows, line", [
+        ("1.0,0.5\nnan,0.6\n3.0,0.7\n4.0,0.8\n", 3),
+        ("1.0,0.5\n2.0,0.6\n3.0,0.7\n1e999,0.8\n", 5),
+        ("-inf,0.5\n2.0,0.6\n3.0,0.7\n4.0,0.8\n", 2),
+        ("1.0,0.5\n3.0,0.6\n2.0,0.7\n4.0,0.8\n", 4),
+        ("1.0,nan\n2.0,0.6\n3.0,0.7\n4.0,0.8\n", 2),
+        ("1.0,-0.5\n2.0,0.6\n3.0,0.7\n4.0,0.8\n", 2),
+        ("1.0,0.5\nabc,0.6\n3.0,0.7\n4.0,0.8\n", 3),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_malformed_spectrum_file_exits_2(self, tmp_path, params_file,
+                                             capsys, rows, line):
+        data = tmp_path / "spec.csv"
+        data.write_text("freq_ghz,reflectivity\n" + rows)
+        out = tmp_path / "never.json"
+        code, stdout, err = run(capsys, "fit", "--data", str(data),
+                                "--params", str(params_file), "--model",
+                                "mixed", "--free", "p_up,scale,background",
+                                "--out", str(out))
+        assert code == 2
+        assert f"spec.csv:{line}:" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_overflowing_fit_exits_3(self, tmp_path, params_file, capsys):
+        # the residuals of a spectrum near 1e250 overflow, so the summary
+        # would carry an infinite residual RMS
+        spec = lorentzian_spectrum(KAPPA, 0.0, ScanConfig(-60, 60, 41))
+        data = tmp_path / "huge.csv"
+        save_spectrum(Spectrum(spec.freq_ghz, spec.reflectivity * 1e250), data)
+        out = tmp_path / "never.json"
+        with np.errstate(all="ignore"):
+            code, stdout, err = run(capsys, "fit", "--data", str(data),
+                                    "--params", str(params_file), "--model",
+                                    "lorentzian", "--free",
+                                    "kappa,omega_c,scale,background",
+                                    "--out", str(out))
+        assert code == 3
+        assert "residual RMS" in err
+        assert stdout == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [

@@ -1,15 +1,35 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spincavity import (DataValidationError, FormatError, ScanConfig,
-                        SchemaError, SystemParams, TrionLevels,
-                        lorentzian_spectrum)
+from spincavity import (DataValidationError, DomainError, FormatError,
+                        ScanConfig, SchemaError, Spectrum, SystemParams,
+                        TrionLevels, lorentzian_spectrum)
 from spincavity.dataio import (fit_report_record, load_fit_report,
                                load_levels, load_params, load_spectrum,
                                save_fit_report, save_params, save_spectrum,
                                sha256_of)
+
+# Finite and awkward values alike, so drawn rows break each point rule.
+POINT_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1.0, 2.0]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+def first_broken_row(rows):
+    """Index of the first (freq, refl, weight) row breaking a point rule."""
+    for i, (f, r, w) in enumerate(rows):
+        rising = i == 0 or f > rows[i - 1][0]
+        if not (math.isfinite(f) and rising and math.isfinite(r) and r >= 0
+                and math.isfinite(w) and w > 0):
+            return i
+    return None
+
 
 PARAMS_RECORD = {
     "kappa": 31.79, "g3": 7.2, "g4": 17.2,
@@ -62,6 +82,44 @@ class TestSpectrumFiles:
                          "1.0,-0.5,1\n2.0,0.6,1\n3.0,0.7,1\n")
         with pytest.raises(DataValidationError, match="neg.csv:2"):
             load_spectrum(path2)
+
+    @pytest.mark.parametrize("freq, line", [("nan", 3), ("1e999", 5),
+                                            ("-inf", 2)])
+    def test_nonfinite_frequency_names_its_line(self, tmp_path, freq, line):
+        rows = ["1.0,0.5", "2.0,0.6", "3.0,0.7"]
+        rows.insert(line - 2, f"{freq},0.8")
+        path = tmp_path / "freq.csv"
+        path.write_text("freq_ghz,reflectivity\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataValidationError, match=rf"freq\.csv:{line}: "
+                                                      "frequency must be finite"):
+            load_spectrum(path)
+
+    # The loader applies Spectrum's point rules: it refuses exactly the
+    # rows Spectrum refuses, naming the first offending row's line.
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(POINT_VALUES, POINT_VALUES, POINT_VALUES),
+                         min_size=3, max_size=8),
+           ordered=st.booleans())
+    def test_loader_refuses_what_spectrum_refuses(self, rows, ordered):
+        if ordered:
+            rows.sort(key=lambda row: row[0])
+        bad = first_broken_row(rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.csv"
+            path.write_text("freq_ghz,reflectivity,weight\n" + "".join(
+                f"{f!r},{r!r},{w!r}\n" for f, r, w in rows))
+            if bad is None:
+                loaded = load_spectrum(path)
+                for got, want in zip((loaded.freq_ghz, loaded.reflectivity,
+                                      loaded.weight), zip(*rows)):
+                    assert np.array_equal(got, want)
+                Spectrum(*zip(*rows))
+                return
+            with pytest.raises(DataValidationError,
+                               match=rf"rows\.csv:{bad + 2}: "):
+                load_spectrum(path)
+        with pytest.raises(DomainError, match=f"spectrum point {bad}: "):
+            Spectrum(*zip(*rows))
 
     def test_non_numeric_row(self, tmp_path):
         path = tmp_path / "text.csv"

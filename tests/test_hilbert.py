@@ -273,8 +273,9 @@ class TestLiouvillian:
         l0, diag = hilbert._generator_parts(p, real_g3)
         rows, cols = np.nonzero(l0)
         assert np.max(np.abs(k[rows] - k[cols])) == 1
-        # N comes from sqrt(n)^2, so D is i 2pi k to roundoff
-        assert np.max(np.abs(diag - 1j * TWO_PI * k)) <= 1e-12
+        # N is read off the basis layout, so D is exactly the i 2pi k
+        # that the elimination adds per block
+        assert np.array_equal(diag, 1j * TWO_PI * k)
         assert np.all(k[np.nonzero(_trace_vector(p.dim))] == 0)
         # the solver's blocks are those of this ordering, read off the
         # bordered generator; block -k holds the transposes of block k

@@ -47,6 +47,13 @@ class TestSpectrumType:
         with pytest.raises(ShapeError):
             Spectrum([0, 1, 2], [1, 1, 1], [1, 1])
 
+    @pytest.mark.parametrize("freq, index", [
+        ([-np.inf, 0.0, 1.0], 0), ([0.0, 1.0, np.inf], 2),
+        ([0.0, np.nan, 1.0], 1)])
+    def test_nonfinite_frequency_refused(self, freq, index):
+        with pytest.raises(DomainError, match=f"point {index}: frequency"):
+            Spectrum(freq, [1, 1, 1])
+
     def test_default_weights(self):
         s = Spectrum([0, 1, 2], [1, 2, 3])
         assert np.all(s.weight == 1.0)
@@ -61,10 +68,13 @@ class TestSpectrumType:
 
     @pytest.mark.parametrize("field, value", [
         ("scale", np.nan), ("scale", np.inf),
-        ("background", np.nan), ("background", np.inf)])
+        ("background", np.nan), ("background", np.inf),
+        ("start", -np.inf), ("start", np.nan),
+        ("stop", np.inf), ("stop", np.nan)])
     def test_scan_config_refuses_nonfinite(self, field, value):
         with pytest.raises(DomainError, match=field):
-            ScanConfig(start=0.0, stop=1.0, n_points=5, **{field: value})
+            ScanConfig(**{"start": 0.0, "stop": 1.0, "n_points": 5,
+                          field: value})
 
     def test_fringe_validation(self):
         with pytest.raises(DomainError):
