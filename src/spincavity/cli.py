@@ -77,10 +77,12 @@ def _parse_fields(text: str) -> list[float]:
         raise CliError(f"--fields step must be positive, got {step}")
     if b1 < b0:
         raise CliError(f"--fields needs B0 <= B1, got '{text}'")
-    count = math.floor((b1 - b0 + 1e-9) / step) + 1
-    if count > _ROW_LIMIT:
-        raise CliError(f"--fields '{text}' asks for {count} fields, above "
-                       f"the limit of {_ROW_LIMIT}")
+    n_steps = (b1 - b0 + 1e-9) / step
+    # checked before math.floor, which raises on an infinite quotient
+    if not n_steps < _ROW_LIMIT:
+        raise CliError(f"--fields '{text}' asks for more fields than the "
+                       f"limit of {_ROW_LIMIT}")
+    count = math.floor(n_steps) + 1
     return [round(b0 + k * step, 9) for k in range(count)]
 
 

@@ -262,11 +262,16 @@ def _levenberg_marquardt(residual_fn, theta0, lo, hi):
     """Damped Gauss-Newton minimization of sum(residual^2) in a box.
 
     Returns (theta, ssr, n_iterations, converged, jacobian), with the
-    Jacobian evaluated at the returned theta.
+    Jacobian evaluated at the returned theta. A starting SSR that is not
+    finite (the residuals overflow) leaves nothing to descend on: LM
+    stops at once, unconverged, with a NaN Jacobian.
     """
     theta = np.clip(np.asarray(theta0, dtype=float), lo, hi)
     r = residual_fn(theta)
-    ssr = float(r @ r)
+    with np.errstate(over="ignore"):
+        ssr = float(r @ r)
+    if not math.isfinite(ssr):
+        return theta, ssr, 0, False, np.full((r.size, theta.size), np.nan)
     lam = 1e-3
     n_iter = 0
     converged = False

@@ -25,12 +25,12 @@ affine in it:
 
     L(omega) = L0 + omega D,    D = i 2pi (1 x N - N x 1),
 
-with D diagonal. L0 and D are built once per parameter set; each probe
-point only adds omega D to a copy of L0. Ordered by the excitation
-difference k = N_i - N_j of rho[i, j], L(omega) is block tridiagonal
-(the undriven generator conserves k, the drive moves it by one) and D
-is i 2pi k on block k. The steady state is found by eliminating these
-blocks, cached per parameter set, from both ends towards k = 0: the
+with D diagonal. Ordered by the excitation difference k = N_i - N_j of
+rho[i, j], L(omega) is block tridiagonal (the undriven generator
+conserves k, the drive moves it by one) and D is i 2pi k on block k.
+L0, D and the blocks of L0 are assembled in one cached step per
+parameter set; each probe point only adds omega D to a copy of L0. The
+steady state eliminates the blocks from both ends towards k = 0: the
 matrix continued fraction of Risken, The Fokker-Planck Equation, ch. 9.
 The dense L(omega) checks the residual of the result.
 
@@ -69,8 +69,8 @@ _RESIDUAL_REL = 1e-9
 # Largest dense generator, 16 (3 fock_dim)^4 bytes, that SystemParams
 # admits. A steady-state solve holds two matrices of this size, the
 # cached L0 and L(omega), and a failed one adds a bordered copy and SVD
-# workspace for its condition number. Assembling L0 holds about one, as
-# its jump terms are scattered in place; the RK4 oracle holds up to four.
+# workspace for its condition number. Assembling L0 with its blocks holds
+# about 1.1-1.3, as jump terms are scattered in place; RK4 up to four.
 _GENERATOR_BYTES_LIMIT = 256 * 2**20
 
 _NON_NEGATIVE = frozenset(("g3", "g4", "gamma3", "gamma4", "gamma_d3", "gamma_d4",
@@ -186,7 +186,7 @@ def build_hamiltonian(params: SystemParams, probe_freq: float,
 @lru_cache(maxsize=1)
 @np.errstate(over="ignore", invalid="ignore")   # overflow is refused below
 def _generator_parts(params: SystemParams, real_g3: bool):
-    """(L0, D) with L(omega) = L0 + omega * diag(D), cached read-only.
+    """(L0, D, blocks) with L(omega) = L0 + omega * diag(D), cached read-only.
 
     L rho = H_eff rho + rho H_eff' + sum_r r C rho C' with
     H_eff = -i H - (1/2) sum_r r C'C, where H is the Hamiltonian at zero
@@ -199,6 +199,18 @@ def _generator_parts(params: SystemParams, real_g3: bool):
     These are scattered straight into the generator; within one operator
     the index tuples are distinct, so no entry is added twice, and the
     operators are added in a fixed order.
+
+    ``blocks`` = (centre, sides, spans, diag, up, down, swap) holds the
+    blocks k >= 0 of the bordered L0, grouped by the integer k = N_i - N_j
+    behind D. The trace row that replaces row 0 (rho[0, 0]) lives on
+    block 0. L0 maps rho' to (L0 rho)', so block -k, its entries in the
+    transposed order of block k's, is the complex conjugate of block k
+    and is not stored. The parts are the column-major flat indices of
+    block 0; rows pairing each index of a block k > 0 with that of its
+    transpose, and the slice ``spans[k]`` of block k's rows; the diagonal
+    blocks and the couplings of block k to k + 1 and to k - 1
+    (``down[0]`` is None); and the permutation that orders block 0 as
+    its own transpose.
     """
     d = params.dim
     a, s3, s4 = _operators(params.fock_dim)
@@ -226,46 +238,23 @@ def _generator_parts(params: SystemParams, real_g3: bool):
     # The probe enters H only as -2pi omega N, N = a'a + s3's3 + s4's4:
     # at index atom * fock_dim + n, N is n plus 1 if the atom is excited.
     number = idx % params.fock_dim + (idx >= params.fock_dim)
-    diag = (1j * TWO_PI * (number[None, :] - number[:, None])).reshape(-1)
-    for part in (liou, diag):
-        part.setflags(write=False)
-    return liou, diag
-
-
-@lru_cache(maxsize=1)
-def _block_parts(params: SystemParams, real_g3: bool):
-    """Blocks k >= 0 of the bordered L0, ordered by k = N_i - N_j.
-
-    k is read off D = i 2pi k. The trace row that replaces row 0
-    (rho[0, 0]) lives on block 0. L0 maps rho' to (L0 rho)', so block -k,
-    its entries in the transposed order of block k's, is the complex
-    conjugate of block k and is not stored.
-
-    Returns (centre, sides, spans, diag, up, down, swap), cached
-    read-only: the column-major flat indices of block 0; rows pairing
-    each index of a block k > 0 with that of its transpose, and the
-    slice ``spans[k]`` of block k's rows; the diagonal blocks and the
-    couplings of block k to k + 1 and to k - 1 (``down[0]`` is None);
-    and the permutation that orders block 0 as its own transpose.
-    """
-    l0, diag_d = _generator_parts(params, real_g3)
-    d = params.dim
-    k_of = np.rint(diag_d.imag / TWO_PI).astype(int)
+    k_of = (number[None, :] - number[:, None]).reshape(-1)
+    diag_d = 1j * TWO_PI * k_of
     index = [np.flatnonzero(k_of == k) for k in range(params.fock_dim + 1)]
-    diag = [l0[np.ix_(idx, idx)] for idx in index]
+    diag = [liou[np.ix_(i, i)] for i in index]
     diag[0][0] = _trace_vector(d)[index[0]]
-    up = [l0[np.ix_(a, b)] for a, b in zip(index, index[1:])]
+    up = [liou[np.ix_(m, n)] for m, n in zip(index, index[1:])]
     up[0][0] = 0.0
-    down = [None] + [l0[np.ix_(a, b)] for a, b in zip(index[1:], index)]
+    down = [None] + [liou[np.ix_(m, n)] for m, n in zip(index[1:], index)]
     centre = index[0]
     upper = np.concatenate(index[1:])
     sides = np.stack((upper, upper // d + d * (upper % d)), axis=1)
-    ends = np.cumsum([0] + [len(idx) for idx in index[1:]])
+    ends = np.cumsum([0] + [len(i) for i in index[1:]])
     spans = [None] + [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
     swap = np.searchsorted(centre, centre // d + d * (centre % d))
-    for part in (centre, sides, *diag, *up, *down[1:], swap):
+    for part in (liou, diag_d, centre, sides, *diag, *up, *down[1:], swap):
         part.setflags(write=False)
-    return centre, sides, spans, diag, up, down, swap
+    return liou, diag_d, (centre, sides, spans, diag, up, down, swap)
 
 
 def build_liouvillian(params: SystemParams, probe_freq: float,
@@ -276,7 +265,7 @@ def build_liouvillian(params: SystemParams, probe_freq: float,
     must be a finite real number.
     """
     _require_finite_real("probe_freq", probe_freq)
-    l0, diag = _generator_parts(params, real_g3)
+    l0, diag, _ = _generator_parts(params, real_g3)
     liou = l0.copy()
     liou.reshape(-1)[::liou.shape[0] + 1] += probe_freq * diag
     return liou
@@ -383,7 +372,7 @@ def steady_state(params: SystemParams, probe_freq: float,
 
     Solves L vec(rho) = 0 with row 0 of the (singular) generator replaced
     by the trace-normalization equation. The bordered system is block
-    tridiagonal in the excitation-difference ordering (``_block_parts``);
+    tridiagonal in the excitation-difference ordering (``_generator_parts``);
     it is solved by block elimination from both ends towards k = 0, plus
     one step of iterative refinement that reuses the inverse Schur
     complements. The residual of the refinement and the final check are
@@ -391,7 +380,7 @@ def steady_state(params: SystemParams, probe_freq: float,
     trace-normalized before the invariant checks run.
     """
     liou = build_liouvillian(params, probe_freq, real_g3=real_g3)
-    blocks = _block_parts(params, real_g3)
+    blocks = _generator_parts(params, real_g3)[2]
     d = params.dim
     scale = float(np.linalg.norm(liou))
     b = np.zeros(d * d, dtype=complex)

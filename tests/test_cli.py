@@ -427,6 +427,7 @@ class TestExitCodes:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_fit_exits_3(self, tmp_path, params_file, capsys):
         # the residuals of a spectrum near 1e250 overflow, so the summary
         # would carry an infinite residual RMS
@@ -434,12 +435,11 @@ class TestExitCodes:
         data = tmp_path / "huge.csv"
         save_spectrum(Spectrum(spec.freq_ghz, spec.reflectivity * 1e250), data)
         out = tmp_path / "never.json"
-        with np.errstate(all="ignore"):
-            code, stdout, err = run(capsys, "fit", "--data", str(data),
-                                    "--params", str(params_file), "--model",
-                                    "lorentzian", "--free",
-                                    "kappa,omega_c,scale,background",
-                                    "--out", str(out))
+        code, stdout, err = run(capsys, "fit", "--data", str(data),
+                                "--params", str(params_file), "--model",
+                                "lorentzian", "--free",
+                                "kappa,omega_c,scale,background",
+                                "--out", str(out))
         assert code == 3
         assert "residual RMS" in err
         assert stdout == ""
@@ -630,7 +630,7 @@ class TestSweep:
     # No infinite upper bound: a parser that accumulates b += step never
     # returns on one, and this table must fail against such code, not hang.
     @pytest.mark.parametrize("text", ["0:nan:0.5", "0:1:inf", "0:1:0", "0:1",
-                                      "5:1:0.5"])
+                                      "5:1:0.5", "0:1e308:1e-10"])
     def test_bad_fields_exit_2(self, tmp_path, levels_file, capsys, text):
         code, _, err = run(capsys, "sweep", "--params", str(levels_file),
                            "--fields", text, "--scan", "321795,321915,11",

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -306,6 +307,19 @@ class TestConfidenceBounds:
         with np.errstate(all="ignore"):
             result = fit(lorentzian_problem(huge))
         assert not any(np.isfinite(w) for w in result.ci95.values())
+
+    def test_overflowing_ssr_is_not_converged(self):
+        # residuals near 1e250 are finite, their sum of squares is not:
+        # LM has nothing to descend on, and nothing is determined
+        spec = lorentzian_spectrum(KAPPA, 0.0, ScanConfig(-60, 60, 41))
+        huge = Spectrum(spec.freq_ghz, spec.reflectivity * 1e250)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fit(lorentzian_problem(huge))
+        assert result.converged is False
+        assert all(w == np.inf for w in result.ci95.values())
+        assert not any(np.isnan(w) for w in result.ci95.values())
+        assert result.residual_rms == np.inf
 
     @pytest.mark.parametrize("name", ["kappa", "omega_c"])
     @pytest.mark.parametrize("upper", [False, True])

@@ -270,7 +270,7 @@ class TestLiouvillian:
                                                         fock_dim, real_g3):
         p = replace(ref_params, fock_dim=fock_dim)
         k = excitation_difference(fock_dim)
-        l0, diag = hilbert._generator_parts(p, real_g3)
+        l0, diag, parts = hilbert._generator_parts(p, real_g3)
         rows, cols = np.nonzero(l0)
         assert np.max(np.abs(k[rows] - k[cols])) == 1
         # N is read off the basis layout, so D is exactly the i 2pi k
@@ -281,7 +281,7 @@ class TestLiouvillian:
         # bordered generator; block -k holds the transposes of block k
         bordered = l0.copy()
         bordered[0] = _trace_vector(p.dim)
-        centre, sides, spans, blocks, up, down, _ = hilbert._block_parts(p, real_g3)
+        centre, sides, spans, blocks, up, down, _ = parts
         index = [centre] + [sides[span, 0] for span in spans[1:]]
         for kk, idx in enumerate(index):
             assert np.array_equal(idx, np.flatnonzero(k == kk))
@@ -293,8 +293,8 @@ class TestLiouvillian:
         assert np.array_equal(sides[:, 1], flat.T.reshape(-1, order="F")[sides[:, 0]])
 
     def test_assembly_holds_about_one_generator(self, ref_params):
-        # The jump terms are scattered in place, so the assembly holds
-        # little more than the generator itself.
+        # The jump terms are scattered in place, so the assembly, with
+        # its elimination blocks, holds little more than the generator.
         p = replace(ref_params, fock_dim=8)
         hilbert._operators(p.fock_dim)
         hilbert._generator_parts.cache_clear()
@@ -361,17 +361,14 @@ class TestSteadyState:
 
     def test_one_generator_assembly_per_parameter_set(self, ref_params):
         hilbert._generator_parts.cache_clear()
-        hilbert._block_parts.cache_clear()
         for probe in (-20.0, 0.0, 5.0, 20.0):
             steady_state(ref_params, probe)
-        # one lookup per build_liouvillian, plus the block assembly's one
+        # two lookups per solve, one in build_liouvillian and one for the
+        # blocks, and one assembly of L0, D and the blocks together
         info = hilbert._generator_parts.cache_info()
-        assert (info.misses, info.hits) == (1, 4)
-        info = hilbert._block_parts.cache_info()
-        assert (info.misses, info.hits) == (1, 3)
+        assert (info.misses, info.hits) == (1, 7)
         steady_state(replace(ref_params, g3=ref_params.g3 + 1.0), 0.0)
         assert hilbert._generator_parts.cache_info().misses == 2
-        assert hilbert._block_parts.cache_info().misses == 2
 
     def test_degenerate_system_raises(self):
         # no decay at all from the atomic sector: steady state not unique
