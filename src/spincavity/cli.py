@@ -10,6 +10,7 @@ input files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -296,6 +297,7 @@ def _cmd_derive(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of the spincavity command line."""
     parser = argparse.ArgumentParser(
         prog="spincavity",
         description="Simulate and fit spin-dependent cavity reflectivity spectra.")
@@ -374,6 +376,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process.
+
+    Parsing leaves it unchanged: each call makes a new Namespace, the
+    ``append`` flags default to None and so start a new list, and the
+    subcommand defaults are only read.
+    """
+    return build_parser()
+
+
 def _merge_scan_flag(argv: list[str]) -> list[str]:
     """Join '--scan -60,60,241' into one token.
 
@@ -393,10 +406,9 @@ def _merge_scan_flag(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_scan_flag(list(argv)))
+    args = _parser().parse_args(_merge_scan_flag(list(argv)))
     try:
         summary = args.func(args)
     except (CliError, *_VALIDATION_ERRORS) as exc:

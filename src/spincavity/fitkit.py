@@ -28,11 +28,13 @@ protocol) both go through it, so they fit the same problem.
 The optimizer is a damped Gauss-Newton (Levenberg-Marquardt) loop with
 forward-difference Jacobians and box bounds enforced by projection.
 At interior optima the 95% half-width of parameter j is Z_95 sqrt(s^2
-sum_k (V_jk / w_k)^2), with s^2 the residual variance and J = U diag(w) V'
-the weighted Jacobian, summed over its determined directions
-(w_k > 1e-7 max w); ``inf`` marks a parameter with a component above 0.5
-on an undetermined one. At an optimum on a bound the limit comes from the
-profile of the residual sum of squares, re-optimizing the others.
+sum_k (V_jk / w_k)^2) / n_j, with s^2 the residual variance, n_j the norm
+of column j of the weighted Jacobian J and Js = U diag(w) V' the SVD of J
+with its columns scaled to unit norm, summed over its determined
+directions (w_k > 1e-7 max w); ``inf`` marks a parameter with a component
+above 0.5 on an undetermined one. At an optimum on a bound the limit
+comes from the profile of the residual sum of squares, re-optimizing the
+others.
 Everything is deterministic: identical inputs give identical results.
 """
 
@@ -209,8 +211,10 @@ class FitResult:
     """Best-fit parameters with 95% confidence half-widths.
 
     ``ci_method`` records whether each half-width came from the
-    linearized covariance or from a profile of the residual sum of
-    squares (used when the optimum sits on a parameter bound).
+    linearized covariance, from a profile of the residual sum of
+    squares (used when the optimum sits on a parameter bound), or from
+    neither: ``"none"`` marks the ``inf`` half-widths of a fit whose
+    Jacobian is not finite, so that no covariance was formed.
     ``derived`` holds the computable subset of
     {g3, cooperativity, strong_coupling, detuning_sigma4_cavity}.
     """
@@ -374,14 +378,21 @@ def _dof(problem: FitProblem) -> int:
 def fit(problem: FitProblem) -> FitResult:
     """Weighted least-squares fit of the problem's model to its data."""
     names, theta, ssr, n_iter, converged, jac = _solve_problem(problem)
-    # s^2 (J'J)^-1 = s^2 V diag(w^-2) V'. A J that is not finite (the
-    # model overflowed) determines nothing, and the SVD would refuse it.
+    # With J = Js diag(n), n the column norms, s^2 (J'J)^-1 is
+    # diag(1/n) s^2 V diag(w^-2) V' diag(1/n) for the SVD Js = U diag(w) V';
+    # unit columns make the undetermined test free of the parameters'
+    # units. hypot forms each norm without overflow or underflow. A J
+    # that is not finite (the model overflowed) determines nothing and
+    # forms no covariance, and the SVD would refuse it.
     sd = np.full(len(names), np.inf)
-    if np.isfinite(jac).all():
-        _, w, vt = np.linalg.svd(jac, full_matrices=False)
-        determined = w > 1e-7 * w[0]   # cond(J'J) <= 1e14
+    formed = bool(np.isfinite(jac).all())
+    if formed:
+        norms = np.hypot.reduce(jac, axis=0)
+        norms[norms == 0.0] = 1.0   # a zero column stays undetermined
+        _, w, vt = np.linalg.svd(jac / norms, full_matrices=False)
+        determined = w > 1e-7 * w[0]   # cond(Js'Js) <= 1e14
         sd = np.sqrt(ssr / _dof(problem) * np.sum(
-            (vt[determined] / w[determined, None]) ** 2, axis=0))
+            (vt[determined] / w[determined, None]) ** 2, axis=0)) / norms
         sd[np.any(np.abs(vt[~determined]) > 0.5, axis=0)] = np.inf
     ci = {}
     method = {}
@@ -399,7 +410,7 @@ def fit(problem: FitProblem) -> FitResult:
             method[name] = "profile"
         else:
             ci[name] = float(Z_95 * sd[j])
-            method[name] = "covariance"
+            method[name] = "covariance" if formed else "none"
 
     values = _values(problem, names, params.values(), _NOTHING)
     if problem.g_total is not None:

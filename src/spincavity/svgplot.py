@@ -2,6 +2,9 @@
 
 No plotting library is used; output is deterministic text. Axes are in
 GHz, with an optional secondary wavelength axis in nm along the top.
+Data coordinates are mapped to pixels as whole arrays, one numpy
+expression per curve, with the same floating-point operations in the
+same order as a point-by-point loop.
 """
 
 from __future__ import annotations
@@ -56,25 +59,31 @@ class _Canvas:
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         ]
 
-    def px(self, x: float) -> float:
+    def px(self, x):
+        """Pixel column of a data x, a number or an array."""
         frac = (x - self.x0) / (self.x1 - self.x0)
         return MARGIN_L + frac * (WIDTH - MARGIN_L - MARGIN_R)
 
-    def py(self, y: float) -> float:
+    def py(self, y):
+        """Pixel row of a data y, a number or an array."""
         frac = (y - self.y0) / (self.y1 - self.y0)
         return HEIGHT - MARGIN_B - frac * (HEIGHT - MARGIN_T - MARGIN_B)
 
     def add(self, element: str) -> None:
         self.parts.append(element)
 
+    def _points(self, xs, ys):
+        """Pixel coordinates of a curve's points (float arrays) as pairs."""
+        return zip(self.px(xs).tolist(), self.py(ys).tolist())
+
     def polyline(self, xs, ys, color: str, width: float = 1.5) -> None:
-        pts = " ".join(f"{self.px(x):.2f},{self.py(y):.2f}" for x, y in zip(xs, ys))
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in self._points(xs, ys))
         self.add(f'<polyline fill="none" stroke="{color}" '
                  f'stroke-width="{width}" points="{pts}"/>')
 
     def dots(self, xs, ys, color: str) -> None:
-        for x, y in zip(xs, ys):
-            self.add(f'<circle cx="{self.px(x):.2f}" cy="{self.py(y):.2f}" '
+        for x, y in self._points(xs, ys):
+            self.add(f'<circle cx="{x:.2f}" cy="{y:.2f}" '
                      f'r="2.0" fill="{color}" fill-opacity="0.7"/>')
 
     def text(self, x_px, y_px, content, size=13, anchor="middle", rotate=None):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import tracemalloc
@@ -7,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spincavity.cli import CliError, _numbers, _parse_fields, main
+from spincavity import cli
+from spincavity.cli import (CliError, _numbers, _parse_fields, build_parser,
+                            main)
 from spincavity.dataio import (load_fit_report, load_params, load_spectrum,
                                save_params, save_spectrum)
 from spincavity import (ScanConfig, Spectrum, SystemParams, TrionLevels,
-                        fit, fit_thermal_pup, lorentzian_spectrum,
+                        dit_spectrum, fit, fit_thermal_pup, lorentzian_spectrum,
                         mixed_spectrum, synthesize_noisy,
                         two_transition_spectrum)
 from spincavity.fitkit import problem_from_params
@@ -725,3 +728,88 @@ class TestDerive:
         code, _, err = run(capsys, "derive", "--what", "pup")
         assert code == 2
         assert "delta_e_mev" in err
+
+
+class TestParserReuse:
+    """``main`` parses every call with one parser, built on first use."""
+
+    FLAGS = ("--set", "delta=0.5", "--init", "g=15")
+
+    @pytest.fixture
+    def single_data(self, tmp_path):
+        cfg = ScanConfig(-80, 80, 121, scale=SCALE, background=0.05)
+        data = tmp_path / "single.csv"
+        save_spectrum(synthesize_noisy(
+            dit_spectrum(G_TOTAL, KAPPA, 1.78, 0.0, 0.0, cfg), 0.01, seed=0),
+            data)
+        return data
+
+    @pytest.fixture
+    def fit_report(self, tmp_path, params_file, single_data, capsys):
+        data = single_data
+        outs = (tmp_path / f"report{k}.json" for k in range(100))
+
+        def report(*flags, fresh=False):
+            """Report bytes of a single-transition fit with extra flags."""
+            if fresh:
+                cli._parser.cache_clear()
+            out = next(outs)
+            code, _, err = run(capsys, "fit", "--data", str(data),
+                               "--params", str(params_file),
+                               "--model", "single",
+                               "--free", "g,gamma,scale,background",
+                               *flags, "--out", str(out))
+            assert code == 0, err
+            return out.read_bytes()
+
+        return report
+
+    def test_fit_flags_do_not_leak_into_later_calls(self, fit_report):
+        first = {flags: fit_report(*flags, fresh=True)
+                 for flags in (self.FLAGS, ())}
+        assert first[self.FLAGS] != first[()]
+        for order in ((self.FLAGS, ()), ((), self.FLAGS)):
+            for flags in order:
+                assert fit_report(*flags) == first[flags]
+
+    def test_refused_calls_leave_later_calls_alone(self, fit_report, tmp_path,
+                                                   params_file, single_data,
+                                                   capsys):
+        first = {flags: fit_report(*flags, fresh=True)
+                 for flags in (self.FLAGS, ())}
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", *self.FLAGS, "--model", "nonesuch"])
+        assert exc.value.code == 2
+        assert fit_report() == first[()]
+        never = tmp_path / "never.json"
+        code, _, err = run(capsys, "fit", "--data", str(single_data),
+                           "--params", str(params_file), "--model", "single",
+                           "--free", "g", *self.FLAGS, "--set", "gamma",
+                           "--out", str(never))
+        assert code == 2 and "KEY=VALUE" in err
+        assert not never.exists()
+        assert fit_report(*self.FLAGS) == first[self.FLAGS]
+        assert fit_report() == first[()]
+
+    def test_build_parser_gives_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_main_builds_the_parser_tree_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        build_parser()
+        per_tree = len(built)
+        assert per_tree == 6   # the top level and five subcommands
+        built.clear()
+        cli._parser.cache_clear()
+        for _ in range(5):
+            code, _, _ = run(capsys, "derive", "--what", "pup",
+                             "delta_e_mev=0.1")
+            assert code == 0
+        assert len(built) == per_tree

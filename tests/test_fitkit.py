@@ -320,6 +320,21 @@ class TestConfidenceBounds:
         assert all(w == np.inf for w in result.ci95.values())
         assert not any(np.isnan(w) for w in result.ci95.values())
         assert result.residual_rms == np.inf
+        # the Jacobian is not finite, so no covariance was formed
+        assert result.ci_method == dict.fromkeys(
+            ("kappa", "omega_c", "scale", "background"), "none")
+
+    def test_undetermined_directions_do_not_depend_on_units(self):
+        # scaling the data by 1e100 scales the scale and background
+        # columns of J by 1e100 but leaves what the data determine alone
+        data = lorentzian_data(noise=0.01, seed=1)
+        plain = fit(lorentzian_problem(data))
+        huge = fit(lorentzian_problem(
+            Spectrum(data.freq_ghz, data.reflectivity * 1e100)))
+        assert np.isfinite(huge.ci95["scale"])
+        assert np.isfinite(huge.ci95["background"])
+        for name in ("kappa", "omega_c"):
+            assert huge.ci95[name] == pytest.approx(plain.ci95[name], rel=1e-8)
 
     @pytest.mark.parametrize("name", ["kappa", "omega_c"])
     @pytest.mark.parametrize("upper", [False, True])
