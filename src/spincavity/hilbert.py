@@ -28,11 +28,15 @@ affine in it:
 with D diagonal. Ordered by the excitation difference k = N_i - N_j of
 rho[i, j], L(omega) is block tridiagonal (the undriven generator
 conserves k, the drive moves it by one) and D is i 2pi k on block k.
-L0, D and the blocks of L0 are assembled in one cached step per
-parameter set; each probe point only adds omega D to a copy of L0. The
-steady state eliminates the blocks from both ends towards k = 0: the
-matrix continued fraction of Risken, The Fokker-Planck Equation, ch. 9.
-The dense L(omega) checks the residual of the result.
+L0, D, the blocks of L0 and the three scalars of the quadratic
+||L(omega)||_F^2 are assembled in one cached step per parameter set;
+each probe point only adds omega D to a copy of L0. The steady state
+eliminates the blocks from both ends towards k = 0: the matrix continued
+fraction of Risken, The Fokker-Planck Equation, ch. 9. The trace
+equation's right-hand side lies in block 0, so the first solve is column
+0 of the centre inverse carried outwards. The dense L(omega) checks the
+residual of the result against the cached norm. The RK4 oracle uses the
+dense generator alone and solves no linear system.
 
 All user-facing rates and frequencies are quoted values (value/2pi in
 GHz); internally one global multiplication by 2pi converts them to
@@ -166,7 +170,11 @@ def number_operator(fock_dim: int) -> np.ndarray:
 
 def build_hamiltonian(params: SystemParams, probe_freq: float,
                       real_g3: bool = False) -> np.ndarray:
-    """Hamiltonian (angular units, rad/ns) in the probe rotating frame."""
+    """Hamiltonian (angular units, rad/ns) in the probe rotating frame.
+
+    ``probe_freq`` must be a finite real number.
+    """
+    _require_finite_real("probe_freq", probe_freq)
     a, s3, s4 = _operators(params.fock_dim)
     ad = a.conj().T
     h = TWO_PI * (
@@ -186,7 +194,7 @@ def build_hamiltonian(params: SystemParams, probe_freq: float,
 @lru_cache(maxsize=1)
 @np.errstate(over="ignore", invalid="ignore")   # overflow is refused below
 def _generator_parts(params: SystemParams, real_g3: bool):
-    """(L0, D, blocks) with L(omega) = L0 + omega * diag(D), cached read-only.
+    """(L0, D, blocks, norms) with L(omega) = L0 + omega * diag(D), cached read-only.
 
     L rho = H_eff rho + rho H_eff' + sum_r r C rho C' with
     H_eff = -i H - (1/2) sum_r r C'C, where H is the Hamiltonian at zero
@@ -211,6 +219,10 @@ def _generator_parts(params: SystemParams, real_g3: bool):
     blocks and the couplings of block k to k + 1 and to k - 1
     (``down[0]`` is None); and the permutation that orders block 0 as
     its own transpose.
+
+    ``norms`` = (||L0||^2, 2 Re <D, diag L0>, ||D||^2), so that
+    ||L(omega)||_F^2 = ||L0||^2 + omega 2 Re <D, diag L0> + omega^2 ||D||^2
+    with no pass over the generator's entries (D is diagonal).
     """
     d = params.dim
     a, s3, s4 = _operators(params.fock_dim)
@@ -252,9 +264,12 @@ def _generator_parts(params: SystemParams, real_g3: bool):
     ends = np.cumsum([0] + [len(i) for i in index[1:]])
     spans = [None] + [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
     swap = np.searchsorted(centre, centre // d + d * (centre % d))
+    norms = (float(np.vdot(liou, liou).real),
+             2.0 * float(np.vdot(diag_d, liou.diagonal()).real),
+             float(np.vdot(diag_d, diag_d).real))
     for part in (liou, diag_d, centre, sides, *diag, *up, *down[1:], swap):
         part.setflags(write=False)
-    return liou, diag_d, (centre, sides, spans, diag, up, down, swap)
+    return liou, diag_d, (centre, sides, spans, diag, up, down, swap), norms
 
 
 def build_liouvillian(params: SystemParams, probe_freq: float,
@@ -265,10 +280,16 @@ def build_liouvillian(params: SystemParams, probe_freq: float,
     must be a finite real number.
     """
     _require_finite_real("probe_freq", probe_freq)
-    l0, diag, _ = _generator_parts(params, real_g3)
+    l0, diag, _, _ = _generator_parts(params, real_g3)
     liou = l0.copy()
     liou.reshape(-1)[::liou.shape[0] + 1] += probe_freq * diag
     return liou
+
+
+def _generator_norm(norms, probe_freq: float) -> float:
+    """||L0 + probe_freq D||_F from the ``norms`` of ``_generator_parts``."""
+    norm2, cross, d_norm2 = norms
+    return math.sqrt(norm2 + probe_freq * (cross + probe_freq * d_norm2))
 
 
 def _trace_vector(d: int) -> np.ndarray:
@@ -323,29 +344,37 @@ def _eliminate(blocks, probe_freq: float):
     return inverses, couplings
 
 
-def _block_solve(blocks, factors, rhs: np.ndarray) -> np.ndarray:
+def _block_solve(blocks, factors, rhs: np.ndarray | None = None) -> np.ndarray:
     """Solve the bordered system for ``rhs`` with the factors of ``_eliminate``.
 
     The entries of blocks k and -k run together as the two columns
     [v_k, conj(v_-k)], so both sides go through the same k > 0 factors.
+    ``rhs=None`` stands for e_0, the right-hand side of the trace row.
+    It lies in the centre block at position 0, so the sweep towards
+    k = 0 would act on zeros only: the centre solution is column 0 of
+    the centre inverse, and only the sweep outwards runs.
     """
     centre, sides, spans, _, up, _, swap = blocks
     inverses, couplings = factors
     top = len(spans) - 1
-    y = rhs[sides]
-    y[:, 1] = y[:, 1].conj()
-    for k in range(top, 0, -1):
-        if k < top:
-            y[spans[k]] -= up[k] @ y[spans[k + 1]]
-        y[spans[k]] = inverses[k] @ y[spans[k]]
-    w = up[0] @ y[spans[1]]
-    x0 = inverses[0] @ (rhs[centre] - w[:, 0] - w[swap, 1].conj())
+    if rhs is None:
+        y = np.zeros(sides.shape, dtype=complex)
+        x0 = inverses[0][:, 0]
+    else:
+        y = rhs[sides]
+        y[:, 1] = y[:, 1].conj()
+        for k in range(top, 0, -1):
+            if k < top:
+                y[spans[k]] -= up[k] @ y[spans[k + 1]]
+            y[spans[k]] = inverses[k] @ y[spans[k]]
+        w = up[0] @ y[spans[1]]
+        x0 = inverses[0] @ (rhs[centre] - w[:, 0] - w[swap, 1].conj())
     below = np.stack((x0, x0[swap].conj()), axis=1)
     for k in range(1, top + 1):
         y[spans[k]] -= couplings[k] @ below
         below = y[spans[k]]
     y[:, 1] = y[:, 1].conj()
-    x = np.empty_like(rhs)
+    x = np.empty(len(centre) + sides.size, dtype=complex)
     x[centre] = x0
     x[sides] = y
     return x
@@ -373,21 +402,23 @@ def steady_state(params: SystemParams, probe_freq: float,
     Solves L vec(rho) = 0 with row 0 of the (singular) generator replaced
     by the trace-normalization equation. The bordered system is block
     tridiagonal in the excitation-difference ordering (``_generator_parts``);
-    it is solved by block elimination from both ends towards k = 0, plus
-    one step of iterative refinement that reuses the inverse Schur
-    complements. The residual of the refinement and the final check are
-    formed with the dense L(omega). The result is symmetrized and exactly
-    trace-normalized before the invariant checks run.
+    it is solved by block elimination from both ends towards k = 0. The
+    right-hand side e_0 lies in block 0, so the first solution is column 0
+    of the centre inverse carried outwards block by block. One step of
+    iterative refinement follows and reuses the inverse Schur complements.
+    The residual of the refinement and the final check are formed with the
+    dense L(omega); the final check compares against ||L(omega)||_F, which
+    comes from three cached scalars of the parameter set. The result is
+    symmetrized and exactly trace-normalized before the invariant checks
+    run.
     """
     liou = build_liouvillian(params, probe_freq, real_g3=real_g3)
-    blocks = _generator_parts(params, real_g3)[2]
+    _, _, blocks, norms = _generator_parts(params, real_g3)
     d = params.dim
-    scale = float(np.linalg.norm(liou))
-    b = np.zeros(d * d, dtype=complex)
-    b[0] = 1.0
+    scale = _generator_norm(norms, probe_freq)
     try:
         factors = _eliminate(blocks, probe_freq)
-        x = _block_solve(blocks, factors, b)
+        x = _block_solve(blocks, factors)
         # Residual of the bordered system: row 0 is the trace equation.
         r = -(liou @ x)
         r[0] = 1.0 - x[::d + 1].sum()
@@ -459,8 +490,10 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
     The default step is chosen from the 1-norm of L, which bounds its
     spectral radius and keeps RK4 inside its stability region.
 
-    The n steps are applied as P^n, where P is the exact RK4 step matrix,
-    by repeated squaring; no linear system is solved.
+    The n steps are applied as P^n, where P is the exact RK4 step matrix.
+    While more than N = d^2 steps remain, P is squared (N^3 work) to halve
+    their number; the remaining steps are matrix-vector products (N^2
+    work each). No linear system is solved.
 
     Time is in ns (1/GHz). t_final must be at least 20/kappa; it and an
     explicit dt must be finite real numbers.
@@ -489,7 +522,8 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
         rho0 = ground_state(params.fock_dim)
     v = rho0.reshape(-1, order="F").astype(complex)
     # One RK4 step is v -> P v with P = sum_{k<=4} (dt L)^k / k!, built by
-    # Horner's rule; n_steps of them are applied by binary powering of P.
+    # Horner's rule. Binary powering of P stops once no more steps remain
+    # than P has rows: a squaring then costs more than the matvecs it saves.
     liou *= dt
     step = liou / 4.0
     for k in (3.0, 2.0, 1.0):
@@ -497,13 +531,13 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
         step = liou @ step
         step /= k
     step.reshape(-1)[::d * d + 1] += 1.0
-    while True:
+    while n_steps > d * d:
         if n_steps & 1:
             v = step @ v
         n_steps >>= 1
-        if not n_steps:
-            break
         step = step @ step
+    for _ in range(n_steps):
+        v = step @ v
     return _density_matrix(v, d)
 
 

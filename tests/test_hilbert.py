@@ -270,7 +270,7 @@ class TestLiouvillian:
                                                         fock_dim, real_g3):
         p = replace(ref_params, fock_dim=fock_dim)
         k = excitation_difference(fock_dim)
-        l0, diag, parts = hilbert._generator_parts(p, real_g3)
+        l0, diag, parts, _ = hilbert._generator_parts(p, real_g3)
         rows, cols = np.nonzero(l0)
         assert np.max(np.abs(k[rows] - k[cols])) == 1
         # N is read off the basis layout, so D is exactly the i 2pi k
@@ -311,9 +311,28 @@ class TestLiouvillian:
                                        None, True])
     def test_nonfinite_probe_refused(self, ref_params, probe):
         with pytest.raises(DomainError, match="probe_freq"):
+            build_hamiltonian(ref_params, probe)
+        with pytest.raises(DomainError, match="probe_freq"):
             build_liouvillian(ref_params, probe)
         with pytest.raises(DomainError, match="probe_freq"):
             steady_state(ref_params, probe)
+
+    @settings(max_examples=80, deadline=None)
+    @given(kappa=st.floats(10, 50), g3=st.floats(0, 15), g4=st.floats(0, 25),
+           gamma_d3=st.floats(0, 5), gamma_d4=st.floats(0, 5),
+           omega_x=st.floats(-20, 20), delta_h=st.floats(0, 20),
+           probe=st.floats(-1e4, 1e4), fock_dim=st.integers(2, 6),
+           real_g3=st.booleans())
+    def test_cached_norm_matches_the_generator(self, kappa, g3, g4, gamma_d3,
+                                               gamma_d4, omega_x, delta_h,
+                                               probe, fock_dim, real_g3):
+        p = SystemParams(kappa=kappa, g3=g3, g4=g4, gamma_d3=gamma_d3,
+                         gamma_d4=gamma_d4, omega_c=0.0, omega_x=omega_x,
+                         delta_h=delta_h, fock_dim=fock_dim)
+        norms = hilbert._generator_parts(p, real_g3)[3]
+        expected = np.linalg.norm(build_liouvillian(p, probe, real_g3=real_g3))
+        assert hilbert._generator_norm(norms, probe) == pytest.approx(
+            expected, rel=1e-13, abs=0.0)
 
     def test_returns_a_fresh_writable_matrix(self, ref_params):
         first = build_liouvillian(ref_params, 3.0)
@@ -369,6 +388,22 @@ class TestSteadyState:
         assert (info.misses, info.hits) == (1, 7)
         steady_state(replace(ref_params, g3=ref_params.g3 + 1.0), 0.0)
         assert hilbert._generator_parts.cache_info().misses == 2
+
+    @pytest.mark.parametrize("fock_dim", range(2, 9))
+    @pytest.mark.parametrize("real_g3", [False, True])
+    def test_trace_column_solve_matches_the_general_solve(self, ref_params,
+                                                          fock_dim, real_g3):
+        # The first solve skips the sweep towards k = 0, which would act
+        # on zeros only; it must give the bits of the general solve.
+        p = replace(ref_params, fock_dim=fock_dim, omega_c=1.5)
+        blocks = hilbert._generator_parts(p, real_g3)[2]
+        e0 = np.zeros(p.dim**2, dtype=complex)
+        e0[0] = 1.0
+        for probe in (-60.0, 0.0, 7.25, 41.0):
+            factors = hilbert._eliminate(blocks, probe)
+            direct = hilbert._block_solve(blocks, factors)
+            general = hilbert._block_solve(blocks, factors, e0)
+            assert direct.tobytes() == general.tobytes()
 
     def test_degenerate_system_raises(self):
         # no decay at all from the atomic sector: steady state not unique
@@ -474,13 +509,20 @@ class TestTimeEvolveOracle:
                                     dt=dt)
         assert np.max(np.abs(rho_rk - rho_lu)) < 1e-6
 
-    def test_powering_equals_step_loop(self, ref_params):
-        p = replace(ref_params, fock_dim=2)
+    @pytest.mark.parametrize("fock_dim, matvecs_only", [(3, False), (7, True)])
+    def test_powering_equals_step_loop(self, ref_params, fock_dim, matvecs_only):
+        # fock_dim 3 takes 390 steps on 81 rows: three squarings, two of
+        # them after an odd count, then matvecs. fock_dim 7 with the
+        # spectral step takes fewer steps than its 441 rows: matvecs only.
+        p = replace(ref_params, fock_dim=fock_dim)
         liou = build_liouvillian(p, 5.0)
         t_final = 20.0 / p.kappa
-        dt = 2.0 / np.linalg.norm(liou, 1)
+        if matvecs_only:
+            dt, _ = liouvillian_timescales(liou)
+        else:
+            dt = 2.0 / np.linalg.norm(liou, 1)
         n_steps = math.ceil(t_final / dt)
-        assert 100 < n_steps < 1000
+        assert n_steps <= p.dim**2 if matvecs_only else n_steps > 4 * p.dim**2
         rng = np.random.default_rng(8)
         psi = rng.standard_normal(p.dim) + 1j * rng.standard_normal(p.dim)
         rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
@@ -490,6 +532,17 @@ class TestTimeEvolveOracle:
         rho /= np.trace(rho).real
         rho_rk = time_evolve_oracle(p, 5.0, t_final=t_final, dt=dt, rho0=rho0)
         assert np.max(np.abs(rho_rk - rho)) <= 1e-12
+
+    def test_solves_no_linear_system(self, ref_params, monkeypatch):
+        # The oracle stays independent of the steady-state solver.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the RK4 oracle solved a linear system")
+        hilbert._generator_parts.cache_clear()
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        monkeypatch.setattr(hilbert, "_eliminate", refuse)
+        rho = time_evolve_oracle(ref_params, 3.0, t_final=1.0)
+        validate_density_matrix(rho)
 
     def test_short_horizon_rejected(self, ref_params):
         with pytest.raises(DomainError):
