@@ -22,7 +22,8 @@ from . import __version__, dataio, fitkit, hilbert, spectra, svgplot
 from .errors import (DataValidationError, DomainError, FormatError,
                      ModelError, NumericalError, SchemaError, ShapeError,
                      StateError)
-from .physcalc import (cooperativity, is_strongly_coupled, lande_g_factor,
+from .physcalc import (DEFAULT_TEMPERATURE_K, cooperativity,
+                       is_strongly_coupled, lande_g_factor,
                        splitting_nm_to_ghz, thermal_spin_up_population,
                        wavelength_to_frequency)
 from .spectra import _ROW_LIMIT, FringeModel, ScanConfig
@@ -120,12 +121,10 @@ def _clean_spectrum(args):
         dip = float(spec.freq_ghz[int(np.argmin(spec.reflectivity))])
         extras["fock_convergence_shift"] = hilbert.fock_convergence_shift(
             params, dip)
-    elif args.model == "mixed":
+    else:  # mixed; argparse restricts --model to its choices
         up = spectra.lorentzian_spectrum(params.kappa, params.omega_c, cfg)
         down = spectra.two_transition_spectrum(params, cfg)
         spec = spectra.mixed_spectrum(args.pup, up, down)
-    else:
-        raise CliError(f"unknown model '{args.model}'")
     return spec, extras
 
 
@@ -275,19 +274,17 @@ def _cmd_derive(args) -> dict:
         elif what == "pup":
             out = {"what": what,
                    "p_up": thermal_spin_up_population(
-                       kv["delta_e_mev"], kv.get("temp", 4.2))}
+                       kv["delta_e_mev"], kv.get("temp", DEFAULT_TEMPERATURE_K))}
         elif what == "cooperativity":
             out = {"what": what,
                    "cooperativity": cooperativity(kv["g"], kv["kappa"], kv["gamma"]),
                    "note": "unrounded; inputs are value/2pi in GHz"}
-        elif what == "strong":
+        else:  # strong; argparse restricts --what to its choices
             out = {"what": what,
                    "strong_coupling": is_strongly_coupled(
                        kv["g"], kv["kappa"], kv["gamma"]),
                    "coherent_side_4g": 4.0 * kv["g"],
                    "loss_side_kappa_plus_gamma": kv["kappa"] + kv["gamma"]}
-        else:  # pragma: no cover - argparse restricts choices
-            raise CliError(f"unknown derivation '{what}'")
     except KeyError as exc:
         raise CliError(f"missing required value {exc} for --what {what}") from exc
     for key, value in out.items():

@@ -42,11 +42,6 @@ _TRION_REQUIRED = _required_keys(TrionLevels)
 _PARAM_FILE_KEYS = frozenset(_SYSTEM_KEYS + _TRION_KEYS)
 
 
-def _fmt(x: float) -> str:
-    """Shortest decimal text that round-trips the float exactly."""
-    return repr(float(x))
-
-
 def atomic_write_text(path, text: str) -> None:
     """Write via a temporary file and rename, so failures leave no output."""
     path = Path(path)
@@ -63,12 +58,14 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def spectrum_to_text(spectrum: Spectrum) -> str:
+    """CSV text of a spectrum; ``repr`` gives each float's shortest exact text."""
     lines = []
     for key in sorted(spectrum.meta):
         lines.append(f"# {key}={spectrum.meta[key]}")
     lines.append(SPECTRUM_HEADER)
-    for f, r, w in zip(spectrum.freq_ghz, spectrum.reflectivity, spectrum.weight):
-        lines.append(f"{_fmt(f)},{_fmt(r)},{_fmt(w)}")
+    for f, r, w in zip(spectrum.freq_ghz.tolist(), spectrum.reflectivity.tolist(),
+                       spectrum.weight.tolist()):
+        lines.append(f"{f!r},{r!r},{w!r}")
     return "\n".join(lines) + "\n"
 
 

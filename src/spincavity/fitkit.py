@@ -49,8 +49,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import DomainError, SchemaError
-from .physcalc import (TWO_PI, _require_finite_real, cooperativity,
-                       is_strongly_coupled)
+from .physcalc import (TWO_PI, _require_finite_real, _require_int,
+                       cooperativity, is_strongly_coupled)
 from .spectra import (Spectrum, cavity_response, lorentzian_response,
                       spin_down_lines)
 
@@ -150,8 +150,8 @@ class FitProblem:
     Every model parameter must appear in exactly one of ``free``,
     ``fixed``, or be derived by the coupling constraint (g3 from
     g3^2 + g4^2 = g_total^2 when ``g_total`` is set on the mixed model).
-    ``center_weight`` multiplies the weights of the n points nearest the
-    reflectivity minimum of the data by the given factor.
+    ``center_weight`` = (n, factor) multiplies the weights of the n points
+    nearest the data's reflectivity minimum by a finite factor > 1.
     """
 
     data: Spectrum
@@ -202,8 +202,10 @@ class FitProblem:
                 "free parameters")
         if self.center_weight is not None:
             n, factor = self.center_weight
-            if n < 1 or factor <= 1.0:
-                raise DomainError("center_weight needs n >= 1 and factor > 1")
+            _require_int("center_weight n", n, 1)
+            _require_finite_real("center_weight factor", factor)
+            if factor <= 1.0:
+                raise DomainError(f"center_weight factor must be > 1, got {factor}")
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, ModelError, NumericalError, StateError
-from .physcalc import TWO_PI, _require_finite_real
+from .physcalc import TWO_PI, _require_finite_real, _require_int
 
 DEFAULT_FOCK_DIM = 4
 
@@ -69,6 +69,8 @@ POSITIVITY_TOL = -1e-8
 # steady_state escalates to a model error only below this.
 _POSITIVITY_FAIL = -1e-6
 _RESIDUAL_REL = 1e-9
+# Extra Fock levels of the larger cutoff fock_convergence_shift compares.
+_CONVERGENCE_EXTRA = 2
 
 # Largest dense generator, 16 (3 fock_dim)^4 bytes, that SystemParams
 # admits. A steady-state solve holds two matrices of this size, the
@@ -116,8 +118,7 @@ class SystemParams:
                 raise DomainError(f"{f.name} must be >= 0, got {value}")
         if not self.kappa > 0:
             raise DomainError(f"kappa must be positive, got {self.kappa}")
-        if not (isinstance(self.fock_dim, (int, np.integer)) and self.fock_dim >= 2):
-            raise DomainError(f"fock_dim must be an integer >= 2, got {self.fock_dim}")
+        _require_int("fock_dim", self.fock_dim, 2)
         matrix_bytes = 16 * (3 * int(self.fock_dim)) ** 4
         if matrix_bytes > _GENERATOR_BYTES_LIMIT:
             raise DomainError(
@@ -487,8 +488,9 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
     Runge-Kutta scheme. Because the flow is linear, the exact kernel of L
     is a fixed point of the RK4 map, so for long times the result
     converges to the true steady state with no truncation-error floor.
-    The default step is chosen from the 1-norm of L, which bounds its
-    spectral radius and keeps RK4 inside its stability region.
+    The default step 2/||L||_1 keeps RK4 inside its stability region, as
+    the 1-norm bounds the spectral radius of L. kappa > 0 keeps the norm
+    above 0; one that overflows gives a zero step, which is refused.
 
     The n steps are applied as P^n, where P is the exact RK4 step matrix.
     While more than N = d^2 steps remain, P is squared (N^3 work) to halve
@@ -508,8 +510,7 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
     liou = build_liouvillian(params, probe_freq)
     d = params.dim
     if dt is None:
-        scale = float(np.linalg.norm(liou, 1))
-        dt = 2.0 / scale if scale > 0 else t_final / 100.0
+        dt = 2.0 / float(np.linalg.norm(liou, 1))
     if dt <= 0 or not math.isfinite(dt):
         raise NumericalError(f"invalid integration step dt={dt}")
     n_steps = int(math.ceil(t_final / dt))
@@ -541,19 +542,15 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
     return _density_matrix(v, d)
 
 
-def fock_convergence_shift(params: SystemParams, probe_freq: float,
-                           extra: int = 2) -> float:
-    """Relative photon-number change when the Fock cutoff grows by ``extra``.
+def fock_convergence_shift(params: SystemParams, probe_freq: float) -> float:
+    """Relative photon-number change when the Fock cutoff grows by 2.
 
     A shift above 1e-3 at drive_amp <= kappa/20 means the truncation is
-    not converged and fock_dim should be raised. ``extra`` must be a
-    positive integer.
+    not converged and fock_dim should be raised. That threshold is
+    calibrated for this fixed +2 (``_CONVERGENCE_EXTRA``).
     """
-    if (isinstance(extra, bool) or not isinstance(extra, (int, np.integer))
-            or extra < 1):
-        raise DomainError(f"extra must be a positive integer, got {extra!r}")
     n0 = expectation_photon_number(steady_state(params, probe_freq))
-    bigger = replace(params, fock_dim=params.fock_dim + extra)
+    bigger = replace(params, fock_dim=params.fock_dim + _CONVERGENCE_EXTRA)
     n1 = expectation_photon_number(steady_state(bigger, probe_freq))
     if n1 == 0.0:
         return 0.0

@@ -59,6 +59,13 @@ def _require_finite_real(name: str, value) -> None:
         raise DomainError(f"{name} must be a finite number, got {value!r}")
 
 
+def _require_int(name: str, value, low: int) -> None:
+    """Raise DomainError unless ``value`` is an integer (numpy too, not bool) >= low."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low):
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _finite_quotient(numerator: float, denominator: float, what: str) -> float:
     """numerator / denominator, inf for a 0 denominator; DomainError unless finite."""
     value = numerator / denominator if denominator else math.inf
@@ -135,8 +142,10 @@ def cooperativity(g: float, kappa: float, gamma: float) -> float:
     """Atom-cavity cooperativity 2 g^2 / (kappa * gamma).
 
     All three rates are quoted values (value/2pi in GHz); the 2pi factors
-    cancel in the ratio.
+    cancel in the ratio. The coupling g must be >= 0.
     """
+    if not g >= 0:
+        raise DomainError(f"coupling g must be >= 0, got {g}")
     if not kappa > 0:
         raise DomainError(f"kappa must be positive, got {kappa}")
     if not gamma > 0:

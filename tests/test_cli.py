@@ -724,6 +724,15 @@ class TestDerive:
         assert code == 0
         assert json.loads(stdout)[key] == limit
 
+    # A negative coupling is refused by both coupling derivations.
+    @pytest.mark.parametrize("what", ["cooperativity", "strong"])
+    def test_negative_coupling_exits_2(self, capsys, what):
+        code, stdout, err = run(capsys, "derive", "--what", what,
+                                "g=-18.67", "kappa=31.79", "gamma=1.78")
+        assert code == 2
+        assert "must be" in err
+        assert stdout == ""
+
     def test_missing_key(self, capsys):
         code, _, err = run(capsys, "derive", "--what", "pup")
         assert code == 2

@@ -13,7 +13,7 @@ from spincavity import (DataValidationError, DomainError, FormatError,
 from spincavity.dataio import (fit_report_record, load_fit_report,
                                load_levels, load_params, load_spectrum,
                                save_fit_report, save_params, save_spectrum,
-                               sha256_of)
+                               sha256_of, spectrum_to_text)
 
 # Finite and awkward values alike, so drawn rows break each point rule.
 POINT_VALUES = st.one_of(
@@ -29,6 +29,32 @@ def first_broken_row(rows):
                 and math.isfinite(w) and w > 0):
             return i
     return None
+
+
+# Values whose text is easy to get wrong: signed zeros, subnormals, the
+# largest magnitudes and numbers with 17 significant digits.
+NON_NEGATIVE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308,
+                     1.7976931348623157e308, 0.1, 1 / 3]),
+    st.floats(min_value=0.0, allow_infinity=False))
+AWKWARD_ROW = st.tuples(st.one_of(NON_NEGATIVE, NON_NEGATIVE.map(lambda x: -x)),
+                        NON_NEGATIVE, NON_NEGATIVE.filter(lambda w: w > 0))
+META = st.dictionaries(
+    st.from_regex(r"[a-z][a-z_]{0,8}", fullmatch=True),
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+              st.from_regex(r"[a-z]{1,8}", fullmatch=True).filter(
+                  lambda s: s not in ("inf", "nan", "infinity"))),
+    max_size=3)
+
+
+def reference_text(spec) -> str:
+    """The CSV text written one element at a time with repr(float(x))."""
+    lines = [f"# {key}={spec.meta[key]}" for key in sorted(spec.meta)]
+    lines.append("freq_ghz,reflectivity,weight")
+    for i in range(spec.n_points):
+        lines.append(",".join(repr(float(column[i])) for column in
+                              (spec.freq_ghz, spec.reflectivity, spec.weight)))
+    return "\n".join(lines) + "\n"
 
 
 PARAMS_RECORD = {
@@ -51,6 +77,26 @@ class TestSpectrumFiles:
         assert np.max(np.abs(back.weight - spec.weight)) == 0.0
         assert back.meta["field_T"] == 6.2
         assert back.meta["label"] == "bare"
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(AWKWARD_ROW, min_size=3, max_size=8,
+                         unique_by=lambda row: row[0]),
+           meta=META)
+    def test_text_is_the_repr_of_each_value(self, rows, meta):
+        rows.sort(key=lambda row: row[0])
+        spec = Spectrum(*zip(*rows), meta=meta)
+        text = spectrum_to_text(spec)
+        assert text == reference_text(spec)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.csv"
+            save_spectrum(spec, path)
+            assert path.read_text() == text
+            back = load_spectrum(path)
+        for got, want in ((back.freq_ghz, spec.freq_ghz),
+                          (back.reflectivity, spec.reflectivity),
+                          (back.weight, spec.weight)):
+            assert got.tobytes() == want.tobytes()
+        assert back.meta == meta
 
     def test_weight_column_optional(self, tmp_path):
         path = tmp_path / "two_col.csv"

@@ -135,6 +135,15 @@ class TestProblemValidation:
             FitProblem(data=problem.data, model=problem.model, free={},
                        fixed=fixed)
 
+    @pytest.mark.parametrize("center_weight", [
+        (3.5, 10.0), (True, 10.0), (0, 10.0), (3, np.nan), (3, np.inf),
+        (3, "10"), (3, 1.0)])
+    def test_center_weight_needs_an_integer_count_and_finite_factor(
+            self, center_weight):
+        problem = lorentzian_problem(lorentzian_data())
+        with pytest.raises(DomainError, match="center_weight"):
+            replace(problem, center_weight=center_weight)
+
     def test_needs_enough_points(self):
         tiny = Spectrum([0, 1, 2], [1.0, 2.0, 1.0])
         with pytest.raises(DomainError):

@@ -594,12 +594,6 @@ class TestWeakDriveRegime:
         for probe in (0.0, 18.0):
             assert fock_convergence_shift(p, probe) < 1e-3
 
-    @pytest.mark.parametrize("extra", [0, -1, 1.5, True, "2"])
-    def test_convergence_shift_needs_a_positive_integer_extra(self, ref_params,
-                                                              extra):
-        with pytest.raises(DomainError, match="extra"):
-            fock_convergence_shift(ref_params, 0.0, extra=extra)
-
     def test_phase_convention_invariance(self, ref_params):
         for probe in (-25.0, 0.0, 9.0, 30.0):
             n_imag = expectation_photon_number(

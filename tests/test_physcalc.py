@@ -168,6 +168,10 @@ class TestCooperativity:
         with pytest.raises(DomainError):
             cooperativity(10.0, kappa, gamma)
 
+    def test_negative_coupling_refused(self):
+        with pytest.raises(DomainError, match="coupling g"):
+            cooperativity(-18.67, 31.79, 1.78)
+
 
 class TestStrongCoupling:
     def test_reference_true(self):
