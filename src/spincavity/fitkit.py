@@ -32,9 +32,9 @@ sum_k (V_jk / w_k)^2) / n_j, with s^2 the residual variance, n_j the norm
 of column j of the weighted Jacobian J and Js = U diag(w) V' the SVD of J
 with its columns scaled to unit norm, summed over its determined
 directions (w_k > 1e-7 max w); ``inf`` marks a parameter with a component
-above 0.5 on an undetermined one. At an optimum on a bound the limit
-comes from the profile of the residual sum of squares, re-optimizing the
-others.
+above 0.5 on an undetermined one. One test, within 1e-12 max(|theta|, 1)
+of a finite bound, projects LM's gradient and sends a parameter on its
+bound to the profile of the residual sum of squares, re-optimizing the others.
 Everything is deterministic: identical inputs give identical results.
 """
 
@@ -122,13 +122,14 @@ DEFAULT_BOUNDS: dict[str, tuple[float, float]] = {
 
 @dataclass(frozen=True)
 class FreeParam:
-    """Initial value and box bounds of one free fit parameter."""
+    """Finite init and required bounds of one free parameter (defaults: free_param)."""
 
     init: float
-    lower: float = -np.inf
-    upper: float = np.inf
+    lower: float
+    upper: float
 
     def __post_init__(self):
+        _require_finite_real("initial value", self.init)
         if not self.lower <= self.init <= self.upper:
             raise DomainError(
                 f"initial value {self.init} outside bounds "
@@ -165,24 +166,24 @@ class FitProblem:
         model = ModelKind(self.model)
         object.__setattr__(self, "model", model)
         names = set(MODEL_PARAMS[model])
-        derived = set()
+        derived = ()
         if self.g_total is not None:
             if model is not ModelKind.MIXED_TWO_TRANSITION:
                 raise DomainError("the coupling constraint applies to the mixed model only")
             if not 0 < self.g_total < math.inf:
                 raise DomainError(
                     f"g_total must be positive and finite, got {self.g_total}")
-            derived = {"g3"}
+            derived = ("g3",)
         for name, value in self.fixed.items():
             _require_finite_real(name, value)
-        claimed = set(self.free) | set(self.fixed) | derived
-        overlap = (set(self.free) & set(self.fixed)) | (derived & (set(self.free) | set(self.fixed)))
-        if overlap:
-            raise DomainError(f"parameters assigned twice: {sorted(overlap)}")
-        missing = names - claimed
+        claimed = [*self.free, *self.fixed, *derived]
+        twice = {n for n in claimed if claimed.count(n) > 1}
+        if twice:
+            raise DomainError(f"parameters assigned twice: {sorted(twice)}")
+        missing = names - set(claimed)
         if missing:
             raise DomainError(f"unassigned model parameters: {sorted(missing)}")
-        unknown = claimed - names
+        unknown = set(claimed) - names
         if unknown:
             raise DomainError(f"not parameters of model '{model.value}': {sorted(unknown)}")
         if self.g_total is not None:
@@ -201,6 +202,8 @@ class FitProblem:
                 f"{self.data.n_points} points cannot determine {len(self.free)} "
                 "free parameters")
         if self.center_weight is not None:
+            if len(self.center_weight) != 2:
+                raise DomainError(f"center_weight {self.center_weight} is not (n, factor)")
             n, factor = self.center_weight
             _require_int("center_weight n", n, 1)
             _require_finite_real("center_weight factor", factor)
@@ -264,13 +267,22 @@ def effective_weights(problem: FitProblem) -> np.ndarray:
     return w
 
 
+def _on_bounds(theta, lo, hi):
+    """(at_lo, at_hi): which of theta lie within 1e-12 max(|theta|, 1) of a
+    finite bound; LM's projected gradient and fit's interval choice use it."""
+    tol = 1e-12 * np.maximum(np.abs(theta), 1.0)
+    return (np.isfinite(lo) & (theta - lo <= tol),
+            np.isfinite(hi) & (hi - theta <= tol))
+
+
 def _levenberg_marquardt(residual_fn, theta0, lo, hi):
     """Damped Gauss-Newton minimization of sum(residual^2) in a box.
 
-    Returns (theta, ssr, n_iterations, converged, jacobian), with the
-    Jacobian evaluated at the returned theta. A starting SSR that is not
-    finite (the residuals overflow) leaves nothing to descend on: LM
-    stops at once, unconverged, with a NaN Jacobian.
+    Returns (theta, ssr, n_iterations, converged, jacobian), the Jacobian
+    at the returned theta. It converges on a small projected gradient, on
+    no descent (damping above 1e13 or 40 tries) or on a negligible drop or
+    step. It stops unconverged at MAX_ITERATIONS, or at once with a NaN
+    Jacobian when the starting SSR is not finite (the residuals overflow).
     """
     theta = np.clip(np.asarray(theta0, dtype=float), lo, hi)
     r = residual_fn(theta)
@@ -279,27 +291,19 @@ def _levenberg_marquardt(residual_fn, theta0, lo, hi):
     if not math.isfinite(ssr):
         return theta, ssr, 0, False, np.full((r.size, theta.size), np.nan)
     lam = 1e-3
-    n_iter = 0
-    converged = False
     jac = _jacobian(residual_fn, theta, r, lo, hi)
     for n_iter in range(1, MAX_ITERATIONS + 1):
         grad = jac.T @ r
         # first-order condition for the box: gradient components that
         # push against an active bound do not count
-        pgrad = grad.copy()
-        scale_t = np.maximum(np.abs(theta), 1.0)
-        at_lo = np.isfinite(lo) & (theta - lo <= 1e-12 * scale_t)
-        at_hi = np.isfinite(hi) & (hi - theta <= 1e-12 * scale_t)
-        pgrad[at_lo & (pgrad > 0)] = 0.0
-        pgrad[at_hi & (pgrad < 0)] = 0.0
+        at_lo, at_hi = _on_bounds(theta, lo, hi)
+        pgrad = np.where((at_lo & (grad > 0)) | (at_hi & (grad < 0)), 0.0, grad)
         # initial=0: with nothing free (a pinned profile) LM is at rest
         if float(np.max(np.abs(pgrad), initial=0.0)) <= GRADIENT_TOL * max(1.0, ssr):
-            converged = True
-            break
+            return theta, ssr, n_iter, True, jac
         jtj = jac.T @ jac
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = 1e-12
-        accepted = False
         for _ in range(40):
             try:
                 step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
@@ -311,26 +315,21 @@ def _levenberg_marquardt(residual_fn, theta0, lo, hi):
             r_new = r if np.array_equal(trial, theta) else residual_fn(trial)
             ssr_new = float(r_new @ r_new)
             if ssr_new < ssr * (1.0 - 1e-15):
-                rel_drop = (ssr - ssr_new) / max(ssr, 1e-300)
-                step_small = float(np.max(np.abs(trial - theta))) <= \
-                    1e-12 * float(np.max(np.abs(theta)) + 1.0)
-                theta, r, ssr = trial, r_new, ssr_new
-                lam = max(lam / 3.0, 1e-14)
-                accepted = True
-                if rel_drop < 1e-14 or step_small:
-                    converged = True
                 break
             lam *= 5.0
             if lam > 1e13:
-                break
-        if not accepted:
-            # no descent direction left within the damping budget
-            converged = True
-            break
+                return theta, ssr, n_iter, True, jac
+        else:  # no descent direction left within the damping budget
+            return theta, ssr, n_iter, True, jac
+        rel_drop = (ssr - ssr_new) / max(ssr, 1e-300)
+        step_small = float(np.max(np.abs(trial - theta))) <= \
+            1e-12 * float(np.max(np.abs(theta)) + 1.0)
+        theta, r, ssr = trial, r_new, ssr_new
+        lam = max(lam / 3.0, 1e-14)
         jac = _jacobian(residual_fn, theta, r, lo, hi)
-        if converged:
-            break
-    return theta, ssr, n_iter, converged, jac
+        if rel_drop < 1e-14 or step_small:
+            return theta, ssr, n_iter, True, jac
+    return theta, ssr, MAX_ITERATIONS, False, jac
 
 
 def _jacobian(residual_fn, theta, r0, lo, hi):
@@ -366,7 +365,7 @@ def _solve_problem(problem: FitProblem,
     lo = np.array([_box(problem, n)[0] for n in names])
     hi = np.array([_box(problem, n)[1] for n in names])
     theta0 = np.array([warm.get(n, problem.free[n].init) for n in names])
-    return (names, *_levenberg_marquardt(residual, theta0, lo, hi))
+    return (names, *_levenberg_marquardt(residual, theta0, lo, hi), lo, hi)
 
 
 def _weighted_rms(problem: FitProblem, ssr: float) -> float:
@@ -379,7 +378,7 @@ def _dof(problem: FitProblem) -> int:
 
 def fit(problem: FitProblem) -> FitResult:
     """Weighted least-squares fit of the problem's model to its data."""
-    names, theta, ssr, n_iter, converged, jac = _solve_problem(problem)
+    names, theta, ssr, n_iter, converged, jac, lo, hi = _solve_problem(problem)
     # With J = Js diag(n), n the column norms, s^2 (J'J)^-1 is
     # diag(1/n) s^2 V diag(w^-2) V' diag(1/n) for the SVD Js = U diag(w) V';
     # unit columns make the undetermined test free of the parameters'
@@ -396,18 +395,12 @@ def fit(problem: FitProblem) -> FitResult:
         sd = np.sqrt(ssr / _dof(problem) * np.sum(
             (vt[determined] / w[determined, None]) ** 2, axis=0)) / norms
         sd[np.any(np.abs(vt[~determined]) > 0.5, axis=0)] = np.inf
-    ci = {}
-    method = {}
+    ci, method = {}, {}
     params = dict(zip(names, theta.tolist()))
+    at_lo, at_hi = _on_bounds(theta, lo, hi)
     for j, name in enumerate(names):
-        lo, hi = _box(problem, name)
-        span = hi - lo
-        tol = 1e-6 * span if np.isfinite(span) else 1e-9 * max(abs(theta[j]), 1.0)
-        on_lower = theta[j] - lo <= tol
-        on_upper = hi - theta[j] <= tol
-        if (on_lower or on_upper) and np.isfinite(sd[j]):
-            bound = profile_bound(problem, name, params, ssr,
-                                  upper=on_lower)
+        if (at_lo[j] or at_hi[j]) and np.isfinite(sd[j]):
+            bound = profile_bound(problem, name, params, ssr, upper=at_lo[j])
             ci[name] = float(abs(bound - theta[j]))
             method[name] = "profile"
         else:
@@ -619,12 +612,17 @@ def fit_thermal_pup(data: Spectrum, fixed_params) -> FitResult:
 # Initial-guess heuristics
 
 
+def _scale_seed(scale: float) -> float:
+    """``scale`` held between the scale floor and the largest finite float."""
+    return min(max(scale, DEFAULT_BOUNDS["scale"][0]), np.finfo(float).max)
+
+
 def seed_scale_background(data: Spectrum, kappa_guess: float) -> dict:
     """Scale and background seeds from the data extremes."""
     background = 0.8 * float(np.min(data.reflectivity))
     peak = float(np.max(data.reflectivity))
-    scale = max((peak - background) * (TWO_PI * kappa_guess / 2.0) ** 2 * 0.7, 1e-12)
-    return {"scale": scale, "background": background}
+    scale = (peak - background) * (TWO_PI * kappa_guess / 2.0) ** 2 * 0.7
+    return {"scale": _scale_seed(scale), "background": background}
 
 
 def seed_lorentzian(data: Spectrum) -> dict:
@@ -639,7 +637,7 @@ def seed_lorentzian(data: Spectrum) -> dict:
         float(f[-1] - f[0]) / 4.0
     width = max(width, float(f[1] - f[0]))
     return {"kappa": width, "omega_c": float(f[ipk]),
-            "scale": max((y[ipk] - background) * (TWO_PI * width / 2.0) ** 2, 1e-12),
+            "scale": _scale_seed((y[ipk] - background) * (TWO_PI * width / 2.0) ** 2),
             "background": background}
 
 

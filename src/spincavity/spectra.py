@@ -135,6 +135,9 @@ class FringeModel:
     phase: float = 0.0
 
     def __post_init__(self):
+        _require_finite_real("fringe amplitude", self.amplitude)
+        _require_finite_real("fringe period", self.period)
+        _require_finite_real("fringe phase", self.phase)
         if not 0.0 <= self.amplitude < 0.5:
             raise DomainError(f"fringe amplitude must be in [0, 0.5), got {self.amplitude}")
         if not self.period > 0:

@@ -376,6 +376,8 @@ class TestExitCodes:
         pytest.param(["simulate", "--scan", "1e-320,1,5", "--wavelength-axis"],
                      "stop", marks=pytest.mark.filterwarnings(
                          "error::RuntimeWarning")),
+        (["fit", "--constraint", "g=1"], "--constraint"),
+        (["fit", "--free", ","], "--free"),
     ])
     def test_malformed_flag_exits_2(self, tmp_path, params_file, data_file,
                                     capsys, argv, named):

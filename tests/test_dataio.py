@@ -117,6 +117,19 @@ class TestSpectrumFiles:
         with pytest.raises(FormatError):
             load_spectrum(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("freq_ghz,reflectivity,weight\n1.0,0.5,1,9\n2.0,0.6,1\n3.0,0.7,1\n",
+         r"layout\.csv:2: expected 3 comma-separated values"),
+        ("freq_ghz,reflectivity\n1.0,0.5\n2.0,0.6,1\n3.0,0.7\n",
+         r"layout\.csv:3: expected 2 comma-separated values"),
+        ("# seed=1\n\n", "missing header"),
+        ("", "missing header")])
+    def test_extra_columns_or_no_header_refused(self, tmp_path, text, message):
+        path = tmp_path / "layout.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=message):
+            load_spectrum(path)
+
     def test_nan_and_negative_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("freq_ghz,reflectivity,weight\n"
@@ -235,6 +248,24 @@ class TestParamsFiles:
         path = tmp_path / "partial.json"
         path.write_text(json.dumps(record))
         with pytest.raises(SchemaError):
+            load_params(path)
+
+    def test_top_level_array_refused(self, tmp_path):
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps([PARAMS_RECORD]))
+        with pytest.raises(SchemaError, match="JSON object"):
+            load_params(path)
+
+    def test_integral_float_fock_dim_accepted(self, tmp_path):
+        path = tmp_path / "fock.json"
+        path.write_text(json.dumps(dict(PARAMS_RECORD, fock_dim=4.0)))
+        params, _ = load_params(path)
+        assert params.fock_dim == 4 and type(params.fock_dim) is int
+
+    def test_fractional_fock_dim_refused(self, tmp_path):
+        path = tmp_path / "fock.json"
+        path.write_text(json.dumps(dict(PARAMS_RECORD, fock_dim=4.5)))
+        with pytest.raises(SchemaError, match="fock_dim must be an integer"):
             load_params(path)
 
     def test_not_json(self, tmp_path):

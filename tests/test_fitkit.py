@@ -106,6 +106,23 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             free_param("p_up", 1.5)
 
+    @pytest.mark.parametrize("init", [np.inf, -np.inf, np.nan])
+    def test_init_must_be_finite(self, init):
+        with pytest.raises(DomainError, match="initial value"):
+            free_param("omega_c", init)
+
+    def test_constraint_needs_the_mixed_model(self):
+        problem = lorentzian_problem(lorentzian_data())
+        with pytest.raises(DomainError, match="mixed model only"):
+            replace(problem, g_total=G_TOTAL)
+
+    @pytest.mark.parametrize("lower, upper", [(-0.1, 1.0), (0.0, 1.1)])
+    def test_p_up_bounds_inside_the_unit_interval(self, lower, upper):
+        problem = mixed_problem(mixed_data(0.0))
+        free = {**problem.free, "p_up": free_param("p_up", 0.2, lower, upper)}
+        with pytest.raises(DomainError, match=r"p_up bounds must lie inside \[0, 1\]"):
+            replace(problem, free=free)
+
     def test_infeasible_constraint(self):
         data = mixed_data(0.0)
         problem = mixed_problem(data)
@@ -137,7 +154,7 @@ class TestProblemValidation:
 
     @pytest.mark.parametrize("center_weight", [
         (3.5, 10.0), (True, 10.0), (0, 10.0), (3, np.nan), (3, np.inf),
-        (3, "10"), (3, 1.0)])
+        (3, "10"), (3, 1.0), (3,), (3, 10.0, 1)])
     def test_center_weight_needs_an_integer_count_and_finite_factor(
             self, center_weight):
         problem = lorentzian_problem(lorentzian_data())

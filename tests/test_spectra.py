@@ -87,6 +87,14 @@ class TestSpectrumType:
         with pytest.raises(DomainError):
             FringeModel(amplitude=0.1, period=0.0)
 
+    @pytest.mark.parametrize("args, named", [
+        ((0.1, 1.0, np.nan), "phase"), ((0.1, 1.0, np.inf), "phase"),
+        ((0.1, np.inf), "period"), ((0.1, np.nan), "period"),
+        ((np.nan, 1.0), "amplitude")])
+    def test_fringe_refuses_nonfinite(self, args, named):
+        with pytest.raises(DomainError, match=f"fringe {named}"):
+            FringeModel(*args)
+
 
 class TestLorentzian:
     def test_half_width_identity(self):
@@ -117,6 +125,13 @@ class TestLorentzian:
 
 
 class TestDitSpectrum:
+    @pytest.mark.parametrize("kappa, gamma, named", [
+        (0.0, GAMMA_PERP_0T, "kappa"), (-KAPPA, GAMMA_PERP_0T, "kappa"),
+        (KAPPA, 0.0, "gamma"), (KAPPA, -1.0, "gamma")])
+    def test_domain(self, kappa, gamma, named):
+        with pytest.raises(DomainError, match=f"{named} must be positive"):
+            dit_spectrum(G_TOTAL, kappa, gamma, 0.0, 0.0, ScanConfig(-1, 1, 5))
+
     def test_reduces_to_lorentzian_at_zero_coupling(self):
         cfg = ScanConfig(start=-50, stop=50, n_points=401, scale=3.0,
                          background=0.1)
@@ -248,6 +263,18 @@ class TestMasterEquationAgreement:
         closed = two_transition_spectrum(ref_params, cfg)
         master = master_equation_spectrum(ref_params, cfg)
         assert max_relative_difference(master, closed) < 1e-2
+
+    def test_undriven_master_spectrum_refused(self, ref_params):
+        with pytest.raises(DomainError, match="drive_amp"):
+            master_equation_spectrum(replace(ref_params, drive_amp=0.0),
+                                     ScanConfig(-1, 1, 5))
+
+    def test_difference_needs_one_grid(self, ref_params, ref_scan):
+        closed = two_transition_spectrum(ref_params, ref_scan)
+        other = two_transition_spectrum(ref_params,
+                                        replace(ref_scan, n_points=101))
+        with pytest.raises(ShapeError, match="different frequency grids"):
+            max_relative_difference(closed, other)
 
 
 class TestMixedSpectrum:
