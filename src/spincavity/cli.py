@@ -19,18 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dataio, fitkit, hilbert, spectra, svgplot
-from .errors import (DataValidationError, DomainError, FormatError,
-                     ModelError, NumericalError, SchemaError, ShapeError,
-                     StateError)
+from .errors import NumericalError, SpinCavityError, StateError
 from .physcalc import (DEFAULT_TEMPERATURE_K, cooperativity,
                        is_strongly_coupled, lande_g_factor,
                        splitting_nm_to_ghz, thermal_spin_up_population,
                        wavelength_to_frequency)
 from .spectra import _ROW_LIMIT, FringeModel, ScanConfig
-
-_VALIDATION_ERRORS = (DomainError, SchemaError, FormatError,
-                      DataValidationError, ShapeError)
-_NUMERICAL_ERRORS = (NumericalError, ModelError, StateError)
 
 
 class CliError(Exception):
@@ -408,13 +402,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(_merge_scan_flag(list(argv)))
     try:
         summary = args.func(args)
-    except (CliError, *_VALIDATION_ERRORS) as exc:
-        print(f"spincavity: error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"spincavity: numerical error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (CliError, OSError, SpinCavityError) as exc:
+        # the exit-code rule of spincavity.errors
+        if isinstance(exc, (RuntimeError, StateError)):
+            print(f"spincavity: numerical error: {exc}", file=sys.stderr)
+            return 3
         print(f"spincavity: error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(summary, indent=2, sort_keys=True, default=float))

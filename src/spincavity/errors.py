@@ -1,7 +1,10 @@
 """Exception hierarchy shared across the package.
 
 Input / contract violations derive from ValueError so callers can treat
-them uniformly; solver breakdowns derive from RuntimeError.
+them uniformly; solver breakdowns derive from RuntimeError. The command
+line reads its exit code off this split: a RuntimeError, or a StateError
+(a solved density matrix that breaks an invariant), exits 3 as a
+numerical failure; every other package error exits 2 as invalid input.
 """
 
 

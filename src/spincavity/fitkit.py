@@ -27,14 +27,8 @@ protocol) both go through it, so they fit the same problem.
 
 The optimizer is a damped Gauss-Newton (Levenberg-Marquardt) loop with
 forward-difference Jacobians and box bounds enforced by projection.
-At interior optima the 95% half-width of parameter j is Z_95 sqrt(s^2
-sum_k (V_jk / w_k)^2) / n_j, with s^2 the residual variance, n_j the norm
-of column j of the weighted Jacobian J and Js = U diag(w) V' the SVD of J
-with its columns scaled to unit norm, summed over its determined
-directions (w_k > 1e-7 max w); ``inf`` marks a parameter with a component
-above 0.5 on an undetermined one. One test, within 1e-12 max(|theta|, 1)
-of a finite bound, projects LM's gradient and sends a parameter on its
-bound to the profile of the residual sum of squares, re-optimizing the others.
+:func:`fit` gives 95% intervals from the linearized covariance, or from
+the profile of the residual sum of squares for a parameter on its bound.
 Everything is deterministic: identical inputs give identical results.
 """
 

@@ -27,16 +27,10 @@ affine in it:
 
 with D diagonal. Ordered by the excitation difference k = N_i - N_j of
 rho[i, j], L(omega) is block tridiagonal (the undriven generator
-conserves k, the drive moves it by one) and D is i 2pi k on block k.
-L0, D, the blocks of L0 and the three scalars of the quadratic
-||L(omega)||_F^2 are assembled in one cached step per parameter set;
-each probe point only adds omega D to a copy of L0. The steady state
-eliminates the blocks from both ends towards k = 0: the matrix continued
-fraction of Risken, The Fokker-Planck Equation, ch. 9. The trace
-equation's right-hand side lies in block 0, so the first solve is column
-0 of the centre inverse carried outwards. The dense L(omega) checks the
-residual of the result against the cached norm. The RK4 oracle uses the
-dense generator alone and solves no linear system.
+conserves k, the drive moves it by one). ``steady_state`` eliminates its
+blocks towards k = 0, the matrix continued fraction of Risken, The
+Fokker-Planck Equation, ch. 9; the RK4 oracle uses the dense generator
+alone and solves no linear system.
 
 All user-facing rates and frequencies are quoted values (value/2pi in
 GHz); internally one global multiplication by 2pi converts them to
@@ -381,19 +375,22 @@ def _block_solve(blocks, factors, rhs: np.ndarray | None = None) -> np.ndarray:
     return x
 
 
-def _bordered_condition(liou: np.ndarray, d: int) -> float:
-    """Condition number of L with row 0 replaced by the trace row.
+def _solve_failure(message: str, liou: np.ndarray, d: int) -> NumericalError:
+    """The error of a failed steady-state solve, with its condition estimate.
 
-    inf when the bordered matrix is not finite or its SVD fails.
+    The estimate is the condition number of L with row 0 replaced by the
+    trace row; inf when that matrix is not finite or its SVD fails.
     """
     bordered = liou.copy()
     bordered[0] = _trace_vector(d)
-    if not np.isfinite(bordered).all():
-        return math.inf
-    try:
-        return float(np.linalg.cond(bordered))
-    except np.linalg.LinAlgError:
-        return math.inf
+    cond = math.inf
+    if np.isfinite(bordered).all():
+        try:
+            cond = float(np.linalg.cond(bordered))
+        except np.linalg.LinAlgError:
+            pass
+    return NumericalError(f"{message}; condition estimate {cond:.3e}",
+                          condition_estimate=cond)
 
 
 def steady_state(params: SystemParams, probe_freq: float,
@@ -425,18 +422,12 @@ def steady_state(params: SystemParams, probe_freq: float,
         r[0] = 1.0 - x[::d + 1].sum()
         x += _block_solve(blocks, factors, r)
     except np.linalg.LinAlgError as exc:
-        cond = _bordered_condition(liou, d)
-        raise NumericalError(
-            f"steady-state solve failed ({exc}); condition estimate {cond:.3e}",
-            condition_estimate=cond) from exc
+        raise _solve_failure(f"steady-state solve failed ({exc})", liou, d) from exc
 
     residual = float(np.linalg.norm(liou @ x))
     if not residual <= _RESIDUAL_REL * scale:
-        cond = _bordered_condition(liou, d)
-        raise NumericalError(
-            f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_REL} * "
-            f"norm {scale:.3e}; condition estimate {cond:.3e}",
-            condition_estimate=cond)
+        raise _solve_failure(f"steady-state residual {residual:.3e} exceeds "
+                             f"{_RESIDUAL_REL} * norm {scale:.3e}", liou, d)
 
     rho = _density_matrix(x, d)
     min_eig = float(np.linalg.eigvalsh(rho)[0])

@@ -112,6 +112,9 @@ class ScanConfig:
         _require_finite_real("stop", self.stop)
         if not self.start < self.stop:
             raise DomainError(f"need start < stop, got [{self.start}, {self.stop}]")
+        if not math.isfinite(self.stop - self.start):
+            raise DomainError(f"the scan span stop - start overflows, got "
+                              f"[{self.start}, {self.stop}]")
         _require_int("n_points", self.n_points, 3)
         if self.n_points > _ROW_LIMIT:
             raise DomainError(

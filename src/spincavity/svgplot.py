@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import NumericalError
 from .physcalc import frequency_to_wavelength
 
 WIDTH, HEIGHT = 720, 480
@@ -49,6 +50,9 @@ def _fmt_tick(value: float) -> str:
 
 class _Canvas:
     def __init__(self, x_range, y_range):
+        if not all(map(math.isfinite, (*x_range, *y_range))):
+            raise NumericalError(f"plot range is not finite: x {x_range}, "
+                                 f"y {y_range}")
         self.x0, self.x1 = x_range
         self.y0, self.y1 = y_range
         self.parts = [

@@ -1,14 +1,17 @@
 import argparse
 import json
 import math
+import re
+import shlex
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spincavity import cli
+from spincavity import cli, errors
 from spincavity.cli import (CliError, _numbers, _parse_fields, build_parser,
                             main)
 from spincavity.dataio import (load_fit_report, load_params, load_spectrum,
@@ -62,6 +65,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# (error class, exit code, stderr prefix) for an error raised by a command.
+ERROR_ROWS = [
+    (errors.DomainError, 2, "spincavity: error"),
+    (errors.ShapeError, 2, "spincavity: error"),
+    (errors.SchemaError, 2, "spincavity: error"),
+    (errors.FormatError, 2, "spincavity: error"),
+    (errors.DataValidationError, 2, "spincavity: error"),
+    (errors.StateError, 3, "spincavity: numerical error"),
+    (errors.NumericalError, 3, "spincavity: numerical error"),
+    (errors.ModelError, 3, "spincavity: numerical error"),
+    (errors.SpinCavityError, 2, "spincavity: error"),
+    (CliError, 2, "spincavity: error"),
+    (FileNotFoundError, 2, "spincavity: error"),
+]
 
 
 class TestSimulate:
@@ -378,6 +397,7 @@ class TestExitCodes:
                          "error::RuntimeWarning")),
         (["fit", "--constraint", "g=1"], "--constraint"),
         (["fit", "--free", ","], "--free"),
+        (["simulate", "--scan", "-1e308,1e308,5"], "span"),
     ])
     def test_malformed_flag_exits_2(self, tmp_path, params_file, data_file,
                                     capsys, argv, named):
@@ -549,6 +569,33 @@ class TestExitCodes:
         assert code == 2
         assert "nodir" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["full.json"]
+
+    def test_every_package_error_has_a_row(self):
+        classes = {row[0] for row in ERROR_ROWS}
+        assert set(errors.SpinCavityError.__subclasses__()) <= classes
+
+    @pytest.mark.parametrize("error, code, prefix", ERROR_ROWS,
+                             ids=[row[0].__name__ for row in ERROR_ROWS])
+    def test_error_class_picks_exit_code_and_prefix(self, capsys, monkeypatch,
+                                                    error, code, prefix):
+        def raising(*args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cooperativity", raising)
+        assert run(capsys, "derive", "--what", "cooperativity", "g=1",
+                   "kappa=1", "gamma=1") == (code, "", f"{prefix}: boom\n")
+
+    def test_unbounded_plot_range_exits_3(self, tmp_path, params_file, capsys):
+        # the 5% pad above a background near the float limit overflows
+        code, _, err = run(capsys, "simulate", "--params", str(params_file),
+                           "--model", "two", "--scan", "-60,60,5",
+                           "--background", "1.75e308",
+                           "--out", str(tmp_path / "x.csv"),
+                           "--plot", str(tmp_path / "x.svg"))
+        assert code == 3
+        assert err.startswith("spincavity: numerical error: plot range is not "
+                              "finite")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["params.json"]
 
 
 class TestSweep:
@@ -824,3 +871,43 @@ class TestParserReuse:
                              "delta_e_mev=0.1")
             assert code == 0
         assert len(built) == per_tree
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks(lang: str) -> list[str]:
+    """The bodies of README's fenced code blocks in ``lang``."""
+    return re.findall(rf"^```{lang}\n(.*?)^```",
+                      README.read_text(encoding="utf-8"), flags=re.M | re.S)
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of every ``spincavity`` command in README's sh blocks."""
+    commands = []
+    for block in _readme_blocks("sh"):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["spincavity"]:
+                commands.append(words[1:])
+    return commands
+
+
+class TestReadme:
+    def test_walkthrough_runs_and_recovers_the_occupation(self, tmp_path,
+                                                          monkeypatch, capsys):
+        (params_json,) = _readme_blocks("json")
+        monkeypatch.chdir(tmp_path)
+        Path("params.json").write_text(params_json, encoding="utf-8")
+        summaries = []
+        for argv in _readme_commands():
+            code, stdout, err = run(capsys, *argv)
+            assert code == 0, f"{argv}: {err}"
+            summaries.append(json.loads(stdout))
+        (master,) = [s for s in summaries if "max_rel_diff_master_vs_two" in s]
+        assert master["max_rel_diff_master_vs_two"] <= 0.01
+        stage1, stage2 = [load_fit_report(s["outputs"][0]) for s in summaries
+                          if s.get("command") == "fit"]
+        for report in (stage1, stage2):
+            assert report["converged"] and report["n_iterations"] > 1
+        assert stage2["params"]["p_up"] == pytest.approx(0.52, abs=0.1)

@@ -410,9 +410,21 @@ class TestSteadyState:
         p = SystemParams(kappa=20.0, g3=0, g4=0, gamma_d3=0, gamma_d4=0,
                          gamma3=0, gamma4=0, omega_c=0.0, omega_x=5.0,
                          delta_h=2.0, drive_amp=0.0)
-        with pytest.raises(NumericalError) as excinfo:
+        with pytest.raises(NumericalError, match=r"^steady-state solve failed "
+                           r"\(.+\); condition estimate \d\.\d{3}e\+\d+$") as excinfo:
             steady_state(p, probe_freq=0.0)
-        assert excinfo.value.condition_estimate > 1e12
+        cond = excinfo.value.condition_estimate
+        assert 1e12 < cond < math.inf
+        assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+
+    def test_residual_check_raises(self, ref_params, monkeypatch):
+        # a tolerance far below roundoff trips the final residual check
+        monkeypatch.setattr(hilbert, "_RESIDUAL_REL", 1e-30)
+        with pytest.raises(NumericalError, match=r"^steady-state residual \S+ "
+                           r"exceeds 1e-30 \* norm \S+; condition estimate "
+                           r"\d\.\d{3}e\+\d+$") as excinfo:
+            steady_state(ref_params, probe_freq=0.0)
+        assert 1.0 <= excinfo.value.condition_estimate < math.inf
 
     @settings(max_examples=60, deadline=None)
     @given(kappa=st.floats(10, 50),

@@ -65,6 +65,8 @@ class TestSpectrumType:
             ScanConfig(start=0.0, stop=1.0, n_points=2)
         with pytest.raises(DomainError):
             ScanConfig(start=0.0, stop=1.0, n_points=5, background=-1.0)
+        with pytest.raises(DomainError, match="span"):
+            ScanConfig(start=-1e308, stop=1e308, n_points=5)
 
     @pytest.mark.parametrize("field, value", [
         ("scale", np.nan), ("scale", np.inf),
