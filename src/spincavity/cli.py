@@ -253,9 +253,22 @@ def _cmd_sweep(args) -> dict:
                     n_fields=len(fields))
 
 
+# The keys each ``derive --what`` reads; any other key is refused.
+_DERIVE_KEYS = {
+    "gfactor": ("splitting_ghz", "splitting_nm", "center_nm", "field"),
+    "pup": ("delta_e_mev", "temp"),
+    "cooperativity": ("g", "kappa", "gamma"),
+    "strong": ("g", "kappa", "gamma"),
+}
+
+
 def _cmd_derive(args) -> dict:
     kv = _parse_kv(args.values)
     what = args.what
+    unknown = [key for key in kv if key not in _DERIVE_KEYS[what]]
+    if unknown:
+        raise CliError(f"--what {what} does not read {', '.join(unknown)}; "
+                       f"it reads {', '.join(_DERIVE_KEYS[what])}")
     try:
         if what == "gfactor":
             if "splitting_ghz" in kv:
@@ -350,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.set_defaults(func=_cmd_sweep)
 
     dv = sub.add_parser("derive", help="closed-form derived quantities")
-    dv.add_argument("--what", required=True,
-                    choices=("gfactor", "pup", "cooperativity", "strong"))
+    dv.add_argument("--what", required=True, choices=tuple(_DERIVE_KEYS))
     dv.add_argument("values", nargs="*", metavar="KEY=VALUE")
     dv.set_defaults(func=_cmd_derive)
 

@@ -3,10 +3,11 @@
 Spectra are CSV with header ``freq_ghz,reflectivity,weight`` (the weight
 column is optional on input and defaults to 1.0); comment lines start
 with '#' and metadata is encoded as ``# key=value``. Rows follow the
-point rules of Spectrum: frequencies finite and strictly increasing,
-reflectivity finite and >= 0, weights finite and > 0. Parameter sets
-and fit reports are JSON. All loaders reject unknown keys and report
-the file path, and for a spectrum the line, of the first offending value.
+point rules of Spectrum: frequencies finite and strictly increasing
+over a finite span, reflectivity finite and >= 0, weights finite and
+> 0. Parameter sets and fit reports are JSON. All loaders reject
+unknown keys and report the file path, and for a spectrum the line, of
+the first offending value.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def load_fit_report(path) -> dict:
     return _read_json_object(Path(path))
 
 
-def fit_report_record(result, provenance: dict | None = None) -> dict:
+def fit_report_record(result, provenance: dict) -> dict:
     """JSON-ready record for a FitResult."""
     return {
         "params": {k: float(v) for k, v in result.params.items()},
@@ -210,7 +211,7 @@ def fit_report_record(result, provenance: dict | None = None) -> dict:
         "derived": {k: (bool(v) if isinstance(v, (bool, np.bool_)) else float(v))
                     for k, v in result.derived.items()},
         "ci_method": dict(result.ci_method),
-        "provenance": dict(provenance or {}),
+        "provenance": dict(provenance),
     }
 
 

@@ -49,4 +49,8 @@ class NumericalError(SpinCavityError, RuntimeError):
 
 
 class ModelError(SpinCavityError, RuntimeError):
-    """The truncated model is inadequate (for example the Fock cutoff)."""
+    """The model cannot represent the requested regime.
+
+    No function of the package raises it; it stays exported, and exits 3
+    like every RuntimeError.
+    """

@@ -274,8 +274,8 @@ def _levenberg_marquardt(residual_fn, theta0, lo, hi):
 
     Returns (theta, ssr, n_iterations, converged, jacobian), the Jacobian
     at the returned theta. It converges on a small projected gradient, on
-    no descent (damping above 1e13 or 40 tries) or on a negligible drop or
-    step. It stops unconverged at MAX_ITERATIONS, or at once with a NaN
+    no descent (damping above 1e13) or on a negligible drop or step. It
+    stops unconverged at MAX_ITERATIONS, or at once with a NaN
     Jacobian when the starting SSR is not finite (the residuals overflow).
     """
     theta = np.clip(np.asarray(theta0, dtype=float), lo, hi)
@@ -298,7 +298,7 @@ def _levenberg_marquardt(residual_fn, theta0, lo, hi):
         jtj = jac.T @ jac
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = 1e-12
-        for _ in range(40):
+        while lam <= 1e13:
             try:
                 step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
             except np.linalg.LinAlgError:
@@ -311,8 +311,6 @@ def _levenberg_marquardt(residual_fn, theta0, lo, hi):
             if ssr_new < ssr * (1.0 - 1e-15):
                 break
             lam *= 5.0
-            if lam > 1e13:
-                return theta, ssr, n_iter, True, jac
         else:  # no descent direction left within the damping budget
             return theta, ssr, n_iter, True, jac
         rel_drop = (ssr - ssr_new) / max(ssr, 1e-300)

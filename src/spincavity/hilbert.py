@@ -51,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ModelError, NumericalError, StateError
+from .errors import DomainError, NumericalError, StateError
 from .physcalc import TWO_PI, _require_finite_real, _require_int
 
 DEFAULT_FOCK_DIM = 4
@@ -60,8 +60,6 @@ DEFAULT_FOCK_DIM = 4
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = -1e-8
-# steady_state escalates to a model error only below this.
-_POSITIVITY_FAIL = -1e-6
 _RESIDUAL_REL = 1e-9
 # Extra Fock levels of the larger cutoff fock_convergence_shift compares.
 _CONVERGENCE_EXTRA = 2
@@ -144,18 +142,6 @@ def _operators(fock_dim: int):
     for op in (a, s3, s4):
         op.setflags(write=False)
     return a, s3, s4
-
-
-def annihilation_operator(fock_dim: int) -> np.ndarray:
-    """Cavity annihilation operator on the full atom x Fock space."""
-    return _operators(fock_dim)[0].copy()
-
-
-def lowering_operator(which: int, fock_dim: int) -> np.ndarray:
-    """Atomic lowering operator for transition 3 or 4."""
-    if which not in (3, 4):
-        raise DomainError(f"transition index must be 3 or 4, got {which}")
-    return _operators(fock_dim)[1 if which == 3 else 2].copy()
 
 
 def number_operator(fock_dim: int) -> np.ndarray:
@@ -301,6 +287,13 @@ def _density_matrix(v: np.ndarray, d: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def _require_positive(rho: np.ndarray) -> None:
+    """StateError when the hermitian ``rho`` has an eigenvalue below POSITIVITY_TOL."""
+    min_eig = float(np.linalg.eigvalsh(rho)[0])
+    if min_eig < POSITIVITY_TOL:
+        raise StateError(f"density matrix not positive: min eigenvalue {min_eig:.3e}")
+
+
 def validate_density_matrix(rho: np.ndarray) -> None:
     """Check hermiticity, unit trace and numerical positivity."""
     herm = float(np.max(np.abs(rho - rho.conj().T)))
@@ -309,9 +302,7 @@ def validate_density_matrix(rho: np.ndarray) -> None:
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise StateError(f"density matrix trace {tr} != 1")
-    min_eig = float(np.linalg.eigvalsh(rho)[0])
-    if min_eig < POSITIVITY_TOL:
-        raise StateError(f"density matrix not positive: min eigenvalue {min_eig:.3e}")
+    _require_positive(rho)
 
 
 def _eliminate(blocks, probe_freq: float):
@@ -407,8 +398,11 @@ def steady_state(params: SystemParams, probe_freq: float,
     The residual of the refinement and the final check are formed with the
     dense L(omega); the final check compares against ||L(omega)||_F, which
     comes from three cached scalars of the parameter set. The result is
-    symmetrized and exactly trace-normalized before the invariant checks
-    run.
+    symmetrized and exactly trace-normalized, so of the invariants of
+    ``validate_density_matrix`` only positivity is left to test, by the
+    same rule: an eigenvalue below POSITIVITY_TOL raises StateError. The
+    truncated generator keeps Lindblad form, so its steady state is
+    positive at any Fock cutoff; a breach means a failed solve.
     """
     liou = build_liouvillian(params, probe_freq, real_g3=real_g3)
     _, _, blocks, norms = _generator_parts(params, real_g3)
@@ -430,11 +424,7 @@ def steady_state(params: SystemParams, probe_freq: float,
                              f"{_RESIDUAL_REL} * norm {scale:.3e}", liou, d)
 
     rho = _density_matrix(x, d)
-    min_eig = float(np.linalg.eigvalsh(rho)[0])
-    if min_eig < _POSITIVITY_FAIL:
-        raise ModelError(
-            f"steady state has min eigenvalue {min_eig:.3e}; the Fock cutoff "
-            f"fock_dim={params.fock_dim} is too small for this drive")
+    _require_positive(rho)
     return rho
 
 

@@ -45,31 +45,35 @@ def _first_bad_point(freq, refl, weight) -> tuple[int, str] | None:
     """(index, message) of the first point that breaks a point rule, or None.
 
     The lowest index comes first and, within one point, the frequency,
-    reflectivity and weight rules in that order. The message names the
-    rule and the offending value.
+    span, reflectivity and weight rules in that order. The message names
+    the rule and the offending value.
     """
-    ok = np.isfinite(np.column_stack((freq, refl, weight)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = freq - freq[:1]
+    ok = np.isfinite(np.column_stack((freq, span, refl, weight)))
     ok[1:, 0] &= freq[1:] > freq[:-1]
-    ok[:, 1] &= refl >= 0
-    ok[:, 2] &= weight > 0
+    ok[:, 2] &= refl >= 0
+    ok[:, 3] &= weight > 0
     if ok.all():
         return None
-    i, rule = divmod(int(np.argmin(ok)), 3)
+    i, rule = divmod(int(np.argmin(ok)), 4)
     rule_text = ("frequency must be finite and strictly increasing",
+                 "frequency span from the first point must be finite",
                  "reflectivity must be finite and >= 0",
                  "weight must be finite and > 0")[rule]
-    after = f" after {float(freq[i - 1])}" if rule == 0 and i else ""
-    return i, f"{rule_text}, got {float((freq, refl, weight)[rule][i])}{after}"
+    suffix = (f" after {float(freq[i - 1])}" if rule == 0 and i else
+              f" from {float(freq[0])}" if rule == 1 else "")
+    return i, f"{rule_text}, got {float((freq, freq, refl, weight)[rule][i])}{suffix}"
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Sampled reflectivity versus probe frequency.
 
-    At least 3 points; frequencies are finite and strictly increasing,
-    reflectivity is finite and >= 0, and weights are finite and > 0
-    (default 1). ``meta`` carries free-form annotations such as field_T
-    or a label.
+    At least 3 points; frequencies are finite and strictly increasing
+    over a finite span, reflectivity is finite and >= 0, and weights are
+    finite and > 0 (default 1). ``meta`` carries free-form annotations
+    such as field_T or a label.
     """
 
     freq_ghz: np.ndarray
@@ -193,19 +197,17 @@ def two_transition_response(freq, params: SystemParams):
                            spin_down_lines(vars(params)))
 
 
-def lorentzian_spectrum(kappa: float, omega_c: float, cfg: ScanConfig,
-                        meta: dict | None = None) -> Spectrum:
+def lorentzian_spectrum(kappa: float, omega_c: float, cfg: ScanConfig) -> Spectrum:
     """Bare-cavity Lorentzian with FWHM kappa, peaked at omega_c."""
     if not kappa > 0:
         raise DomainError(f"kappa must be positive, got {kappa}")
     f = cfg.grid()
     r = cfg.background + cfg.scale * lorentzian_response(f, kappa, omega_c)
-    return Spectrum(f, r, meta=dict(meta or {}))
+    return Spectrum(f, r)
 
 
 def dit_spectrum(g: float, kappa: float, gamma: float, delta: float,
-                 omega_c: float, cfg: ScanConfig,
-                 meta: dict | None = None) -> Spectrum:
+                 omega_c: float, cfg: ScanConfig) -> Spectrum:
     """Single-transition reflectivity with the transparency dip.
 
     Reduces exactly to :func:`lorentzian_spectrum` at g = 0. On joint
@@ -219,7 +221,7 @@ def dit_spectrum(g: float, kappa: float, gamma: float, delta: float,
     f = cfg.grid()
     r = cfg.background + cfg.scale * cavity_response(
         f, kappa, omega_c, ((g, gamma, omega_c + delta),))
-    return Spectrum(f, r, meta=dict(meta or {}))
+    return Spectrum(f, r)
 
 
 def two_transition_spectrum(params: SystemParams, cfg: ScanConfig,
@@ -231,8 +233,7 @@ def two_transition_spectrum(params: SystemParams, cfg: ScanConfig,
 
 
 def master_equation_spectrum(params: SystemParams, cfg: ScanConfig,
-                             real_g3: bool = False,
-                             meta: dict | None = None) -> Spectrum:
+                             real_g3: bool = False) -> Spectrum:
     """Reflectivity from the steady state of the full master equation.
 
     The coherent cavity response |Tr(rho_ss a)|^2 is divided by the
@@ -256,7 +257,7 @@ def master_equation_spectrum(params: SystemParams, cfg: ScanConfig,
         amp = hilbert.expectation_cavity_amplitude(rho)
         vals[i] = abs(amp) ** 2 / norm
     r = cfg.background + cfg.scale * vals
-    return Spectrum(f, r, meta=dict(meta or {}))
+    return Spectrum(f, r)
 
 
 def mixed_spectrum(p_up: float, spectrum_up: Spectrum,

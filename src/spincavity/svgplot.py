@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NumericalError
+from .errors import DomainError, NumericalError
 from .physcalc import frequency_to_wavelength
 
 WIDTH, HEIGHT = 720, 480
@@ -172,14 +172,13 @@ def render_spectra(entries, title: str = "", nm_axis: bool = False) -> str:
     return canvas.render()
 
 
-def render_sweep_map(spectra, title: str = "", norm: float | None = None) -> str:
-    """Waterfall of normalized spectra stacked by magnetic field.
+def render_sweep_map(spectra, norm: float, title: str = "") -> str:
+    """Waterfall of spectra divided by ``norm`` and stacked by magnetic field.
 
-    ``norm`` sets the normalization (typically the bare-cavity peak);
-    when omitted, the collection maximum is used.
+    ``norm``, typically the bare-cavity peak, must be positive and finite.
     """
-    peak = norm if norm else max(float(s.reflectivity.max()) for s in spectra)
-    peak = peak if peak > 0 else 1.0
+    if not 0 < norm < math.inf:
+        raise DomainError(f"sweep map norm must be positive and finite, got {norm}")
     x0 = min(float(s.freq_ghz[0]) for s in spectra)
     x1 = max(float(s.freq_ghz[-1]) for s in spectra)
     offset_step = 0.8
@@ -189,7 +188,7 @@ def render_sweep_map(spectra, title: str = "", norm: float | None = None) -> str
                 title=title)
     for i, spec in enumerate(spectra):
         color = PALETTE[i % len(PALETTE)]
-        ys = spec.reflectivity / peak + offset_step * i
+        ys = spec.reflectivity / norm + offset_step * i
         canvas.polyline(spec.freq_ghz, ys, color, width=1.2)
         label = spec.meta.get("field_T")
         if label is not None:

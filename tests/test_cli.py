@@ -453,6 +453,23 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_frequency_span_exits_2(self, tmp_path, params_file,
+                                                capsys):
+        # each frequency is finite, but the span between them is not
+        data = tmp_path / "span.csv"
+        data.write_text("freq_ghz,reflectivity\n-1e308,1\n0,2\n1e308,1\n")
+        out = tmp_path / "never.json"
+        code, stdout, err = run(capsys, "fit", "--data", str(data),
+                                "--params", str(params_file), "--model",
+                                "lorentzian", "--free", "kappa",
+                                "--out", str(out))
+        assert code == 2
+        assert err == (f"spincavity: error: {data}:4: frequency span from the "
+                       "first point must be finite, got 1e+308 from -1e+308\n")
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_fit_exits_3(self, tmp_path, params_file, capsys):
         # the residuals of a spectrum near 1e250 overflow, so the summary
         # would carry an infinite residual RMS
@@ -786,6 +803,21 @@ class TestDerive:
         code, _, err = run(capsys, "derive", "--what", "pup")
         assert code == 2
         assert "delta_e_mev" in err
+
+    # A key its --what does not read is refused, not ignored: "temperature"
+    # would otherwise leave the 4.2 K default in force.
+    @pytest.mark.parametrize("what, values, unknown", [
+        ("pup", ["delta_e_mev=0.165", "temperature=1.0"], "temperature"),
+        ("cooperativity", ["g=18.67", "kappa=31.79", "gama=5"], "gama"),
+        ("strong", ["g=1", "kappa=1", "gamma=1", "temp=4", "x=1"], "temp, x"),
+        ("gfactor", ["splitting_ghz=1", "field=1", "g=1"], "g"),
+    ])
+    def test_unknown_key_exits_2(self, capsys, what, values, unknown):
+        code, stdout, err = run(capsys, "derive", "--what", what, *values)
+        assert code == 2
+        assert err.startswith(f"spincavity: error: --what {what} does not "
+                              f"read {unknown}; it reads ")
+        assert stdout == ""
 
 
 class TestParserReuse:

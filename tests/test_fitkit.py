@@ -85,6 +85,14 @@ def mixed_problem(data, center_weight=(3, 10.0)):
                       center_weight=center_weight)
 
 
+class TestSeeds:
+    def test_single_transition_seed_with_one_peak(self):
+        # no polariton pair to read: the seed sits on the one peak, with
+        # no detuning and a splitting of a quarter of the scan
+        seeds = seed_single_transition(lorentzian_data(), KAPPA)
+        assert (seeds["omega_c"], seeds["delta"], seeds["g"]) == (0.0, 0.0, 25.0)
+
+
 class TestProblemValidation:
     def test_every_parameter_assigned_once(self):
         data = lorentzian_data()
@@ -501,6 +509,11 @@ class TestDeriveReport:
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(DomainError, match="gamma"):
             derive_report({"g": 18.67, "kappa": 31.79, "gamma": 0.0})
+
+    @pytest.mark.parametrize("name", ["g", "g_total"])
+    def test_negative_coupling_rejected(self, name):
+        with pytest.raises(DomainError, match=rf"^{name} must be >= 0, got -1\.0$"):
+            derive_report({name: -1.0, "kappa": 31.79, "gamma": 1.78})
 
     def test_fit_result_carries_derived(self):
         result = fit(single_problem(single_data()))

@@ -13,9 +13,7 @@ from spincavity import (DomainError, NumericalError, StateError, SystemParams,
                         steady_state, time_evolve_oracle,
                         validate_density_matrix)
 from spincavity import hilbert
-from spincavity.hilbert import (annihilation_operator, ground_state,
-                                lowering_operator, number_operator,
-                                _trace_vector)
+from spincavity.hilbert import ground_state, number_operator, _trace_vector
 from spincavity.physcalc import TWO_PI
 
 
@@ -36,9 +34,8 @@ def textbook_liouvillian(params, probe, real_g3=False):
     fock = params.fock_dim
     eye = np.eye(params.dim)
     liou = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    s3 = lowering_operator(3, fock)
-    s4 = lowering_operator(4, fock)
-    for rate, op in ((params.kappa, annihilation_operator(fock)),
+    a, s3, s4 = hilbert._operators(fock)
+    for rate, op in ((params.kappa, a),
                      (params.gamma3, s3), (params.gamma4, s4),
                      (2 * params.gamma_d3, s3.conj().T @ s3),
                      (2 * params.gamma_d4, s4.conj().T @ s4)):
@@ -51,8 +48,7 @@ def textbook_liouvillian(params, probe, real_g3=False):
 
 def excitation_difference(fock_dim):
     """k = N_i - N_j of each column-major vec(rho) entry, N the excitation number."""
-    s3 = lowering_operator(3, fock_dim)
-    s4 = lowering_operator(4, fock_dim)
+    _, s3, s4 = hilbert._operators(fock_dim)
     n = np.diag(number_operator(fock_dim) + s3.conj().T @ s3
                 + s4.conj().T @ s4).real.astype(int)
     return (n[:, None] - n[None, :]).reshape(-1, order="F")
@@ -92,7 +88,7 @@ def liouvillian_timescales(liou):
 
 class TestOperators:
     def test_annihilation_matrix_elements(self):
-        a = annihilation_operator(5)
+        a, _, _ = hilbert._operators(5)
         assert a.shape == (15, 15)
         for atom in range(3):
             for n in range(1, 5):
@@ -102,16 +98,13 @@ class TestOperators:
         assert np.count_nonzero(a) == 12
 
     def test_lowering_operators(self):
-        s3 = lowering_operator(3, 4)
-        s4 = lowering_operator(4, 4)
+        _, s3, s4 = hilbert._operators(4)
         # |ground><excited| tensor identity on the photon sector
         for n in range(4):
             assert s3[n, 4 + n] == 1.0
             assert s4[n, 8 + n] == 1.0
         assert np.count_nonzero(s3) == 4
         assert (s3 @ s3).any() == False  # nilpotent
-        with pytest.raises(DomainError):
-            lowering_operator(2, 4)
 
 
 class TestSystemParams:
@@ -426,6 +419,16 @@ class TestSteadyState:
             steady_state(ref_params, probe_freq=0.0)
         assert 1.0 <= excinfo.value.condition_estimate < math.inf
 
+    def test_positivity_rule_is_shared(self, ref_params, monkeypatch):
+        # a threshold above every eigenvalue trips the one positivity rule
+        # of both the solver and the validator, with the same error
+        monkeypatch.setattr(hilbert, "POSITIVITY_TOL", 1.0)
+        pattern = r"^density matrix not positive: min eigenvalue \S+$"
+        with pytest.raises(StateError, match=pattern):
+            steady_state(ref_params, probe_freq=0.0)
+        with pytest.raises(StateError, match=pattern):
+            validate_density_matrix(ground_state(ref_params.fock_dim))
+
     @settings(max_examples=60, deadline=None)
     @given(kappa=st.floats(10, 50),
            g3=st.one_of(st.just(0.0), st.floats(0, 15)),
@@ -490,6 +493,13 @@ class TestExpectations:
         rho[0, 1] = 0.5  # not hermitian
         with pytest.raises(StateError):
             expectation_photon_number(rho)
+        rho = np.zeros((12, 12), dtype=complex)
+        rho[0, 0], rho[1, 1] = 1.25, -0.25  # hermitian, unit trace, not positive
+        with pytest.raises(StateError, match=r"not positive: min eigenvalue "
+                           r"-2\.500e-01$"):
+            expectation_photon_number(rho)
+        with pytest.raises(StateError, match=r"3\*fock_dim space, got \(4, 4\)"):
+            expectation_photon_number(np.eye(4, dtype=complex) / 4)
 
     def test_amplitude_of_vacuum(self):
         assert expectation_cavity_amplitude(ground_state(4)) == 0.0
@@ -571,6 +581,15 @@ class TestTimeEvolveOracle:
         with pytest.raises(DomainError, match=named):
             time_evolve_oracle(ref_params, **kwargs)
 
+    @pytest.mark.parametrize("dt, message", [
+        (0.0, r"^invalid integration step dt=0\.0$"),
+        (1e-9, r"^step size dt=1\.000e-09 underflows the time span: "
+               r"1000000000 steps$")])
+    def test_unusable_step_refused(self, ref_params, dt, message):
+        # refused before any step is taken
+        with pytest.raises(NumericalError, match=message):
+            time_evolve_oracle(ref_params, 0.0, t_final=1.0, dt=dt)
+
     def test_randomized_oracle_equivalence(self):
         rng = np.random.default_rng(2024)
         for _ in range(20):
@@ -600,6 +619,11 @@ class TestWeakDriveRegime:
             n1 = expectation_photon_number(steady_state(p1, probe))
             n2 = expectation_photon_number(steady_state(p2, probe))
             assert n1 / n2 == pytest.approx(4.0, rel=5e-3)
+
+    def test_undriven_set_has_no_shift(self, ref_params):
+        # the vacuum holds no photons at either cutoff
+        p = replace(ref_params, drive_amp=0.0)
+        assert fock_convergence_shift(p, 0.0) == 0.0
 
     def test_fock_truncation_converged(self, ref_params):
         p = replace(ref_params, drive_amp=ref_params.kappa / 20.0)

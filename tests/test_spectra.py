@@ -49,7 +49,7 @@ class TestSpectrumType:
 
     @pytest.mark.parametrize("freq, index", [
         ([-np.inf, 0.0, 1.0], 0), ([0.0, 1.0, np.inf], 2),
-        ([0.0, np.nan, 1.0], 1)])
+        ([0.0, np.nan, 1.0], 1), ([-1e308, 0.0, 1e308], 2)])
     def test_nonfinite_frequency_refused(self, freq, index):
         with pytest.raises(DomainError, match=f"point {index}: frequency"):
             Spectrum(freq, [1, 1, 1])

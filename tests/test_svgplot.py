@@ -1,9 +1,12 @@
+import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
 
-from spincavity import ScanConfig, lorentzian_spectrum
+from spincavity import DomainError, ScanConfig, lorentzian_spectrum
 from spincavity.svgplot import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R,
                                 MARGIN_T, WIDTH, _Canvas, render_spectra,
                                 render_sweep_map)
@@ -20,12 +23,20 @@ def test_labels_and_title_are_escaped():
 
 
 def test_sweep_map_is_well_formed():
-    spec = lorentzian_spectrum(30.0, 0.0, ScanConfig(-50, 50, 21),
-                               meta={"field_T": 1.5})
-    root = ET.fromstring(render_sweep_map([spec], title="B < 2 T & rising"))
+    spec = replace(lorentzian_spectrum(30.0, 0.0, ScanConfig(-50, 50, 21)),
+                   meta={"field_T": 1.5})
+    root = ET.fromstring(render_sweep_map([spec], 1.0, title="B < 2 T & rising"))
     texts = [t.text for t in root.iter(SVG_TEXT)]
     assert "B < 2 T & rising" in texts
     assert "1.5 T" in texts
+
+
+@pytest.mark.parametrize("norm", [0.0, -1.0, math.nan, math.inf])
+def test_sweep_map_norm_must_be_positive_and_finite(norm):
+    spec = lorentzian_spectrum(30.0, 0.0, ScanConfig(-50, 50, 21))
+    with pytest.raises(DomainError, match="sweep map norm must be positive "
+                                          "and finite"):
+        render_sweep_map([spec], norm)
 
 
 def _ref_x(x, x0, x1):
