@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -137,13 +138,24 @@ def _flush_writes(pending, outdir: Path | None = None) -> None:
     """Write all rendered outputs, after validating every destination.
 
     Content is rendered before this point, so a validation or numerical
-    failure never leaves partial output files behind. ``outdir``, the one
-    directory a command creates, is made after every other check passed.
+    failure never leaves partial output files behind. No two outputs may
+    go to one file. ``outdir``, the one directory a command creates,
+    is made after every other check passed.
     """
+    # one realpath per directory: a sweep writes all its spectra to one
+    real_dirs = {parent: os.path.realpath(parent)
+                 for parent in {Path(path).parent for path, _ in pending}}
+    entries = set()
     for path, _ in pending:
         parent = Path(path).parent
         if parent != outdir and not parent.is_dir():
             raise CliError(f"output directory does not exist: {parent}")
+        # the write replaces a directory entry, so two outputs clash when
+        # they name the same entry of the same real directory
+        entry = (real_dirs[parent], Path(path).name)
+        if entry in entries:
+            raise CliError(f"two outputs would be written to {path}")
+        entries.add(entry)
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
     for path, text in pending:
@@ -271,10 +283,13 @@ def _cmd_derive(args) -> dict:
                        f"it reads {', '.join(_DERIVE_KEYS[what])}")
     try:
         if what == "gfactor":
-            if "splitting_ghz" in kv:
-                splitting = kv["splitting_ghz"]
-            else:
-                splitting = splitting_nm_to_ghz(kv["splitting_nm"], kv["center_nm"])
+            given_nm = [key for key in ("splitting_nm", "center_nm") if key in kv]
+            if "splitting_ghz" in kv and given_nm:
+                raise CliError("--what gfactor takes the splitting once, as "
+                               "splitting_ghz or as splitting_nm with center_nm; "
+                               f"got splitting_ghz and {', '.join(given_nm)}")
+            splitting = (kv["splitting_ghz"] if "splitting_ghz" in kv else
+                         splitting_nm_to_ghz(kv["splitting_nm"], kv["center_nm"]))
             out = {"what": what,
                    "splitting_ghz": splitting,
                    "g_factor": lande_g_factor(splitting, kv["field"])}
@@ -397,14 +412,11 @@ def _merge_scan_flag(argv: list[str]) -> list[str]:
     argparse as an option string.
     """
     merged = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--scan" and i + 1 < len(argv):
-            merged.append(f"--scan={argv[i + 1]}")
-            i += 2
+    for arg in argv:
+        if merged and merged[-1] == "--scan":
+            merged[-1] = f"--scan={arg}"
         else:
-            merged.append(argv[i])
-            i += 1
+            merged.append(arg)
     return merged
 
 

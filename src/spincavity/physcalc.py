@@ -27,15 +27,19 @@ TWO_PI = 2.0 * math.pi
 class PhysConstants:
     """CODATA/SI constants, fixed at build time.
 
-    ``hbar`` is derived from ``planck_h`` so the two can never drift
-    apart.
+    ``hbar`` is a property computed from ``planck_h``, so the two can
+    never drift apart.
     """
 
     planck_h: float = 6.62607015e-34      # J s (exact, SI 2019)
-    hbar: float = 6.62607015e-34 / TWO_PI  # J s
     bohr_magneton: float = 9.2740100783e-24  # J/T (CODATA 2018)
     boltzmann_k: float = 1.380649e-23     # J/K (exact, SI 2019)
     light_speed: float = 299792458.0      # m/s (exact)
+
+    @property
+    def hbar(self) -> float:
+        """Reduced Planck constant h / 2pi in J s."""
+        return self.planck_h / TWO_PI
 
 
 CONSTANTS = PhysConstants()

@@ -2,6 +2,10 @@
 
 No plotting library is used; output is deterministic text. Axes are in
 GHz, with an optional secondary wavelength axis in nm along the top.
+All three axes follow one tick rule: ticks at the integer multiples of
+a nice step, each labelled with the digits that the spacing of
+neighbouring labels needs (on the nm axis, the spacing of the
+wavelengths at the GHz ticks).
 Data coordinates are mapped to pixels as whole arrays, one numpy
 expression per curve, with the same floating-point operations in the
 same order as a point-by-point loop.
@@ -21,31 +25,42 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    span = hi - lo
-    if span <= 0:
+    """Ticks of the range lo < hi: the integer multiples k * step in it.
+
+    The step is the least of 1, 2, 2.5, 5 and 10 times a power of ten
+    that is at least (hi - lo) / target. A tick within 1e-9 step above hi
+    stays. Where the step underflows or hi - lo overflows, the one tick is
+    lo.
+    """
+    raw = (hi - lo) / target
+    mag = 10.0 ** math.floor(math.log10(raw)) if 0 < raw < math.inf else 0.0
+    step = next((m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= m * mag), 0.0)
+    if not step:
         return [lo]
-    raw = span / target
-    mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-9 * abs(step):
-        ticks.append(round(t, 12))
-        t += step
+    ks = range(math.ceil(lo / step), math.floor(hi / step + 1e-9) + 1)
+    ticks = [t for t in dict.fromkeys(k * step for k in ks)
+             if lo <= t <= hi + 1e-9 * step]
     return ticks
 
 
-def _fmt_tick(value: float) -> str:
-    if value == 0:
-        return "0"
-    if abs(value) >= 1e5 or abs(value) < 1e-3:
-        return f"{value:.6g}"
-    text = f"{value:.4f}".rstrip("0").rstrip(".")
-    return text if text else "0"
+def _labels(values: list[float]) -> list[str]:
+    """Tick labels, each with its digits down to a third of the closest spacing.
+
+    That resolution keeps neighbours apart (each label is within a sixth
+    of the spacing of its value) and writes a 2.5 step exactly. At least
+    6 significant digits are allowed, so a value below 1e6 reads without
+    an exponent; trailing zeros are dropped. A lone value, or values
+    that coincide, get the shortest text that reads back exactly.
+    """
+    gap = min((abs(b - a) for a, b in zip(values, values[1:])), default=0.0)
+    if not gap > 0:
+        return [repr(v).removesuffix(".0") for v in values]
+    last = math.floor(math.log10(gap / 3))
+
+    def digits(v):
+        return math.floor(math.log10(abs(v))) - last + 1 if v else 1
+
+    return [f"{v:.{min(max(digits(v), 6), 17)}g}" for v in values]
 
 
 class _Canvas:
@@ -98,35 +113,36 @@ class _Canvas:
                  f'font-size="{size}" text-anchor="{anchor}"{transform}>'
                  f'{content}</text>')
 
+    def _x_ticks(self, ticks, labels, y1, y2, label_y, size) -> None:
+        """Tick marks from row y1 to y2 at data x ``ticks``, labels at label_y."""
+        for t, label in zip(ticks, labels):
+            x = self.px(t)
+            self.add(f'<line x1="{x:.1f}" y1="{y1}" x2="{x:.1f}" '
+                     f'y2="{y2}" stroke="black"/>')
+            self.text(x, label_y, label, size=size)
+
     def axes(self, xlabel: str, ylabel: str, title: str = "",
              nm_axis: bool = False) -> None:
         left, right = MARGIN_L, WIDTH - MARGIN_R
         top, bottom = MARGIN_T, HEIGHT - MARGIN_B
         self.add(f'<rect x="{left}" y="{top}" width="{right-left}" '
                  f'height="{bottom-top}" fill="none" stroke="black"/>')
-        for t in _nice_ticks(self.x0, self.x1):
-            x = self.px(t)
-            self.add(f'<line x1="{x:.1f}" y1="{bottom}" x2="{x:.1f}" '
-                     f'y2="{bottom+5}" stroke="black"/>')
-            self.text(x, bottom + 20, _fmt_tick(t), size=11)
-        for t in _nice_ticks(self.y0, self.y1):
+        ticks = _nice_ticks(self.x0, self.x1)
+        self._x_ticks(ticks, _labels(ticks), bottom, bottom + 5, bottom + 20, 11)
+        ticks = _nice_ticks(self.y0, self.y1)
+        for t, label in zip(ticks, _labels(ticks)):
             y = self.py(t)
             self.add(f'<line x1="{left-5}" y1="{y:.1f}" x2="{left}" '
                      f'y2="{y:.1f}" stroke="black"/>')
-            self.text(left - 9, y + 4, _fmt_tick(t), size=11, anchor="end")
+            self.text(left - 9, y + 4, label, size=11, anchor="end")
         self.text((left + right) / 2, HEIGHT - 12, xlabel)
         self.text(16, (top + bottom) / 2, ylabel, rotate=True)
         if title:
             self.text((left + right) / 2, 20, title, size=15)
         if nm_axis and self.x0 > 0:
-            for t in _nice_ticks(self.x0, self.x1, target=4):
-                if t <= 0:
-                    continue
-                x = self.px(t)
-                nm = frequency_to_wavelength(t)
-                self.add(f'<line x1="{x:.1f}" y1="{top}" x2="{x:.1f}" '
-                         f'y2="{top-5}" stroke="black"/>')
-                self.text(x, top - 9, f"{nm:.3f}", size=10)
+            ticks = _nice_ticks(self.x0, self.x1, target=4)
+            nms = [frequency_to_wavelength(t) for t in ticks]
+            self._x_ticks(ticks, _labels(nms), top, top - 5, top - 9, 10)
             self.text((left + right) / 2, top - 26, "wavelength (nm)", size=11)
 
     def legend(self, entries) -> None:
@@ -153,22 +169,17 @@ def _ranges(spectra) -> tuple[tuple[float, float], tuple[float, float]]:
 
 def render_spectra(entries, title: str = "", nm_axis: bool = False) -> str:
     """SVG for a list of (Spectrum, label, as_points) overlays."""
-    spectra = [e[0] for e in entries]
-    (x0, x1), (y0, y1) = _ranges(spectra)
-    canvas = _Canvas((x0, x1), (y0, y1))
+    canvas = _Canvas(*_ranges([e[0] for e in entries]))
     canvas.axes("probe frequency (GHz)", "reflectivity (arb. units)",
                 title=title, nm_axis=nm_axis)
     legend = []
     for i, (spec, label, as_points) in enumerate(entries):
         color = PALETTE[i % len(PALETTE)]
-        if as_points:
-            canvas.dots(spec.freq_ghz, spec.reflectivity, color)
-        else:
-            canvas.polyline(spec.freq_ghz, spec.reflectivity, color)
+        draw = canvas.dots if as_points else canvas.polyline
+        draw(spec.freq_ghz, spec.reflectivity, color)
         if label:
             legend.append((label, color))
-    if legend:
-        canvas.legend(legend)
+    canvas.legend(legend)
     return canvas.render()
 
 

@@ -5,6 +5,7 @@ import re
 import shlex
 import tracemalloc
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from spincavity.spectra import FringeModel
 from conftest import (CAVITY_NM, DELTA_H, DIAMAGNETIC, DOT_0T_NM, ELECTRON_G,
                       G3, G4, G_TOTAL, GAMMA_D3, GAMMA_D4, HOLE_G, KAPPA)
 from spincavity.physcalc import wavelength_to_frequency
+from spincavity.svgplot import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_T
 
 SCALE = (np.pi * KAPPA) ** 2
 
@@ -174,6 +176,67 @@ NUMBER_TEXT = st.lists(
               st.text(max_size=4)), max_size=4).map(",".join)
 FORMS = st.sampled_from([(float, float, int), (int, float),
                          (float, float, float)])
+
+
+def _axis_ticks(svg_path):
+    """Each axis's tick labels, and the y-axis tick rows, of a written plot."""
+    root = ET.parse(svg_path).getroot()
+    ns = "{http://www.w3.org/2000/svg}"
+    where = {("y", f"{HEIGHT - MARGIN_B + 20:.1f}"): "x",
+             ("x", f"{MARGIN_L - 9:.1f}"): "y",
+             ("y", f"{MARGIN_T - 9:.1f}"): "nm"}
+    labels = {"x": [], "y": [], "nm": []}
+    for text in root.iter(ns + "text"):
+        for (attr, value), axis in where.items():
+            if text.get(attr) == value and text.get("font-size") in ("10", "11"):
+                labels[axis].append(text.text)
+    rows = [float(line.get("y1")) for line in root.iter(ns + "line")
+            if line.get("x1") == str(MARGIN_L - 5)]
+    return labels, rows
+
+
+class TestPlotAxes:
+    """Tick labels are distinct and exact, and ticks sit on the canvas."""
+
+    def _plot(self, capsys, tmp_path, params, *flags):
+        plot = tmp_path / "axes.svg"
+        code, _, err = run(capsys, "simulate", "--params", str(params),
+                           *flags, "--out", str(tmp_path / "axes.csv"),
+                           "--plot", str(plot))
+        assert code == 0, err
+        return _axis_ticks(plot)
+
+    def test_picometre_zoom_on_the_cavity(self, tmp_path, levels_file, capsys):
+        # +-1 pm around 931.45 nm: 0.2 GHz steps near 321 856 GHz
+        labels, _ = self._plot(capsys, tmp_path, levels_file, "--model", "two",
+                               "--scan", "931.449,931.451,21",
+                               "--wavelength-axis")
+        assert labels["x"] == ["321855.4", "321855.6", "321855.8", "321856"]
+        assert labels["nm"] == ["931.4508", "931.4502", "931.4496", "931.449"]
+
+    def test_small_range_above_a_background(self, tmp_path, params_file, capsys):
+        labels, _ = self._plot(capsys, tmp_path, params_file, "--model",
+                               "mixed", "--pup", "0.3", "--scan", "-60,60,241",
+                               "--scale", "3.2", "--background", "0.01")
+        assert labels["y"] == ["0.01005", "0.0101", "0.01015", "0.0102"]
+
+    def test_tiny_reflectivities(self, tmp_path, capsys):
+        # README's cavity sits near 321 856 GHz, so at -60..60 GHz the
+        # reflectivity is about 2.4e-13
+        params = tmp_path / "params.json"
+        params.write_text(_readme_blocks("json")[0], encoding="utf-8")
+        labels, rows = self._plot(capsys, tmp_path, params, "--model", "two",
+                                  "--scan", "-60,60,241")
+        assert labels["y"] == ["2.4445e-13", "2.445e-13", "2.4455e-13",
+                               "2.446e-13"]
+        assert all(MARGIN_T <= row <= HEIGHT - MARGIN_B for row in rows)
+
+    # a scan span whose tick step underflows gets one tick, at its start
+    @pytest.mark.parametrize("scan", ["0,1e-323,3", "0,3e-323,3"])
+    def test_subnormal_scan_span(self, tmp_path, params_file, capsys, scan):
+        labels, _ = self._plot(capsys, tmp_path, params_file, "--model", "two",
+                               "--scan", scan)
+        assert labels["x"] == ["0"]
 
 
 class TestNumbers:
@@ -587,6 +650,36 @@ class TestExitCodes:
         assert "nodir" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["full.json"]
 
+    @pytest.mark.parametrize("out, plot", [
+        ("same.txt", "same.txt"), ("same.txt", "sub/../same.txt"),
+        ("sub/same.txt", "link/same.txt")])
+    def test_two_outputs_to_one_file_exit_2(self, tmp_path, params_file,
+                                            capsys, out, plot):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "sub")
+        code, _, err = run(capsys, "simulate", "--params", str(params_file),
+                           "--model", "two", "--scan", "-10,10,11",
+                           "--out", str(tmp_path / out),
+                           "--plot", str(tmp_path / plot))
+        assert code == 2
+        assert err == (f"spincavity: error: two outputs would be written to "
+                       f"{tmp_path / plot}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "link", "params.json", "sub"]
+        assert list((tmp_path / "sub").iterdir()) == []
+
+    def test_sweep_fields_sharing_a_file_name_exit_2(self, tmp_path,
+                                                     levels_file, capsys):
+        # fields 0.1 mT apart print as the same field_{b:06.3f}T.csv
+        code, _, err = run(capsys, "sweep", "--params", str(levels_file),
+                           "--fields", "0:0.001:0.0001",
+                           "--scan", "321795,321915,11",
+                           "--out", str(tmp_path / "outdir"))
+        assert code == 2
+        assert "two outputs would be written to" in err
+        assert err.endswith(f"{tmp_path / 'outdir' / 'field_00.000T.csv'}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["full.json"]
+
     def test_every_package_error_has_a_row(self):
         classes = {row[0] for row in ERROR_ROWS}
         assert set(errors.SpinCavityError.__subclasses__()) <= classes
@@ -817,6 +910,22 @@ class TestDerive:
         assert code == 2
         assert err.startswith(f"spincavity: error: --what {what} does not "
                               f"read {unknown}; it reads ")
+        assert stdout == ""
+
+    # a splitting given twice is refused, not silently taken from GHz
+    @pytest.mark.parametrize("values, named", [
+        (["splitting_ghz=1", "splitting_nm=0.12", "center_nm=931.4"],
+         "splitting_nm, center_nm"),
+        (["splitting_ghz=1", "center_nm=931.4"], "center_nm"),
+        (["splitting_ghz=1", "splitting_nm=0.12"], "splitting_nm"),
+    ])
+    def test_splitting_given_twice_exits_2(self, capsys, values, named):
+        code, stdout, err = run(capsys, "derive", "--what", "gfactor",
+                                *values, "field=6.2")
+        assert code == 2
+        assert err.startswith("spincavity: error: --what gfactor takes the "
+                              "splitting once")
+        assert err.endswith(f"got splitting_ghz and {named}\n")
         assert stdout == ""
 
 

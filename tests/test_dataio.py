@@ -344,3 +344,11 @@ class TestAtomicWrites:
         dio.save_spectrum(spec, target)
         assert target.exists()
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failed_write_removes_its_temporary_file(self, tmp_path):
+        # UTF-8 cannot encode a lone surrogate, so the write itself fails
+        import spincavity.dataio as dio
+        target = tmp_path / "out.txt"
+        with pytest.raises(UnicodeEncodeError):
+            dio.atomic_write_text(target, "\ud800")
+        assert list(tmp_path.iterdir()) == []

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from spincavity import (CONSTANTS, DomainError, TrionLevels, cooperativity,
-                        frequency_to_wavelength, is_strongly_coupled,
-                        lande_g_factor, splitting_nm_to_ghz,
+from spincavity import (CONSTANTS, DomainError, PhysConstants, TrionLevels,
+                        cooperativity, frequency_to_wavelength,
+                        is_strongly_coupled, lande_g_factor, splitting_nm_to_ghz,
                         thermal_spin_up_population, transition_frequencies,
                         wavelength_to_frequency, zeeman_splitting_ghz)
 
@@ -15,6 +15,11 @@ C_NM_GHZ = 299792458.0  # speed of light in nm*GHz
 class TestConstants:
     def test_hbar_consistent_with_h(self):
         assert CONSTANTS.hbar == CONSTANTS.planck_h / (2 * math.pi)
+
+    def test_hbar_follows_planck_h(self):
+        assert PhysConstants(planck_h=1.0).hbar == 1.0 / (2 * math.pi)
+        with pytest.raises(TypeError):
+            PhysConstants(hbar=1.0)
 
     def test_all_positive(self):
         assert CONSTANTS.planck_h > 0

@@ -4,12 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from spincavity import DomainError, ScanConfig, lorentzian_spectrum
+from spincavity import (DomainError, ScanConfig, frequency_to_wavelength,
+                        lorentzian_spectrum)
 from spincavity.svgplot import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R,
-                                MARGIN_T, WIDTH, _Canvas, render_spectra,
-                                render_sweep_map)
+                                MARGIN_T, WIDTH, _Canvas, _labels, _nice_ticks,
+                                render_spectra, render_sweep_map)
 
 SVG_TEXT = "{http://www.w3.org/2000/svg}text"
 
@@ -75,3 +76,66 @@ def test_curve_points_match_a_point_by_point_loop(x_range, y_range, points):
     assert canvas.parts[4:] == [
         f'<circle cx="{x}" cy="{y}" r="2.0" fill="#111" fill-opacity="0.7"/>'
         for x, y in refs]
+
+
+@pytest.mark.parametrize("lo, hi, target, labels", [
+    (-60.0, 60.0, 6, ["-60", "-40", "-20", "0", "20", "40", "60"]),
+    (0.0, 1.05, 6, ["0", "0.2", "0.4", "0.6", "0.8", "1"]),
+    (0.0, 0.1, 4, ["0", "0.025", "0.05", "0.075", "0.1"]),
+    (321795.66, 321915.66, 6,
+     ["321800", "321820", "321840", "321860", "321880", "321900"]),
+    # a 2.5 step keeps its last digit; .6g once gave 1.2345e+06 to all
+    (1234500.0, 1234510.0, 4, ["1234500", "1234502.5", "1234505",
+                               "1234507.5", "1234510"]),
+    (0.0, 2.5e-13, 6, ["0", "5e-14", "1e-13", "1.5e-13", "2e-13", "2.5e-13"]),
+    # a one-ulp range: 17 digits read each float back exactly
+    (1.0, 1.0000000000000002, 6, ["1", "1.0000000000000002"]),
+    # the step underflows, or hi - lo overflows: one tick, at lo
+    (0.0, 1e-323, 6, ["0"]),
+    (-1e308, 1e308, 6, ["-1e+308"]),
+])
+def test_labels_carry_the_digits_of_the_step(lo, hi, target, labels):
+    assert _labels(_nice_ticks(lo, hi, target)) == labels
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _tick_ranges(draw):
+    """Finite lo < hi: any two floats, or a span of a few floats above lo."""
+    lo = draw(_finite)
+    if draw(st.booleans()):
+        lo, hi = sorted((lo, draw(_finite)))
+    else:  # subnormal spans near 0, spans of a few ulps elsewhere
+        hi = lo + draw(st.integers(1, 64)) * math.ulp(lo)
+    assume(lo < hi < math.inf)
+    return lo, hi
+
+
+@given(bounds=_tick_ranges(), target=st.sampled_from([4, 6]))
+@example(bounds=(0.0, 1e-323), target=6)
+@example(bounds=(0.0, 3e-323), target=6)
+@example(bounds=(-1.7976931348623157e308, 1.7976931348623157e308), target=6)
+@example(bounds=(-1.7976931348623157e308, -1e308), target=4)
+@example(bounds=(1e16, 1e16 + 2), target=6)
+@example(bounds=(321855.43, 321856.13), target=4)
+def test_tick_rule_holds_for_every_finite_range(bounds, target):
+    lo, hi = bounds
+    ticks = _nice_ticks(lo, hi, target)
+    steps = [b - a for a, b in zip(ticks, ticks[1:])]
+    assert all(step > 0 for step in steps)
+    step = min(steps, default=0.0)
+    assert lo <= ticks[0] and ticks[-1] <= hi + 1e-9 * step
+    labels = _labels(ticks)
+    assert len(set(labels)) == len(labels)
+    for tick, label in zip(ticks, labels):
+        assert abs(float(label) - tick) <= step / 2  # exact for a lone tick
+    # the nm axis: labels apart wherever the wavelengths are finite and apart
+    nms = [frequency_to_wavelength(t) for t in ticks] if lo > 0 else []
+    gaps = [a - b for a, b in zip(nms, nms[1:])]
+    if all(map(math.isfinite, nms)) and all(gaps):
+        nm_labels = _labels(nms)
+        assert len(set(nm_labels)) == len(nm_labels)
+        for nm, label in zip(nms, nm_labels):
+            assert abs(float(label) - nm) <= min(gaps, default=0.0) / 2
