@@ -29,8 +29,11 @@ with D diagonal. Ordered by the excitation difference k = N_i - N_j of
 rho[i, j], L(omega) is block tridiagonal (the undriven generator
 conserves k, the drive moves it by one). ``steady_state`` eliminates its
 blocks towards k = 0, the matrix continued fraction of Risken, The
-Fokker-Planck Equation, ch. 9; the RK4 oracle uses the dense generator
-alone and solves no linear system.
+Fokker-Planck Equation, ch. 9. The RK4 oracle uses the dense generator
+alone and solves no linear system. L maps hermitian matrices to
+hermitian ones, so the oracle integrates its real form (Alicki and
+Lendi, Quantum Dynamical Semigroups and Applications, 1987), on which
+every product is real.
 
 All user-facing rates and frequencies are quoted values (value/2pi in
 GHz); internally one global multiplication by 2pi converts them to
@@ -68,7 +71,8 @@ _CONVERGENCE_EXTRA = 2
 # admits. A steady-state solve holds two matrices of this size, the
 # cached L0 and L(omega), and a failed one adds a bordered copy and SVD
 # workspace for its condition number. Assembling L0 with its blocks holds
-# about 1.1-1.3, as jump terms are scattered in place; RK4 up to four.
+# about 1.1-1.3, as jump terms are scattered in place; the RK4 oracle up
+# to three, its real step matrices being half the size.
 _GENERATOR_BYTES_LIMIT = 256 * 2**20
 
 _NON_NEGATIVE = frozenset(("g3", "g4", "gamma3", "gamma4", "gamma_d3", "gamma_d4",
@@ -295,7 +299,9 @@ def _require_positive(rho: np.ndarray) -> None:
 
 
 def validate_density_matrix(rho: np.ndarray) -> None:
-    """Check hermiticity, unit trace and numerical positivity."""
+    """Check finite entries, hermiticity, unit trace and numerical positivity."""
+    if not np.isfinite(rho).all():
+        raise StateError("density matrix has non-finite entries")
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     if herm > HERMITICITY_TOL:
         raise StateError(f"density matrix not hermitian: defect {herm:.3e}")
@@ -430,8 +436,8 @@ def steady_state(params: SystemParams, probe_freq: float,
 
 def _fock_dim_of(rho: np.ndarray) -> int:
     """fock_dim of a square matrix on the 3*fock_dim space, else StateError."""
-    d = rho.shape[0]
-    if rho.ndim != 2 or rho.shape != (d, d) or d % 3 != 0:
+    d = rho.shape[0] if rho.ndim == 2 else 0
+    if not d or rho.shape != (d, d) or d % 3 != 0:
         raise StateError(f"expected a square matrix on a 3*fock_dim space, got {rho.shape}")
     return d // 3
 
@@ -460,6 +466,26 @@ def ground_state(fock_dim: int) -> np.ndarray:
     return rho
 
 
+def _real_form(liou: np.ndarray, d: int):
+    """(M, t): the real form of the generator ``liou`` on hermitian matrices.
+
+    L maps hermitian matrices to hermitian matrices, so on them it is a
+    real operator. t is the transpose permutation of the column-major
+    index, t[i + j d] = j + i d, so vec(rho)[t] = conj(vec(rho)) for a
+    hermitian rho. The real vector c = Re vec(rho) + Im vec(rho) evolves
+    by the real matrix M = Re L + Im L[:, t], and
+    vec(rho) = ((1+i) c + (1-i) c[t]) / 2 maps it back: L S = S M with
+    S = ((1+i) I + (1-i) Pi) / 2, Pi the permutation t. The map from
+    vec(rho) to c has condition number sqrt(2). Im L[:, t] is Im L with
+    its column axis, viewed as (d, d), transposed; that copy becomes M.
+    """
+    n = d * d
+    real = liou.imag.reshape(n, d, d).transpose(0, 2, 1).reshape(n, n)
+    real += liou.real
+    index = np.arange(n)
+    return real, index // d + d * (index % d)
+
+
 def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
                        dt: float | None = None,
                        rho0: np.ndarray | None = None) -> np.ndarray:
@@ -469,17 +495,26 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
     Runge-Kutta scheme. Because the flow is linear, the exact kernel of L
     is a fixed point of the RK4 map, so for long times the result
     converges to the true steady state with no truncation-error floor.
-    The default step 2/||L||_1 keeps RK4 inside its stability region, as
-    the 1-norm bounds the spectral radius of L. kappa > 0 keeps the norm
-    above 0; one that overflows gives a zero step, which is refused.
 
-    The n steps are applied as P^n, where P is the exact RK4 step matrix.
-    While more than N = d^2 steps remain, P is squared (N^3 work) to halve
-    their number; the remaining steps are matrix-vector products (N^2
-    work each). No linear system is solved.
+    The integration runs on the real form M of L (``_real_form``), so
+    every product is real.
+
+    The default step is 2/sqrt(||M^2||_1). By Gelfand's formula that
+    bound is never below the spectral radius of M, which is that of L,
+    so every eigenvalue of dt L lies in the left half-disk of radius 2,
+    inside the RK4 stability region. kappa > 0 keeps the norm above 0;
+    one that overflows gives a zero step, which is refused.
+
+    The n steps are applied as P^n, where P = I + X + X^2 (I/2 + X/6 +
+    X^2/24), X = dt M, is the exact RK4 step matrix, built from M^2 with
+    one more product. While more than N = d^2 steps remain, P is squared
+    (N^3 work) to halve their number; the remaining steps are
+    matrix-vector products (N^2 work each). No linear system is solved.
 
     Time is in ns (1/GHz). t_final must be at least 20/kappa; it and an
-    explicit dt must be finite real numbers.
+    explicit dt must be finite real numbers. ``rho0`` (default: the
+    ground state) must be a finite density matrix on the 3*fock_dim
+    space of ``params`` (``validate_density_matrix``), else StateError.
     """
     _require_finite_real("t_final", t_final)
     if dt is not None:
@@ -488,10 +523,19 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
         raise DomainError(
             f"t_final={t_final} is below 20/kappa={20.0 / params.kappa}; "
             "the oracle contract needs many cavity lifetimes")
-    liou = build_liouvillian(params, probe_freq)
+    if rho0 is None:
+        rho0 = ground_state(params.fock_dim)
+    else:
+        if _fock_dim_of(rho0) != params.fock_dim:
+            raise StateError(f"rho0 of shape {rho0.shape} is not on the "
+                             f"fock_dim={params.fock_dim} space")
+        validate_density_matrix(rho0)
     d = params.dim
+    n = d * d
+    real, swap = _real_form(build_liouvillian(params, probe_freq), d)
+    square = real @ real
     if dt is None:
-        dt = 2.0 / float(np.linalg.norm(liou, 1))
+        dt = 2.0 / math.sqrt(float(np.linalg.norm(square, 1)))
     if dt <= 0 or not math.isfinite(dt):
         raise NumericalError(f"invalid integration step dt={dt}")
     n_steps = int(math.ceil(t_final / dt))
@@ -500,27 +544,28 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
             f"step size dt={dt:.3e} underflows the time span: {n_steps} steps")
     dt = t_final / n_steps
 
-    if rho0 is None:
-        rho0 = ground_state(params.fock_dim)
-    v = rho0.reshape(-1, order="F").astype(complex)
-    # One RK4 step is v -> P v with P = sum_{k<=4} (dt L)^k / k!, built by
-    # Horner's rule. Binary powering of P stops once no more steps remain
-    # than P has rows: a squaring then costs more than the matvecs it saves.
-    liou *= dt
-    step = liou / 4.0
-    for k in (3.0, 2.0, 1.0):
-        step.reshape(-1)[::d * d + 1] += 1.0
-        step = liou @ step
-        step /= k
-    step.reshape(-1)[::d * d + 1] += 1.0
-    while n_steps > d * d:
+    v = (0.5 * (rho0 + rho0.conj().T)).reshape(-1, order="F")
+    c = v.real + v.imag
+    # One RK4 step is c -> P c, P = I + X + X^2 (I/2 + X/6 + X^2/24).
+    # Binary powering of P stops once no more steps remain than P has
+    # rows: a squaring then costs more than the matvecs it saves.
+    real *= dt
+    square *= dt * dt
+    step = real / 6.0
+    step += square / 24.0
+    step.reshape(-1)[::n + 1] += 0.5
+    step = square @ step
+    step += real
+    step.reshape(-1)[::n + 1] += 1.0
+    del real, square
+    while n_steps > n:
         if n_steps & 1:
-            v = step @ v
+            c = step @ c
         n_steps >>= 1
         step = step @ step
     for _ in range(n_steps):
-        v = step @ v
-    return _density_matrix(v, d)
+        c = step @ c
+    return _density_matrix(0.5 * ((1 + 1j) * c + (1 - 1j) * c[swap]), d)
 
 
 def fock_convergence_shift(params: SystemParams, probe_freq: float) -> float:

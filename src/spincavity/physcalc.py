@@ -207,15 +207,20 @@ def transition_frequencies(levels: TrionLevels) -> tuple[float, float, float, fl
     +-De/2 +-Dh/2 corners of the level parallelogram, where De and Dh
     are the electron (ground) and hole (excited) Zeeman splittings.
     Transition 1 is the highest-frequency (shortest-wavelength) line,
-    transition 4 the lowest.
+    transition 4 the lowest. A field at which any of them is not finite
+    raises DomainError.
     """
     center = levels.zero_field_frequency + \
-        levels.diamagnetic_coeff * levels.field**2
+        levels.diamagnetic_coeff * (levels.field * levels.field)
     de = levels.electron_splitting
     dh = levels.hole_splitting
-    return (
+    lines = (
         center + de / 2 + dh / 2,
         center + de / 2 - dh / 2,
         center - de / 2 + dh / 2,
         center - de / 2 - dh / 2,
     )
+    if not all(map(math.isfinite, lines)):
+        raise DomainError(f"transition frequencies at field {levels.field!r} T "
+                          "are not finite")
+    return lines

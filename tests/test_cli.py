@@ -567,6 +567,22 @@ class TestExitCodes:
         assert key in err
         assert not outdir.exists()
 
+    # The square of such a field overflows, so its transition
+    # frequencies are not finite.
+    @pytest.mark.parametrize("field, shown", [("1e200", "1e+200"),
+                                              ("1e308", "1e+308")])
+    def test_overflowing_field_exits_2(self, tmp_path, levels_file, capsys,
+                                       field, shown):
+        outdir = tmp_path / "never"
+        code, stdout, err = run(capsys, "sweep", "--params", str(levels_file),
+                                "--fields", field, "--scan", "321795,321915,11",
+                                "--out", str(outdir))
+        assert code == 2
+        assert err == (f"spincavity: error: transition frequencies at field "
+                       f"{shown} T are not finite\n")
+        assert stdout == ""
+        assert not outdir.exists()
+
     def test_numerical_failure_exits_3(self, tmp_path, params_file, capsys,
                                        monkeypatch):
         # numerical failures map to exit 3 and leave no output behind

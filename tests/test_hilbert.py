@@ -501,8 +501,47 @@ class TestExpectations:
         with pytest.raises(StateError, match=r"3\*fock_dim space, got \(4, 4\)"):
             expectation_photon_number(np.eye(4, dtype=complex) / 4)
 
+    def test_nonfinite_state_rejected(self):
+        rho = ground_state(2)
+        rho[1, 1] = math.nan
+        for check in (validate_density_matrix, expectation_photon_number):
+            with pytest.raises(StateError, match="^density matrix has "
+                               "non-finite entries$"):
+                check(rho)
+
     def test_amplitude_of_vacuum(self):
         assert expectation_cavity_amplitude(ground_state(4)) == 0.0
+
+
+class TestRealForm:
+    @settings(max_examples=40, deadline=None)
+    @given(kappa=st.floats(10, 50), g3=st.floats(0, 15), g4=st.floats(0, 25),
+           gamma_d3=st.floats(0, 5), gamma_d4=st.floats(0, 5),
+           omega_x=st.floats(-20, 20), delta_h=st.floats(0, 20),
+           probe=st.floats(-190, 190), fock_dim=st.integers(2, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_real_form_is_a_similarity(self, kappa, g3, g4, gamma_d3,
+                                       gamma_d4, omega_x, delta_h, probe,
+                                       fock_dim, seed):
+        # c(v) = Re v + Im v carries L v to M c(v) for every hermitian rho,
+        # and ((1+i) c + (1-i) c[t]) / 2 gives v back to rounding.
+        p = SystemParams(kappa=kappa, g3=g3, g4=g4, gamma_d3=gamma_d3,
+                         gamma_d4=gamma_d4, omega_c=0.0, omega_x=omega_x,
+                         delta_h=delta_h, fock_dim=fock_dim)
+        liou = build_liouvillian(p, probe)
+        real, swap = hilbert._real_form(liou, p.dim)
+        assert real.dtype == np.float64
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((p.dim, p.dim)) + 1j * rng.standard_normal((p.dim, p.dim))
+        rho = a + a.conj().T
+        v = vec(rho)
+        assert np.array_equal(v[swap], vec(rho.T))
+        c = v.real + v.imag
+        lv = liou @ v
+        scale = np.linalg.norm(liou, np.inf) * np.max(np.abs(v))
+        assert np.max(np.abs((lv.real + lv.imag) - real @ c)) <= 1e-13 * scale
+        back = 0.5 * ((1 + 1j) * c + (1 - 1j) * c[swap])
+        assert np.max(np.abs(back - v)) <= 4 * np.finfo(float).eps * np.max(np.abs(v))
 
 
 class TestTimeEvolveOracle:
@@ -565,6 +604,46 @@ class TestTimeEvolveOracle:
         monkeypatch.setattr(hilbert, "_eliminate", refuse)
         rho = time_evolve_oracle(ref_params, 3.0, t_final=1.0)
         validate_density_matrix(rho)
+
+    def test_default_step_from_the_square_of_the_real_form(self, ref_params):
+        # The default step is 2/sqrt(||M^2||_1), which for this set gives
+        # fewer steps than the 2/||L||_1 of the complex generator.
+        p = replace(ref_params, fock_dim=3)
+        liou = build_liouvillian(p, 5.0)
+        d = p.dim
+        index = np.arange(d * d)
+        swap = index // d + d * (index % d)
+        real = liou.real + liou.imag[:, swap]
+        dt = 2.0 / math.sqrt(np.linalg.norm(real @ real, 1))
+        t_final = 20.0 / p.kappa
+        assert math.ceil(t_final / dt) < math.ceil(
+            t_final * np.linalg.norm(liou, 1) / 2.0)
+        rho = time_evolve_oracle(p, 5.0, t_final=t_final)
+        assert np.array_equal(
+            rho, time_evolve_oracle(p, 5.0, t_final=t_final, dt=dt))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rho: rho[:6, :6], r"^rho0 of shape \(6, 6\) is not on the "
+                                  r"fock_dim=4 space$"),
+        (lambda rho: rho[:5, :5], r"^expected a square matrix on a "
+                                  r"3\*fock_dim space, got \(5, 5\)$"),
+        (lambda rho: rho[:0, :0], r"3\*fock_dim space, got \(0, 0\)$"),
+        (lambda rho: rho[0, 0], r"3\*fock_dim space, got \(\)$"),
+        (lambda rho: np.where(rho == 0.0, math.nan, rho), "non-finite"),
+        (lambda rho: rho + np.triu(np.ones_like(rho), 1), "not hermitian"),
+        (lambda rho: 2.0 * rho, "trace"),
+        (lambda rho: np.diag([1.5, -0.5] + [0.0] * 10), "not positive"),
+    ], ids=["other-space", "not-3-fold", "empty", "scalar", "nan",
+            "non-hermitian", "trace", "negative"])
+    def test_invalid_initial_state_refused_first(self, ref_params, monkeypatch,
+                                                 edit, message):
+        # refused before the generator is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("the generator was built")
+        monkeypatch.setattr(hilbert, "build_liouvillian", refuse)
+        rho0 = edit(ground_state(ref_params.fock_dim))
+        with pytest.raises(StateError, match=message):
+            time_evolve_oracle(ref_params, 0.0, t_final=1.0, rho0=rho0)
 
     def test_short_horizon_rejected(self, ref_params):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -250,6 +251,19 @@ class TestTrionLevels:
         plain = transition_frequencies(flat)
         for s, p in zip(shifted, plain):
             assert s - p == pytest.approx(1.15 * 16.0, rel=1e-12)
+
+    @pytest.mark.parametrize("field, diamagnetic", [
+        (1e200, 1.15),   # the quadratic shift overflows
+        (1e200, 0.0),    # 0 times an overflowed square
+        (1e308, 0.0),    # the Zeeman splittings overflow too
+    ])
+    def test_nonfinite_frequencies_refused(self, field, diamagnetic):
+        levels = TrionLevels(zero_field_frequency=1000.0, electron_g=0.5,
+                             hole_g=0.1, diamagnetic_coeff=diamagnetic,
+                             field=field)
+        message = f"transition frequencies at field {field!r} T are not finite"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            transition_frequencies(levels)
 
     def test_field_validation(self):
         with pytest.raises(DomainError):
