@@ -11,11 +11,10 @@ cavity-QED rates and the spin populations.
 __version__ = "0.1.0"
 
 from .errors import (DataValidationError, DomainError, FormatError,
-                     ModelError, NumericalError, SchemaError, ShapeError,
+                     NumericalError, SchemaError, ShapeError,
                      SpinCavityError, StateError)
-from .fitkit import (FitProblem, FitResult, FreeParam, ModelKind,
-                     derive_report, fit, fit_thermal_pup, free_param,
-                     goodness_profile, profile_bound)
+from .fitkit import (FitProblem, FitResult, FreeParam, ModelKind, fit,
+                     fit_thermal_pup, free_param, profile_bound)
 from .hilbert import (SystemParams, build_hamiltonian, build_liouvillian,
                       expectation_cavity_amplitude, expectation_photon_number,
                       fock_convergence_shift, steady_state,
@@ -47,9 +46,7 @@ __all__ = [
     "lorentzian_spectrum", "dit_spectrum", "two_transition_spectrum",
     "master_equation_spectrum", "mixed_spectrum", "field_sweep",
     "synthesize_noisy", "max_relative_difference",
-    "fit", "fit_thermal_pup", "free_param", "derive_report",
-    "goodness_profile", "profile_bound",
+    "fit", "fit_thermal_pup", "free_param", "profile_bound",
     "SpinCavityError", "DomainError", "ShapeError", "SchemaError",
     "FormatError", "DataValidationError", "StateError", "NumericalError",
-    "ModelError",
 ]

@@ -241,6 +241,16 @@ def _cmd_fit(args) -> dict:
     return summary
 
 
+def _field_file_name(field: float) -> str:
+    """``field_06.200T.csv``, with the fewest decimals (3 to 9) that give back the field.
+
+    ``_parse_fields`` rounds a range's fields to 9 decimals, so distinct
+    fields of a range get distinct names.
+    """
+    decimals = next((d for d in range(3, 10) if float(f"{field:.{d}f}") == field), 9)
+    return f"field_{field:0{decimals + 3}.{decimals}f}T.csv"
+
+
 def _cmd_sweep(args) -> dict:
     params, levels = dataio.load_params(args.params)
     if args.levels:
@@ -252,7 +262,7 @@ def _cmd_sweep(args) -> dict:
     cfg = _parse_scan(args)
     sweep = spectra.field_sweep(levels, params, fields, cfg)
     outdir = Path(args.out)
-    pending = [(outdir / f"field_{b:06.3f}T.csv", dataio.spectrum_to_text(spec))
+    pending = [(outdir / _field_file_name(b), dataio.spectrum_to_text(spec))
                for b, spec in zip(fields, sweep)]
     if args.plot:
         bare_peak = float(np.max(spectra.lorentzian_spectrum(

@@ -70,10 +70,6 @@ def spectrum_to_text(spectrum: Spectrum) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_spectrum(spectrum: Spectrum, path) -> None:
-    atomic_write_text(path, spectrum_to_text(spectrum))
-
-
 def load_spectrum(path) -> Spectrum:
     path = Path(path)
     try:
@@ -190,10 +186,6 @@ def load_levels(path) -> TrionLevels:
     """
     path = Path(path)
     return _levels_from(_read_json_object(path, _PARAM_FILE_KEYS), path)
-
-
-def save_fit_report(report: dict, path) -> None:
-    atomic_write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def load_fit_report(path) -> dict:

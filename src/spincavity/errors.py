@@ -47,10 +47,3 @@ class NumericalError(SpinCavityError, RuntimeError):
         super().__init__(message)
         self.condition_estimate = condition_estimate
 
-
-class ModelError(SpinCavityError, RuntimeError):
-    """The model cannot represent the requested regime.
-
-    No function of the package raises it; it stays exported, and exits 3
-    like every RuntimeError.
-    """

@@ -42,9 +42,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, SchemaError
+from .errors import DomainError
 from .physcalc import (TWO_PI, _require_finite_real, _require_int,
-                       cooperativity, is_strongly_coupled)
+                       _require_squarable, cooperativity, is_strongly_coupled)
 from .spectra import (Spectrum, cavity_response, lorentzian_response,
                       spin_down_lines)
 
@@ -145,6 +145,9 @@ class FitProblem:
     Every model parameter must appear in exactly one of ``free``,
     ``fixed``, or be derived by the coupling constraint (g3 from
     g3^2 + g4^2 = g_total^2 when ``g_total`` is set on the mixed model).
+    One bounds rule holds for every value: a fixed value must lie inside
+    its name's box in DEFAULT_BOUNDS, and so must a free parameter's
+    [lower, upper]. ``g_total`` must be positive and its square finite.
     ``center_weight`` = (n, factor) multiplies the weights of the n points
     nearest the data's reflectivity minimum by a finite factor > 1.
     """
@@ -167,6 +170,7 @@ class FitProblem:
             if not 0 < self.g_total < math.inf:
                 raise DomainError(
                     f"g_total must be positive and finite, got {self.g_total}")
+            _require_squarable("g_total", self.g_total)
             derived = ("g3",)
         for name, value in self.fixed.items():
             _require_finite_real(name, value)
@@ -180,15 +184,20 @@ class FitProblem:
         unknown = set(claimed) - names
         if unknown:
             raise DomainError(f"not parameters of model '{model.value}': {sorted(unknown)}")
+        for name, value in self.fixed.items():
+            lo, hi = DEFAULT_BOUNDS[name]
+            if not lo <= value <= hi:
+                raise DomainError(
+                    f"{name} must lie inside [{lo:g}, {hi:g}], got {value:g}")
+        for name, fp in self.free.items():
+            lo, hi = DEFAULT_BOUNDS[name]
+            if fp.lower < lo or fp.upper > hi:
+                raise DomainError(f"{name} bounds must lie inside [{lo:g}, {hi:g}]")
         if self.g_total is not None:
             g4_init = self.free["g4"].init if "g4" in self.free else self.fixed.get("g4")
             if g4_init is not None and g4_init > self.g_total:
                 raise DomainError(
                     f"constraint infeasible: g4={g4_init} exceeds g_total={self.g_total}")
-        if "p_up" in self.free:
-            fp = self.free["p_up"]
-            if fp.lower < 0.0 or fp.upper > 1.0:
-                raise DomainError("p_up bounds must lie inside [0, 1]")
         if not self.free:
             raise DomainError("a fit needs at least one free parameter")
         if self.data.n_points < len(self.free) + 2:
@@ -400,10 +409,10 @@ def fit(problem: FitProblem) -> FitResult:
             method[name] = "covariance" if formed else "none"
 
     values = _values(problem, names, params.values(), _NOTHING)
+    derived = {}
     if problem.g_total is not None:
-        params["g3"] = values["g3"]
-        values["g_total"] = problem.g_total
-    derived = _derived_quantities(values)
+        params["g3"] = derived["g3"] = values["g3"]
+    derived.update(_derived_quantities(values))
 
     return FitResult(params=params, ci95=ci,
                      residual_rms=_weighted_rms(problem, ssr),
@@ -412,59 +421,22 @@ def fit(problem: FitProblem) -> FitResult:
 
 
 def _derived_quantities(values: Mapping[str, float]) -> dict:
-    """Each derived group whose inputs are present.
+    """Cooperativity, strong coupling and detuning, where their inputs are values.
 
-    The cooperativity group is skipped unless the coupling is
-    non-negative and kappa and gamma are positive; an infeasible
-    constraint gives g3 = 0. Raises DomainError only for a cooperativity
-    that is not a finite number.
+    The single model's g, kappa and gamma lie inside their bounds, so
+    the physcalc functions are the only check of them; they raise
+    DomainError for a cooperativity that is not a finite number.
     """
     out = {}
-    if "g_total" in values and "g4" in values:
-        out["g3"] = _constrained_g3(values["g_total"], values["g4"])
-    g_for_c = values.get("g_total", values.get("g"))
-    if g_for_c is not None and g_for_c >= 0 and values.get("kappa", 0.0) > 0 \
-            and values.get("gamma", 0.0) > 0:
-        out["cooperativity"] = cooperativity(g_for_c, values["kappa"], values["gamma"])
-        out["strong_coupling"] = is_strongly_coupled(
-            g_for_c, values["kappa"], values["gamma"])
-    if all(k in values for k in ("omega_x", "delta_h", "omega_c")):
+    if "g" in values and "gamma" in values:
+        rates = (values["g"], values["kappa"], values["gamma"])
+        out["cooperativity"] = cooperativity(*rates)
+        out["strong_coupling"] = is_strongly_coupled(*rates)
+    if "omega_x" in values:
         out["detuning_sigma4_cavity"] = abs(
             values["omega_x"] - values["delta_h"] - values["omega_c"])
     elif "delta" in values:
         out["detuning_sigma4_cavity"] = abs(values["delta"])
-    return out
-
-
-def derive_report(values: Mapping[str, float]) -> dict:
-    """Derived quantities from named parameter values.
-
-    Computes the coupling of transition 3 from the constraint
-    g3 = sqrt(g_total^2 - g4^2), the cooperativity and strong-coupling
-    flag from (g_total or g, kappa, gamma), and the transition-4 to
-    cavity detuning, |omega_x - delta_h - omega_c| or, for the
-    single-transition parameters, |delta|. Raises SchemaError when none
-    of the output groups has its inputs present, and DomainError when
-    the constraint is infeasible (g4 > g_total), a given coupling is
-    negative, a given kappa or gamma is not positive, or the
-    cooperativity is not a finite number.
-    """
-    if "g_total" in values and "g4" in values and values["g4"] > values["g_total"]:
-        raise DomainError(
-            f"constraint infeasible: g4={values['g4']} exceeds "
-            f"g_total={values['g_total']}")
-    for name in ("g", "g_total"):
-        if name in values and not values[name] >= 0:
-            raise DomainError(f"{name} must be >= 0, got {values[name]}")
-    for name in ("kappa", "gamma"):
-        if name in values and not values[name] > 0:
-            raise DomainError(f"{name} must be positive, got {values[name]}")
-    out = _derived_quantities(values)
-    if not out:
-        raise SchemaError(
-            "insufficient inputs: need (g_total, g4) for g3, "
-            "(g or g_total, kappa, gamma) for cooperativity, or "
-            "(omega_x, delta_h, omega_c) or delta for the detuning")
     return out
 
 
@@ -486,14 +458,6 @@ def _pinned_ssr(problem: FitProblem, param_name: str,
         return ssr
 
     return ssr_at
-
-
-def goodness_profile(problem: FitProblem, param_name: str,
-                     grid) -> list[tuple[float, float]]:
-    """Residual RMS versus one parameter, re-optimizing all others."""
-    ssr_at = _pinned_ssr(problem, param_name, {})
-    return [(float(value), _weighted_rms(problem, ssr_at(value)))
-            for value in grid]
 
 
 def profile_bound(problem: FitProblem, param_name: str,
@@ -553,7 +517,8 @@ def problem_from_params(data: Spectrum, model, params, free_names,
     transition's g = sqrt(g3^2 + g4^2) and transition-4 gamma and delta.
     Free ones start from ``init``, else from the model's seed heuristic,
     else from that value. DomainError refuses names foreign to the model,
-    ``init`` names not free and ``fixed`` names free or derived.
+    ``init`` names not free, ``fixed`` names free or derived, and, by
+    FitProblem's bounds rule, values outside their default boxes.
     """
     model = ModelKind(model)
     names = MODEL_PARAMS[model]
@@ -609,11 +574,18 @@ def _scale_seed(scale: float) -> float:
     return min(max(scale, DEFAULT_BOUNDS["scale"][0]), np.finfo(float).max)
 
 
+def _half_width_squared(name: str, width: float) -> float:
+    """(2 pi width / 2)^2, the squared angular half-width of a FWHM ``width``."""
+    half = TWO_PI * width / 2.0
+    _require_squarable(f"pi * {name}", half)
+    return half ** 2
+
+
 def seed_scale_background(data: Spectrum, kappa_guess: float) -> dict:
     """Scale and background seeds from the data extremes."""
     background = 0.8 * float(np.min(data.reflectivity))
     peak = float(np.max(data.reflectivity))
-    scale = (peak - background) * (TWO_PI * kappa_guess / 2.0) ** 2 * 0.7
+    scale = (peak - background) * _half_width_squared("kappa", kappa_guess) * 0.7
     return {"scale": _scale_seed(scale), "background": background}
 
 
@@ -629,7 +601,8 @@ def seed_lorentzian(data: Spectrum) -> dict:
         float(f[-1] - f[0]) / 4.0
     width = max(width, float(f[1] - f[0]))
     return {"kappa": width, "omega_c": float(f[ipk]),
-            "scale": _scale_seed((y[ipk] - background) * (TWO_PI * width / 2.0) ** 2),
+            "scale": _scale_seed((y[ipk] - background) *
+                                 _half_width_squared("peak width", width)),
             "background": background}
 
 

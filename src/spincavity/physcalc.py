@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -61,6 +62,19 @@ def _require_finite_real(name: str, value) -> None:
         isinstance(value, numbers.Real) and not isinstance(value, bool))
     if not (real and math.isfinite(value)):
         raise DomainError(f"{name} must be a finite number, got {value!r}")
+
+
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
+
+
+def _require_squarable(name: str, value: float) -> None:
+    """Raise DomainError when ``value ** 2`` would overflow.
+
+    Checked before squaring: there Python's float ``**`` raises
+    OverflowError and numpy warns.
+    """
+    if not abs(value) <= _SQRT_FLOAT_MAX:
+        raise DomainError(f"{name} = {value:g} is too large: its square overflows")
 
 
 def _require_int(name: str, value, low: int) -> None:

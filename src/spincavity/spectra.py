@@ -34,7 +34,8 @@ from . import hilbert
 from .errors import DomainError, NumericalError, ShapeError
 from .hilbert import SystemParams
 from .physcalc import (TWO_PI, TrionLevels, _require_finite_real,
-                       _require_int, transition_frequencies)
+                       _require_int, _require_squarable,
+                       transition_frequencies)
 
 # Most spectrum rows one scan or field sweep may ask for; counts read
 # from outside input are refused above it before anything is allocated.
@@ -161,7 +162,8 @@ def cavity_response(freq, kappa, omega_c, lines=()):
     """Unscaled cavity response with any number of coupled dipole lines.
 
     ``lines`` holds (g, gamma_perp, omega_i) triples; lines with g = 0 are
-    skipped, and with no lines the result is the bare Lorentzian.
+    skipped, and with no lines the result is the bare Lorentzian. A
+    coupling whose angular square overflows raises DomainError.
     """
     freq = np.asarray(freq, dtype=float)
     # real and imaginary parts of the denominator, in angular units; each
@@ -170,7 +172,9 @@ def cavity_response(freq, kappa, omega_c, lines=()):
     for g, gamma_perp, omega in lines:
         if g:
             a, b = TWO_PI * gamma_perp, TWO_PI * (freq - omega)
-            q = (TWO_PI * g) ** 2 / (a * a + b * b)
+            w = TWO_PI * g
+            _require_squarable("line coupling 2 pi g", w)
+            q = w ** 2 / (a * a + b * b)
             re = re + a * q
             im = im + b * q
     return 1.0 / (re * re + im * im)

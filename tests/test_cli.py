@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 from spincavity import cli, errors
 from spincavity.cli import (CliError, _numbers, _parse_fields, build_parser,
                             main)
-from spincavity.dataio import (load_fit_report, load_params, load_spectrum,
-                               save_params, save_spectrum)
+from spincavity.dataio import (atomic_write_text, load_fit_report,
+                               load_params, load_spectrum, save_params,
+                               spectrum_to_text)
 from spincavity import (ScanConfig, Spectrum, SystemParams, TrionLevels,
                         dit_spectrum, fit, fit_thermal_pup, lorentzian_spectrum,
                         mixed_spectrum, synthesize_noisy,
@@ -59,7 +60,8 @@ def levels_file(tmp_path):
 @pytest.fixture
 def data_file(tmp_path):
     path = tmp_path / "data.csv"
-    save_spectrum(lorentzian_spectrum(KAPPA, 0.0, ScanConfig(-60, 60, 21)), path)
+    atomic_write_text(path, spectrum_to_text(
+        lorentzian_spectrum(KAPPA, 0.0, ScanConfig(-60, 60, 21))))
     return path
 
 
@@ -78,7 +80,6 @@ ERROR_ROWS = [
     (errors.DataValidationError, 2, "spincavity: error"),
     (errors.StateError, 3, "spincavity: numerical error"),
     (errors.NumericalError, 3, "spincavity: numerical error"),
-    (errors.ModelError, 3, "spincavity: numerical error"),
     (errors.SpinCavityError, 2, "spincavity: error"),
     (CliError, 2, "spincavity: error"),
     (FileNotFoundError, 2, "spincavity: error"),
@@ -291,7 +292,7 @@ class TestFit:
         clean = dit_spectrum(G_TOTAL, KAPPA, 1.78, 0.0, 0.0, cfg)
         data = synthesize_noisy(clean, noise, FringeModel(0.0, 1.0), seed=seed)
         path = tmp_path / "single.csv"
-        save_spectrum(data, path)
+        atomic_write_text(path, spectrum_to_text(data))
         return path
 
     def test_single_fit_reports_cooperativity(self, tmp_path, params_file,
@@ -373,7 +374,7 @@ class TestFit:
         clean = mixed_spectrum(0.52, up, down)
         noisy = synthesize_noisy(clean, 0.01, FringeModel(0.0, 1.0), seed=3)
         data_path = tmp_path / "thermal.csv"
-        save_spectrum(noisy, data_path)
+        atomic_write_text(data_path, spectrum_to_text(noisy))
         out = tmp_path / "pup.json"
         code, _, _ = run(capsys, "fit", "--data", str(data_path),
                          "--params", str(params_file), "--model", "mixed",
@@ -538,7 +539,8 @@ class TestExitCodes:
         # would carry an infinite residual RMS
         spec = lorentzian_spectrum(KAPPA, 0.0, ScanConfig(-60, 60, 41))
         data = tmp_path / "huge.csv"
-        save_spectrum(Spectrum(spec.freq_ghz, spec.reflectivity * 1e250), data)
+        atomic_write_text(data, spectrum_to_text(
+            Spectrum(spec.freq_ghz, spec.reflectivity * 1e250)))
         out = tmp_path / "never.json"
         code, stdout, err = run(capsys, "fit", "--data", str(data),
                                 "--params", str(params_file), "--model",
@@ -684,17 +686,71 @@ class TestExitCodes:
             "link", "params.json", "sub"]
         assert list((tmp_path / "sub").iterdir()) == []
 
-    def test_sweep_fields_sharing_a_file_name_exit_2(self, tmp_path,
-                                                     levels_file, capsys):
-        # fields 0.1 mT apart print as the same field_{b:06.3f}T.csv
-        code, _, err = run(capsys, "sweep", "--params", str(levels_file),
-                           "--fields", "0:0.001:0.0001",
-                           "--scan", "321795,321915,11",
-                           "--out", str(tmp_path / "outdir"))
-        assert code == 2
-        assert "two outputs would be written to" in err
-        assert err.endswith(f"{tmp_path / 'outdir' / 'field_00.000T.csv'}\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["full.json"]
+    # One bounds rule for every fit value: a fixed value outside its
+    # parameter's default box is refused, as a free one is kept inside it.
+    @pytest.mark.parametrize("model, free, value, message", [
+        ("mixed", "g4,omega_x,scale,background", "p_up=2",
+         "p_up must lie inside [0, 1], got 2"),
+        ("mixed", "g4,omega_x,scale,background", "kappa=-5",
+         "kappa must lie inside [1e-06, inf], got -5"),
+        ("mixed", "g4,omega_x,scale,background", "gamma_d3=-2",
+         "gamma_d3 must lie inside [0, inf], got -2"),
+        ("single", "delta,scale,background", "g=-3",
+         "g must lie inside [0, inf], got -3"),
+        ("single", "delta,scale,background", "gamma=-1",
+         "gamma must lie inside [1e-09, inf], got -1"),
+        ("single", "delta,scale,background", "gamma=0",
+         "gamma must lie inside [1e-09, inf], got 0"),
+    ], ids=["p_up=2", "kappa=-5", "gamma_d3=-2", "g=-3", "gamma=-1", "gamma=0"])
+    def test_fixed_value_outside_its_bounds_exits_2(
+            self, tmp_path, params_file, data_file, capsys, model, free,
+            value, message):
+        out = tmp_path / "never.json"
+        code, stdout, err = run(capsys, "fit", "--data", str(data_file),
+                                "--params", str(params_file), "--model", model,
+                                "--free", free, "--set", value,
+                                "--out", str(out))
+        assert (code, stdout, err) == (2, "", f"spincavity: error: {message}\n")
+        assert not out.exists()
+
+    # Finite inputs whose square overflows are refused before squaring,
+    # where Python's float ** would raise OverflowError and numpy warn.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case, message", [
+        ("simulate g4=1e200", "line coupling 2 pi g = 6.28319e+200"),
+        ("fit kappa=1e200", "pi * kappa = 3.14159e+200"),
+        ("fit wide data", "pi * peak width = 6.28319e+300"),
+        ("fit gtotal=1e308", "g_total = 1e+308"),
+    ], ids=["g4", "kappa", "peak_width", "gtotal"])
+    def test_overflowing_square_exits_2(self, tmp_path, params_file,
+                                        data_file, capsys, case, message):
+        record = json.loads(params_file.read_text())
+        record.update({"simulate g4=1e200": {"g4": 1e200},
+                       "fit kappa=1e200": {"kappa": 1e200}}.get(case, {}))
+        params = tmp_path / "huge.json"
+        params.write_text(json.dumps(record))
+        wide = tmp_path / "wide.csv"
+        wide.write_text("freq_ghz,reflectivity\n" + "".join(
+            f"{k}e300,{r}\n" for k, r in enumerate((1, 2, 3, 2, 1, 1))))
+        fit_argv = ["fit", "--params", str(params), "--data", str(data_file)]
+        argv = {
+            "simulate g4=1e200": ["simulate", "--params", str(params),
+                                  "--model", "two", "--scan", "-60,60,11"],
+            "fit kappa=1e200": [*fit_argv, "--model", "single",
+                                "--free", "g,scale,background"],
+            "fit wide data": ["fit", "--params", str(params),
+                              "--data", str(wide), "--model", "lorentzian",
+                              "--free", "kappa,omega_c,scale,background"],
+            "fit gtotal=1e308": [*fit_argv, "--model", "mixed",
+                                 "--free", "g4,scale,background",
+                                 "--constraint", "gtotal=1e308"],
+        }[case]
+        out = tmp_path / "never.out"
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert (code, stdout, err) == (
+            2, "", f"spincavity: error: {message} is too large: its square "
+                   "overflows\n")
+        assert not out.exists()
 
     def test_every_package_error_has_a_row(self):
         classes = {row[0] for row in ERROR_ROWS}
@@ -739,6 +795,24 @@ class TestSweep:
         spec = load_spectrum(files[0])
         assert spec.meta["field_T"] == 0.0
         assert plot.exists()
+
+    def test_fields_a_tenth_of_a_millitesla_apart(self, tmp_path, levels_file,
+                                                  capsys):
+        # each name keeps the fewest decimals, from 3, that give back its
+        # field, so fields on a mT grid keep their three-decimal names
+        outdir = tmp_path / "outdir"
+        code, stdout, _ = run(capsys, "sweep", "--params", str(levels_file),
+                              "--fields", "0:0.001:0.0001",
+                              "--scan", "321795,321915,11",
+                              "--out", str(outdir))
+        assert code == 0
+        assert json.loads(stdout)["n_fields"] == 11
+        names = sorted(p.name for p in outdir.iterdir())
+        assert names == sorted(["field_00.000T.csv", "field_00.001T.csv"] + [
+            f"field_00.000{k}T.csv" for k in range(1, 10)])
+        for name in names:
+            field = float(name[len("field_"):-len("T.csv")])
+            assert load_spectrum(outdir / name).meta["field_T"] == field
 
     def test_anticrossing_gap_on_output_files(self, tmp_path, levels_file,
                                               capsys):
@@ -954,9 +1028,8 @@ class TestParserReuse:
     def single_data(self, tmp_path):
         cfg = ScanConfig(-80, 80, 121, scale=SCALE, background=0.05)
         data = tmp_path / "single.csv"
-        save_spectrum(synthesize_noisy(
-            dit_spectrum(G_TOTAL, KAPPA, 1.78, 0.0, 0.0, cfg), 0.01, seed=0),
-            data)
+        atomic_write_text(data, spectrum_to_text(synthesize_noisy(
+            dit_spectrum(G_TOTAL, KAPPA, 1.78, 0.0, 0.0, cfg), 0.01, seed=0)))
         return data
 
     @pytest.fixture

@@ -11,10 +11,10 @@ from hypothesis import assume, given, settings, strategies as st
 from spincavity import (DataValidationError, DomainError, FormatError,
                         ScanConfig, SchemaError, Spectrum, SystemParams,
                         TrionLevels, lorentzian_spectrum)
-from spincavity.dataio import (fit_report_record, load_fit_report,
-                               load_levels, load_params, load_spectrum,
-                               save_fit_report, save_params, save_spectrum,
-                               sha256_of, spectrum_to_text)
+from spincavity.dataio import (atomic_write_text, fit_report_record,
+                               load_fit_report, load_levels, load_params,
+                               load_spectrum, save_params, sha256_of,
+                               spectrum_to_text)
 
 # Finite and awkward values alike, so drawn rows break each point rule.
 POINT_VALUES = st.one_of(
@@ -71,7 +71,7 @@ class TestSpectrumFiles:
         spec = replace(lorentzian_spectrum(31.79, 3.21, cfg),
                        meta={"label": "bare", "field_T": 6.2})
         path = tmp_path / "spec.csv"
-        save_spectrum(spec, path)
+        atomic_write_text(path, spectrum_to_text(spec))
         back = load_spectrum(path)
         assert np.max(np.abs(back.freq_ghz - spec.freq_ghz)) == 0.0
         assert np.max(np.abs(back.reflectivity - spec.reflectivity)) == 0.0
@@ -92,7 +92,7 @@ class TestSpectrumFiles:
         assert text == reference_text(spec)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "spec.csv"
-            save_spectrum(spec, path)
+            atomic_write_text(path, text)
             assert path.read_text() == text
             back = load_spectrum(path)
         for got, want in ((back.freq_ghz, spec.freq_ghz),
@@ -311,7 +311,8 @@ class TestFitReports:
         record = fit_report_record(result, provenance={
             "input_sha256": "ab" * 32, "seed": 7, "tool_version": "0.1.0"})
         path = tmp_path / "report.json"
-        save_fit_report(record, path)
+        # the text the fit command writes
+        atomic_write_text(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
         back = load_fit_report(path)
         assert back == record
         # floats survive exactly through the JSON layer
@@ -328,21 +329,22 @@ class TestFitReports:
 class TestAtomicWrites:
     def test_no_partial_file_on_failure(self, tmp_path, monkeypatch):
         cfg = ScanConfig(-10, 10, 5)
-        spec = lorentzian_spectrum(5.0, 0.0, cfg)
+        text = spectrum_to_text(lorentzian_spectrum(5.0, 0.0, cfg))
         target = tmp_path / "out.csv"
         import spincavity.dataio as dio
-        original = dio.atomic_write_text
+        original = dio.os.replace
 
-        def exploding(path, text):
+        def exploding(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr(dio, "atomic_write_text", exploding)
+        # the rename fails after the temporary file was written
+        monkeypatch.setattr(dio.os, "replace", exploding)
         with pytest.raises(OSError):
-            dio.save_spectrum(spec, target)
-        assert not target.exists()
-        monkeypatch.setattr(dio, "atomic_write_text", original)
-        dio.save_spectrum(spec, target)
-        assert target.exists()
+            dio.atomic_write_text(target, text)
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(dio.os, "replace", original)
+        dio.atomic_write_text(target, text)
+        assert target.read_text() == text
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_failed_write_removes_its_temporary_file(self, tmp_path):

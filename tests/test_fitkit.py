@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from spincavity import (DomainError, FitProblem, FringeModel, ModelKind,
-                        ScanConfig, SchemaError, Spectrum, SystemParams,
-                        derive_report, dit_spectrum, fit, fit_thermal_pup,
-                        free_param, goodness_profile, lorentzian_spectrum,
+                        ScanConfig, Spectrum, SystemParams, dit_spectrum, fit,
+                        fit_thermal_pup, free_param, lorentzian_spectrum,
                         mixed_spectrum, profile_bound, synthesize_noisy,
                         two_transition_spectrum)
-from spincavity.fitkit import (MODEL_FUNCS, effective_weights, seed_lorentzian,
-                               seed_mixed, seed_single_transition)
+from spincavity.fitkit import (MODEL_FUNCS, _pinned_ssr, _weighted_rms,
+                               effective_weights, seed_lorentzian, seed_mixed,
+                               seed_single_transition)
 from spincavity.spectra import lorentzian_response, two_transition_response
 from conftest import (DELTA_H, G4, G_TOTAL, GAMMA_D3, GAMMA_D4,
                       GAMMA_PERP_0T, KAPPA)
@@ -27,9 +27,9 @@ def lorentzian_data(noise=0.0, fringe=FringeModel(0.0, 1.0), seed=0,
     return synthesize_noisy(clean, noise, fringe, seed=seed)
 
 
-def single_data(noise=0.0, seed=0, fringe=FringeModel(0.0, 1.0)):
+def single_data(noise=0.0, seed=0, fringe=FringeModel(0.0, 1.0), delta=0.0):
     cfg = ScanConfig(-80, 80, 241, scale=SCALE, background=BACKGROUND)
-    clean = dit_spectrum(G_TOTAL, KAPPA, GAMMA_PERP_0T, 0.0, 0.0, cfg)
+    clean = dit_spectrum(G_TOTAL, KAPPA, GAMMA_PERP_0T, delta, 0.0, cfg)
     return synthesize_noisy(clean, noise, fringe, seed=seed)
 
 
@@ -130,6 +130,23 @@ class TestProblemValidation:
         free = {**problem.free, "p_up": free_param("p_up", 0.2, lower, upper)}
         with pytest.raises(DomainError, match=r"p_up bounds must lie inside \[0, 1\]"):
             replace(problem, free=free)
+
+    def test_free_bounds_inside_the_default_box(self):
+        # kappa's default box starts at 1e-6, not at 0
+        problem = lorentzian_problem(lorentzian_data())
+        free = {**problem.free, "kappa": free_param("kappa", 30.0, lower=0.0)}
+        with pytest.raises(DomainError,
+                           match=r"^kappa bounds must lie inside \[1e-06, inf\]$"):
+            replace(problem, free=free)
+
+    @pytest.mark.parametrize("name, value, bounds", [
+        ("gamma3", -0.1, r"\[0, inf\]"), ("kappa", 0.0, r"\[1e-06, inf\]")],
+        ids=["gamma3", "kappa"])
+    def test_fixed_values_inside_the_default_box(self, name, value, bounds):
+        problem = mixed_problem(mixed_data(0.0))
+        with pytest.raises(DomainError,
+                           match=rf"^{name} must lie inside {bounds}, got {value:g}$"):
+            replace(problem, fixed={**problem.fixed, name: value})
 
     def test_infeasible_constraint(self):
         data = mixed_data(0.0)
@@ -416,29 +433,29 @@ class TestEvaluationCount:
 
 
 class TestGoodnessProfile:
+    """The pinned-SSR profile that ``profile_bound`` searches."""
+
+    @staticmethod
+    def rms_profile(problem, name, grid):
+        ssr_at = _pinned_ssr(problem, name, {})
+        return [_weighted_rms(problem, ssr_at(value)) for value in grid]
+
     def test_minimum_at_truth_noiseless(self):
-        data = lorentzian_data()
-        problem = lorentzian_problem(data)
+        problem = lorentzian_problem(lorentzian_data())
         grid = np.linspace(KAPPA - 4, KAPPA + 4, 9)
-        prof = goodness_profile(problem, "kappa", grid)
-        values = [v for v, _ in prof]
-        rms = [r for _, r in prof]
-        assert values[int(np.argmin(rms))] == pytest.approx(KAPPA, abs=0.5)
+        rms = self.rms_profile(problem, "kappa", grid)
+        assert grid[int(np.argmin(rms))] == pytest.approx(KAPPA, abs=0.5)
 
     def test_monotone_away_from_boundary_truth(self):
-        data = mixed_data(0.0, noise=0.01, seed=13)
-        problem = mixed_problem(data)
-        prof = goodness_profile(problem, "p_up", np.linspace(0.0, 0.05, 6))
-        rms = [r for _, r in prof]
+        problem = mixed_problem(mixed_data(0.0, noise=0.01, seed=13))
+        rms = self.rms_profile(problem, "p_up", np.linspace(0.0, 0.05, 6))
         assert all(a <= b + 1e-12 for a, b in zip(rms, rms[1:]))
 
     def test_locally_quadratic_near_interior_optimum(self):
-        data = lorentzian_data()
-        problem = lorentzian_problem(data)
+        problem = lorentzian_problem(lorentzian_data())
         h = 0.05
-        prof = goodness_profile(problem, "kappa",
-                                [KAPPA - h, KAPPA, KAPPA + h])
-        ssr = [r**2 for _, r in prof]
+        ssr = [r**2 for r in self.rms_profile(problem, "kappa",
+                                              [KAPPA - h, KAPPA, KAPPA + h])]
         assert ssr[0] == pytest.approx(ssr[2], rel=0.05)
         assert ssr[1] < ssr[0]
 
@@ -449,14 +466,13 @@ class TestGoodnessProfile:
                              free={"kappa": free_param("kappa", 30.0)},
                              fixed={"omega_c": 0.0, "scale": SCALE,
                                     "background": BACKGROUND})
-        prof = goodness_profile(problem, "kappa", [KAPPA - 1, KAPPA, KAPPA + 1])
-        rms = [r for _, r in prof]
+        rms = self.rms_profile(problem, "kappa", [KAPPA - 1, KAPPA, KAPPA + 1])
         assert rms[1] < 1e-12 < min(rms[0], rms[2])
 
     def test_requires_free_parameter(self):
         problem = lorentzian_problem(lorentzian_data())
-        with pytest.raises(DomainError):
-            goodness_profile(problem, "nope", [1.0])
+        with pytest.raises(DomainError, match="'nope' is not a free parameter"):
+            profile_bound(problem, "nope", {}, 1.0)
 
 
 class TestThermalStage:
@@ -480,40 +496,61 @@ class TestThermalStage:
 
 
 class TestDeriveReport:
+    """The ``derived`` field of a fit result."""
+
     def test_reference_values(self):
-        out = derive_report({"g_total": 18.67, "g4": 17.2, "kappa": 31.79,
-                             "gamma": 1.78, "omega_x": 12.0, "delta_h": 12.0,
-                             "omega_c": 0.0})
-        assert out["g3"] == pytest.approx(7.26, abs=0.01)
-        assert out["cooperativity"] == pytest.approx(12.32, abs=0.05)
-        assert out["strong_coupling"] is True
-        assert out["detuning_sigma4_cavity"] == pytest.approx(0.0, abs=1e-12)
+        result = fit(mixed_problem(mixed_data(0.0)))
+        assert result.derived["g3"] == pytest.approx(7.26, abs=0.01)
+        assert result.derived["g3"] == result.params["g3"]
+        assert result.derived["detuning_sigma4_cavity"] == pytest.approx(
+            0.0, abs=1e-6)
+        # the mixed model has no single coupling and width to form it from
+        assert "cooperativity" not in result.derived
 
     def test_cooperativity_only(self):
-        out = derive_report({"g": 18.67, "kappa": 31.79, "gamma": 1.78})
-        assert out["cooperativity"] == pytest.approx(12.32, abs=0.05)
-        assert "g3" not in out
+        result = fit(single_problem(single_data()))
+        assert result.derived["cooperativity"] == pytest.approx(12.32, abs=0.05)
+        assert result.derived["strong_coupling"] is True
+        assert "g3" not in result.derived
 
     def test_missing_inputs(self):
-        with pytest.raises(SchemaError):
-            derive_report({"g": 18.67})
+        # the bare cavity has the inputs of no derived quantity
+        assert fit(lorentzian_problem(lorentzian_data())).derived == {}
 
     def test_infeasible_constraint(self):
-        with pytest.raises(DomainError):
-            derive_report({"g_total": 10.0, "g4": 12.0})
+        problem = mixed_problem(mixed_data(0.0))
+        free = {n: fp for n, fp in problem.free.items() if n != "g4"}
+        with pytest.raises(DomainError, match="constraint infeasible"):
+            replace(problem, free=free,
+                    fixed={**problem.fixed, "g4": G_TOTAL + 1.0})
 
     def test_single_transition_detuning(self):
-        out = derive_report({"delta": -2.5})
-        assert out == {"detuning_sigma4_cavity": 2.5}
+        result = fit(single_problem(single_data(delta=-2.5)))
+        assert result.params["delta"] == pytest.approx(-2.5, abs=1e-6)
+        assert result.derived["detuning_sigma4_cavity"] == abs(
+            result.params["delta"])
 
     def test_nonpositive_rate_rejected(self):
-        with pytest.raises(DomainError, match="gamma"):
-            derive_report({"g": 18.67, "kappa": 31.79, "gamma": 0.0})
+        problem = single_problem(single_data())
+        free = {n: fp for n, fp in problem.free.items() if n != "gamma"}
+        with pytest.raises(DomainError,
+                           match=r"^gamma must lie inside \[1e-09, inf\], got 0$"):
+            replace(problem, free=free, fixed={**problem.fixed, "gamma": 0.0})
 
-    @pytest.mark.parametrize("name", ["g", "g_total"])
-    def test_negative_coupling_rejected(self, name):
-        with pytest.raises(DomainError, match=rf"^{name} must be >= 0, got -1\.0$"):
-            derive_report({name: -1.0, "kappa": 31.79, "gamma": 1.78})
+    @pytest.mark.parametrize("name, message", [
+        ("g", r"^g must lie inside \[0, inf\], got -1$"),
+        ("g_total", r"^g_total must be positive and finite, got -1\.0$"),
+    ], ids=["g", "g_total"])
+    def test_negative_coupling_rejected(self, name, message):
+        if name == "g":
+            problem = single_problem(single_data())
+            free = {n: fp for n, fp in problem.free.items() if n != "g"}
+            change = {"free": free, "fixed": {**problem.fixed, "g": -1.0}}
+        else:
+            problem = mixed_problem(mixed_data(0.0))
+            change = {"g_total": -1.0}
+        with pytest.raises(DomainError, match=message):
+            replace(problem, **change)
 
     def test_fit_result_carries_derived(self):
         result = fit(single_problem(single_data()))
