@@ -10,9 +10,7 @@ cavity-QED rates and the spin populations.
 
 __version__ = "0.1.0"
 
-from .errors import (DataValidationError, DomainError, FormatError,
-                     NumericalError, SchemaError, ShapeError,
-                     SpinCavityError, StateError)
+from .errors import DomainError, NumericalError, SpinCavityError, StateError
 from .fitkit import (FitProblem, FitResult, FreeParam, ModelKind, fit,
                      fit_thermal_pup, free_param, profile_bound)
 from .hilbert import (SystemParams, build_hamiltonian, build_liouvillian,
@@ -47,6 +45,5 @@ __all__ = [
     "master_equation_spectrum", "mixed_spectrum", "field_sweep",
     "synthesize_noisy", "max_relative_difference",
     "fit", "fit_thermal_pup", "free_param", "profile_bound",
-    "SpinCavityError", "DomainError", "ShapeError", "SchemaError",
-    "FormatError", "DataValidationError", "StateError", "NumericalError",
+    "SpinCavityError", "DomainError", "StateError", "NumericalError",
 ]

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dataio, fitkit, hilbert, spectra, svgplot
-from .errors import NumericalError, SpinCavityError, StateError
+from .errors import DomainError, NumericalError, SpinCavityError, StateError
 from .physcalc import (DEFAULT_TEMPERATURE_K, cooperativity,
                        is_strongly_coupled, lande_g_factor,
                        splitting_nm_to_ghz, thermal_spin_up_population,
@@ -28,21 +28,17 @@ from .physcalc import (DEFAULT_TEMPERATURE_K, cooperativity,
 from .spectra import _ROW_LIMIT, FringeModel, ScanConfig
 
 
-class CliError(Exception):
-    """Flag-level validation problem; maps to exit code 2."""
-
-
 def _numbers(flag: str, text: str, form: str, types: tuple) -> tuple:
     """The comma-separated values of one flag, each converted by its type."""
     parts = text.split(",")
     if len(parts) != len(types):
-        raise CliError(f"{flag} expects {form}, got '{text}'")
+        raise DomainError(f"{flag} expects {form}, got '{text}'")
     try:
         values = tuple(kind(part) for kind, part in zip(types, parts))
     except ValueError as exc:
-        raise CliError(f"{flag} expects {form}, got '{text}' ({exc})") from exc
+        raise DomainError(f"{flag} expects {form}, got '{text}' ({exc})") from exc
     if not all(math.isfinite(v) for v in values if isinstance(v, float)):
-        raise CliError(f"{flag} must be finite, got '{text}'")
+        raise DomainError(f"{flag} must be finite, got '{text}'")
     return values
 
 
@@ -59,26 +55,27 @@ def _parse_scan(args) -> ScanConfig:
 
 
 def _parse_fields(text: str) -> list[float]:
+    """The fields of B0:B1:STEP, rounded to 9 decimals; a single B is B:B."""
     parts = text.split(":")
+    if len(parts) == 1:
+        parts = [text, text, "1"]
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
         if len(parts) != 3:
             raise ValueError("expected B0:B1:STEP")
         b0, b1, step = (float(p) for p in parts)
     except ValueError as exc:
-        raise CliError(f"--fields expects B0:B1:STEP, got '{text}' ({exc})") from exc
+        raise DomainError(f"--fields expects B0:B1:STEP, got '{text}' ({exc})") from exc
     if not all(math.isfinite(v) for v in (b0, b1, step)):
-        raise CliError(f"--fields values must be finite, got '{text}'")
+        raise DomainError(f"--fields values must be finite, got '{text}'")
     if step <= 0:
-        raise CliError(f"--fields step must be positive, got {step}")
+        raise DomainError(f"--fields step must be positive, got {step}")
     if b1 < b0:
-        raise CliError(f"--fields needs B0 <= B1, got '{text}'")
+        raise DomainError(f"--fields needs B0 <= B1, got '{text}'")
     n_steps = (b1 - b0 + 1e-9) / step
     # checked before math.floor, which raises on an infinite quotient
     if not n_steps < _ROW_LIMIT:
-        raise CliError(f"--fields '{text}' asks for more fields than the "
-                       f"limit of {_ROW_LIMIT}")
+        raise DomainError(f"--fields '{text}' asks for more fields than the "
+                          f"limit of {_ROW_LIMIT}")
     count = math.floor(n_steps) + 1
     return [round(b0 + k * step, 9) for k in range(count)]
 
@@ -88,7 +85,7 @@ def _parse_kv(pairs: list[str]) -> dict[str, float]:
     for pair in pairs:
         key, sep, value = pair.partition("=")
         if not sep:
-            raise CliError(f"expected KEY=VALUE, got '{pair}'")
+            raise DomainError(f"expected KEY=VALUE, got '{pair}'")
         key = key.strip()
         (out[key],) = _numbers(key, value, "a number", (float,))
     return out
@@ -97,7 +94,7 @@ def _parse_kv(pairs: list[str]) -> dict[str, float]:
 def _clean_spectrum(args):
     """Spectrum plus summary extras for simulate/synth."""
     if (args.pup is None) == (args.model == "mixed"):
-        raise CliError("--pup is required by, and only applies to, --model mixed")
+        raise DomainError("--pup is required by, and only applies to, --model mixed")
     params, _ = dataio.load_params(args.params)
     cfg = _parse_scan(args)
     extras = {}
@@ -149,12 +146,12 @@ def _flush_writes(pending, outdir: Path | None = None) -> None:
     for path, _ in pending:
         parent = Path(path).parent
         if parent != outdir and not parent.is_dir():
-            raise CliError(f"output directory does not exist: {parent}")
+            raise DomainError(f"output directory does not exist: {parent}")
         # the write replaces a directory entry, so two outputs clash when
         # they name the same entry of the same real directory
         entry = (real_dirs[parent], Path(path).name)
         if entry in entries:
-            raise CliError(f"two outputs would be written to {path}")
+            raise DomainError(f"two outputs would be written to {path}")
         entries.add(entry)
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -194,12 +191,12 @@ def _cmd_fit(args) -> dict:
     params, _ = dataio.load_params(args.params)
     free_names = [n.strip() for n in args.free.split(",") if n.strip()]
     if not free_names:
-        raise CliError("--free needs at least one parameter name")
+        raise DomainError("--free needs at least one parameter name")
     g_total = None
     if args.constraint:
         key, sep, value = args.constraint.partition("=")
         if key.strip() != "gtotal" or not sep:
-            raise CliError("--constraint expects gtotal=VALUE")
+            raise DomainError("--constraint expects gtotal=VALUE")
         g_total = float(value)
     fixed = _parse_kv(args.set or [])
     init = _parse_kv(args.init or [])
@@ -256,8 +253,8 @@ def _cmd_sweep(args) -> dict:
     if args.levels:
         levels = dataio.load_levels(args.levels)
     if levels is None:
-        raise CliError("no level structure: provide --levels or put the "
-                       "level keys in the params file")
+        raise DomainError("no level structure: provide --levels or put the "
+                          "level keys in the params file")
     fields = _parse_fields(args.fields)
     cfg = _parse_scan(args)
     sweep = spectra.field_sweep(levels, params, fields, cfg)
@@ -289,15 +286,15 @@ def _cmd_derive(args) -> dict:
     what = args.what
     unknown = [key for key in kv if key not in _DERIVE_KEYS[what]]
     if unknown:
-        raise CliError(f"--what {what} does not read {', '.join(unknown)}; "
-                       f"it reads {', '.join(_DERIVE_KEYS[what])}")
+        raise DomainError(f"--what {what} does not read {', '.join(unknown)}; "
+                          f"it reads {', '.join(_DERIVE_KEYS[what])}")
     try:
         if what == "gfactor":
             given_nm = [key for key in ("splitting_nm", "center_nm") if key in kv]
             if "splitting_ghz" in kv and given_nm:
-                raise CliError("--what gfactor takes the splitting once, as "
-                               "splitting_ghz or as splitting_nm with center_nm; "
-                               f"got splitting_ghz and {', '.join(given_nm)}")
+                raise DomainError("--what gfactor takes the splitting once, as "
+                                  "splitting_ghz or as splitting_nm with center_nm; "
+                                  f"got splitting_ghz and {', '.join(given_nm)}")
             splitting = (kv["splitting_ghz"] if "splitting_ghz" in kv else
                          splitting_nm_to_ghz(kv["splitting_nm"], kv["center_nm"]))
             out = {"what": what,
@@ -318,7 +315,7 @@ def _cmd_derive(args) -> dict:
                    "coherent_side_4g": 4.0 * kv["g"],
                    "loss_side_kappa_plus_gamma": kv["kappa"] + kv["gamma"]}
     except KeyError as exc:
-        raise CliError(f"missing required value {exc} for --what {what}") from exc
+        raise DomainError(f"missing required value {exc} for --what {what}") from exc
     for key, value in out.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise NumericalError(f"--what {what}: {key} is {value}, not finite")
@@ -436,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(_merge_scan_flag(list(argv)))
     try:
         summary = args.func(args)
-    except (CliError, OSError, SpinCavityError) as exc:
+    except (OSError, SpinCavityError) as exc:
         # the exit-code rule of spincavity.errors
         if isinstance(exc, (RuntimeError, StateError)):
             print(f"spincavity: numerical error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataValidationError, DomainError, FormatError, SchemaError
+from .errors import DomainError
 from .hilbert import SystemParams
 from .physcalc import TrionLevels
 from .spectra import Spectrum, _first_bad_point
@@ -76,7 +76,7 @@ def load_spectrum(path) -> Spectrum:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+        raise DomainError(f"{path}: not UTF-8 text: {exc}") from exc
     meta, rows, row_lines, n_cols = {}, [], [], 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -90,29 +90,29 @@ def load_spectrum(path) -> Spectrum:
         elif line and not n_cols:
             cols = [c.strip() for c in line.split(",")]
             if ",".join(cols) not in (SPECTRUM_HEADER, "freq_ghz,reflectivity"):
-                raise FormatError(
+                raise DomainError(
                     f"{path}:{lineno}: expected header '{SPECTRUM_HEADER}' "
                     f"(weight optional), got '{line}'")
             n_cols = len(cols)
         elif line:
             parts = line.split(",")
             if not 2 <= len(parts) <= n_cols:
-                raise FormatError(
+                raise DomainError(
                     f"{path}:{lineno}: expected {n_cols} comma-separated "
                     f"values, got '{line}'")
             try:
                 values = [float(p) for p in parts]
             except ValueError as exc:
-                raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
+                raise DomainError(f"{path}:{lineno}: {exc}") from exc
             rows.append(values + [1.0] * (3 - len(values)))
             row_lines.append(lineno)
     if not n_cols:
-        raise FormatError(f"{path}: missing header '{SPECTRUM_HEADER}'")
+        raise DomainError(f"{path}: missing header '{SPECTRUM_HEADER}'")
     columns = np.array(rows, dtype=float).reshape(-1, 3).T
     if (bad := _first_bad_point(*columns)) is not None:
-        raise DataValidationError(f"{path}:{row_lines[bad[0]]}: {bad[1]}")
+        raise DomainError(f"{path}:{row_lines[bad[0]]}: {bad[1]}")
     if len(rows) < 3:
-        raise DataValidationError(f"{path}: need at least 3 data rows, got {len(rows)}")
+        raise DomainError(f"{path}: need at least 3 data rows, got {len(rows)}")
     return Spectrum(*columns, meta=meta)
 
 
@@ -122,24 +122,24 @@ def _read_json_object(path: Path, known_keys=None) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             record = json.load(fh)
     except ValueError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+        raise DomainError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(record, dict):
-        raise SchemaError(f"{path}: expected a JSON object at the top level")
+        raise DomainError(f"{path}: expected a JSON object at the top level")
     if known_keys is not None:
         unknown = sorted(set(record) - known_keys)
         if unknown:
-            raise SchemaError(f"{path}: unknown keys {unknown}")
+            raise DomainError(f"{path}: unknown keys {unknown}")
     return record
 
 
 def _levels_from(record: dict, path: Path) -> TrionLevels:
     missing = [k for k in _TRION_REQUIRED if k not in record]
     if missing:
-        raise SchemaError(f"{path}: missing level-structure keys {missing}")
+        raise DomainError(f"{path}: missing level-structure keys {missing}")
     try:
         return TrionLevels(**{k: record[k] for k in _TRION_KEYS if k in record})
     except DomainError as exc:
-        raise DataValidationError(f"{path}: {exc}") from exc
+        raise DomainError(f"{path}: {exc}") from exc
 
 
 def save_params(params: SystemParams, path, levels: TrionLevels | None = None) -> None:
@@ -162,15 +162,15 @@ def load_params(path) -> tuple[SystemParams, TrionLevels | None]:
     fd = sys_kwargs.get("fock_dim")
     if isinstance(fd, float):
         if not fd.is_integer():
-            raise SchemaError(f"{path}: fock_dim must be an integer, got {fd}")
+            raise DomainError(f"{path}: fock_dim must be an integer, got {fd}")
         sys_kwargs["fock_dim"] = int(fd)
     missing = [k for k in _SYSTEM_REQUIRED if k not in sys_kwargs]
     if missing:
-        raise SchemaError(f"{path}: missing required keys {missing}")
+        raise DomainError(f"{path}: missing required keys {missing}")
     try:
         params = SystemParams(**sys_kwargs)
     except DomainError as exc:
-        raise DataValidationError(f"{path}: {exc}") from exc
+        raise DomainError(f"{path}: {exc}") from exc
 
     if any(k in record for k in _TRION_KEYS):
         return params, _levels_from(record, path)

@@ -1,10 +1,14 @@
 """Exception hierarchy shared across the package.
 
-Input / contract violations derive from ValueError so callers can treat
-them uniformly; solver breakdowns derive from RuntimeError. The command
-line reads its exit code off this split: a RuntimeError, or a StateError
-(a solved density matrix that breaks an invariant), exits 3 as a
-numerical failure; every other package error exits 2 as invalid input.
+Three refusal classes derive from SpinCavityError, and the command line
+reads its exit code off the class:
+
+- DomainError (a ValueError): invalid input, from a flag, a file or an
+  argument; exit 2.
+- StateError (a ValueError): a solved density matrix breaks an
+  invariant; exit 3.
+- NumericalError (a RuntimeError): a solve or an integration failed;
+  exit 3.
 """
 
 
@@ -13,23 +17,7 @@ class SpinCavityError(Exception):
 
 
 class DomainError(SpinCavityError, ValueError):
-    """An argument is outside the physical or mathematical domain."""
-
-
-class ShapeError(SpinCavityError, ValueError):
-    """Array or grid shapes are incompatible."""
-
-
-class SchemaError(SpinCavityError, ValueError):
-    """A structured record is missing keys or carries unknown ones."""
-
-
-class FormatError(SpinCavityError, ValueError):
-    """A file does not follow the expected on-disk format."""
-
-
-class DataValidationError(SpinCavityError, ValueError):
-    """File contents parsed but violate a value-level invariant."""
+    """An input is outside the physical, mathematical or file-format domain."""
 
 
 class StateError(SpinCavityError, ValueError):
@@ -46,4 +34,3 @@ class NumericalError(SpinCavityError, RuntimeError):
     def __init__(self, message, condition_estimate=None):
         super().__init__(message)
         self.condition_estimate = condition_estimate
-

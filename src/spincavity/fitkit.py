@@ -433,8 +433,8 @@ def _derived_quantities(values: Mapping[str, float]) -> dict:
         out["cooperativity"] = cooperativity(*rates)
         out["strong_coupling"] = is_strongly_coupled(*rates)
     if "omega_x" in values:
-        out["detuning_sigma4_cavity"] = abs(
-            values["omega_x"] - values["delta_h"] - values["omega_c"])
+        _, (_, _, omega4) = spin_down_lines(values)
+        out["detuning_sigma4_cavity"] = abs(omega4 - values["omega_c"])
     elif "delta" in values:
         out["detuning_sigma4_cavity"] = abs(values["delta"])
     return out

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import hilbert
-from .errors import DomainError, NumericalError, ShapeError
+from .errors import DomainError, NumericalError
 from .hilbert import SystemParams
 from .physcalc import (TWO_PI, TrionLevels, _require_finite_real,
                        _require_int, _require_squarable,
@@ -93,7 +93,7 @@ class Spectrum:
         if f.ndim != 1 or f.size < 3:
             raise DomainError(f"need at least 3 spectrum points, got {f.size}")
         if r.shape != f.shape or w.shape != f.shape:
-            raise ShapeError("frequency, reflectivity and weight lengths differ")
+            raise DomainError("frequency, reflectivity and weight lengths differ")
         if (bad := _first_bad_point(f, r, w)) is not None:
             raise DomainError(f"spectrum point {bad[0]}: {bad[1]}")
 
@@ -162,8 +162,10 @@ def cavity_response(freq, kappa, omega_c, lines=()):
     """Unscaled cavity response with any number of coupled dipole lines.
 
     ``lines`` holds (g, gamma_perp, omega_i) triples; lines with g = 0 are
-    skipped, and with no lines the result is the bare Lorentzian. A
-    coupling whose angular square overflows raises DomainError.
+    skipped, and with no lines the result is the bare Lorentzian. On a
+    lossless line (gamma_perp = 0), at its own frequency, the response is
+    its limit, 0. A coupling whose angular square overflows raises
+    DomainError.
     """
     freq = np.asarray(freq, dtype=float)
     # real and imaginary parts of the denominator, in angular units; each
@@ -174,7 +176,14 @@ def cavity_response(freq, kappa, omega_c, lines=()):
             a, b = TWO_PI * gamma_perp, TWO_PI * (freq - omega)
             w = TWO_PI * g
             _require_squarable("line coupling 2 pi g", w)
-            q = w ** 2 / (a * a + b * b)
+            d = a * a + b * b
+            if a * a == 0:
+                # a lossless line's term is infinite where d is 0: an
+                # infinite real part there gives the response's limit, 0
+                on_line = d == 0
+                d = np.where(on_line, np.inf, d)
+                re = np.where(on_line, np.inf, re)
+            q = w ** 2 / d
             re = re + a * q
             im = im + b * q
     return 1.0 / (re * re + im * im)
@@ -270,7 +279,7 @@ def mixed_spectrum(p_up: float, spectrum_up: Spectrum,
     if not 0.0 <= p_up <= 1.0:
         raise DomainError(f"p_up must be in [0, 1], got {p_up}")
     if not np.array_equal(spectrum_up.freq_ghz, spectrum_down.freq_ghz):
-        raise ShapeError("the two spectra are on different frequency grids")
+        raise DomainError("the two spectra are on different frequency grids")
     r = p_up * spectrum_up.reflectivity + (1.0 - p_up) * spectrum_down.reflectivity
     meta = dict(spectrum_down.meta)
     meta["p_up"] = p_up
@@ -333,7 +342,7 @@ def max_relative_difference(a: Spectrum, b: Spectrum) -> float:
     dips; it is 0 when both spectra are zero everywhere.
     """
     if not np.array_equal(a.freq_ghz, b.freq_ghz):
-        raise ShapeError("spectra are on different frequency grids")
+        raise DomainError("spectra are on different frequency grids")
     diff = np.abs(a.reflectivity - b.reflectivity)
     scale = max(float(np.max(a.reflectivity)), float(np.max(b.reflectivity)))
     return float(np.max(diff) / scale) if scale > 0 else 0.0

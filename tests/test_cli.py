@@ -13,15 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spincavity import cli, errors
-from spincavity.cli import (CliError, _numbers, _parse_fields, build_parser,
-                            main)
+from spincavity.cli import _numbers, _parse_fields, build_parser, main
 from spincavity.dataio import (atomic_write_text, load_fit_report,
-                               load_params, load_spectrum, save_params,
-                               spectrum_to_text)
+                               load_levels, load_params, load_spectrum,
+                               save_params, spectrum_to_text)
 from spincavity import (ScanConfig, Spectrum, SystemParams, TrionLevels,
                         dit_spectrum, fit, fit_thermal_pup, lorentzian_spectrum,
-                        mixed_spectrum, synthesize_noisy,
-                        two_transition_spectrum)
+                        max_relative_difference, mixed_spectrum,
+                        synthesize_noisy, two_transition_spectrum)
 from spincavity.fitkit import problem_from_params
 from spincavity.spectra import FringeModel
 from conftest import (CAVITY_NM, DELTA_H, DIAMAGNETIC, DOT_0T_NM, ELECTRON_G,
@@ -74,14 +73,9 @@ def run(capsys, *argv):
 # (error class, exit code, stderr prefix) for an error raised by a command.
 ERROR_ROWS = [
     (errors.DomainError, 2, "spincavity: error"),
-    (errors.ShapeError, 2, "spincavity: error"),
-    (errors.SchemaError, 2, "spincavity: error"),
-    (errors.FormatError, 2, "spincavity: error"),
-    (errors.DataValidationError, 2, "spincavity: error"),
     (errors.StateError, 3, "spincavity: numerical error"),
     (errors.NumericalError, 3, "spincavity: numerical error"),
     (errors.SpinCavityError, 2, "spincavity: error"),
-    (CliError, 2, "spincavity: error"),
     (FileNotFoundError, 2, "spincavity: error"),
 ]
 
@@ -110,6 +104,27 @@ class TestSimulate:
         cfg = ScanConfig(-60, 60, 121)
         bare = lorentzian_spectrum(KAPPA, 0.0, cfg)
         assert np.max(np.abs(spec.reflectivity - bare.reflectivity)) < 1e-14
+
+    # transition 4 without loss (gamma4 = gamma_d4 = 0) and a probe point
+    # on it: the closed form gives the response's limit there, 0
+    @pytest.mark.parametrize("model, scan, point", [
+        ("two", "-60,60,241", 120), ("master", "-60,60,5", 2)])
+    def test_lossless_line(self, tmp_path, params_file, capsys, model, scan,
+                           point):
+        lossless = tmp_path / "lossless.json"
+        lossless.write_text(json.dumps(dict(json.loads(params_file.read_text()),
+                                            gamma4=0.0, gamma_d4=0.0)))
+        out = tmp_path / "lossless.csv"
+        code, stdout, err = run(capsys, "simulate", "--params", str(lossless),
+                                "--model", model, "--scan", scan,
+                                "--out", str(out))
+        assert (code, err) == (0, "")
+        spec = load_spectrum(out)
+        assert spec.freq_ghz[point] == 0.0
+        if model == "two":
+            assert spec.reflectivity[point] == 0.0
+        else:
+            assert json.loads(stdout)["max_rel_diff_master_vs_two"] < 1e-3
 
     def test_mixed_requires_pup(self, tmp_path, params_file, capsys):
         out = tmp_path / "never.csv"
@@ -249,7 +264,7 @@ class TestNumbers:
             _converts(kind, part) for kind, part in zip(types, parts))
         try:
             values = _numbers("--flag", text, "FORM", types)
-        except CliError as exc:
+        except errors.DomainError as exc:
             assert not valid
             assert "--flag" in str(exc)
         else:
@@ -756,6 +771,41 @@ class TestExitCodes:
         classes = {row[0] for row in ERROR_ROWS}
         assert set(errors.SpinCavityError.__subclasses__()) <= classes
 
+    # every bad input, whether a file, a value or a flag, raises exactly
+    # DomainError, with a message naming what is wrong
+    @pytest.mark.parametrize("case", ["csv header", "json key", "utf-8",
+                                      "level range", "grids", "flag"])
+    def test_bad_input_raises_exactly_domain_error(self, tmp_path, case):
+        path = tmp_path / "input"
+        content, call, message = {
+            "csv header": (
+                b"freq,refl\n1,1\n", load_spectrum,
+                f"{path}:1: expected header 'freq_ghz,reflectivity,weight' "
+                "(weight optional), got 'freq,refl'"),
+            "json key": (b'{"gamma5": 0.1}', load_params,
+                         f"{path}: unknown keys ['gamma5']"),
+            "utf-8": (b"\xff\xfe", load_spectrum,
+                      f"{path}: not UTF-8 text: 'utf-8' codec can't decode "
+                      "byte 0xff in position 0: invalid start byte"),
+            "level range": (
+                b'{"zero_field_frequency": 1, "electron_g": 0.5, '
+                b'"hole_g": 0.1, "field": -1}', load_levels,
+                f"{path}: field must be >= 0, got -1"),
+            "grids": (b"", lambda _: max_relative_difference(
+                lorentzian_spectrum(KAPPA, 0.0, ScanConfig(-60, 60, 21)),
+                lorentzian_spectrum(KAPPA, 0.0, ScanConfig(-60, 60, 11))),
+                "spectra are on different frequency grids"),
+            "flag": (b"", lambda _: _numbers("--scan", "a,1,3", "START,STOP,N",
+                                             (float, float, int)),
+                     "--scan expects START,STOP,N, got 'a,1,3' (could not "
+                     "convert string to float: 'a')"),
+        }[case]
+        path.write_bytes(content)
+        with pytest.raises(errors.DomainError) as info:
+            call(path)
+        assert type(info.value) is errors.DomainError
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("error, code, prefix", ERROR_ROWS,
                              ids=[row[0].__name__ for row in ERROR_ROWS])
     def test_error_class_picks_exit_code_and_prefix(self, capsys, monkeypatch,
@@ -814,6 +864,18 @@ class TestSweep:
             field = float(name[len("field_"):-len("T.csv")])
             assert load_spectrum(outdir / name).meta["field_T"] == field
 
+    def test_single_field_name_gives_back_its_field(self, tmp_path,
+                                                    levels_file, capsys):
+        # one field is rounded to 9 decimals, as a range's fields are
+        outdir = tmp_path / "outdir"
+        code, _, _ = run(capsys, "sweep", "--params", str(levels_file),
+                         "--fields", "0.123456789123",
+                         "--scan", "321795,321915,11", "--out", str(outdir))
+        assert code == 0
+        (path,) = outdir.iterdir()
+        assert path.name == "field_00.123456789T.csv"
+        assert load_spectrum(path).meta["field_T"] == 0.123456789
+
     def test_anticrossing_gap_on_output_files(self, tmp_path, levels_file,
                                               capsys):
         # fields around the transition-4 crossing near 6.2 T; the gap
@@ -862,7 +924,7 @@ class TestSweep:
     @pytest.mark.parametrize("text, count, last", [
         ("0:6.5:0.5", 14, 6.5), ("0:1000:0.01", 100001, 1000.0),
         ("0:1000:0.03", 33334, 999.99), ("2.0:3.0:5.0", 1, 2.0),
-        ("1.5", 1, 1.5)])
+        ("1.5", 1, 1.5), ("0.123456789123", 1, 0.123456789)])
     def test_fields_from_a_count(self, text, count, last):
         fields = _parse_fields(text)
         assert len(fields) == count
@@ -872,7 +934,7 @@ class TestSweep:
     def test_field_count_refused_before_allocation(self):
         tracemalloc.start()
         try:
-            with pytest.raises(CliError, match="--fields"):
+            with pytest.raises(errors.DomainError, match="--fields"):
                 _parse_fields("0:2:1e-6")
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -882,7 +944,7 @@ class TestSweep:
     # No infinite upper bound: a parser that accumulates b += step never
     # returns on one, and this table must fail against such code, not hang.
     @pytest.mark.parametrize("text", ["0:nan:0.5", "0:1:inf", "0:1:0", "0:1",
-                                      "5:1:0.5", "0:1e308:1e-10"])
+                                      "5:1:0.5", "0:1e308:1e-10", "nan"])
     def test_bad_fields_exit_2(self, tmp_path, levels_file, capsys, text):
         code, _, err = run(capsys, "sweep", "--params", str(levels_file),
                            "--fields", text, "--scan", "321795,321915,11",

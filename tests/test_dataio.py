@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from spincavity import (DataValidationError, DomainError, FormatError,
-                        ScanConfig, SchemaError, Spectrum, SystemParams,
+from spincavity import (DomainError, ScanConfig, Spectrum, SystemParams,
                         TrionLevels, lorentzian_spectrum)
 from spincavity.dataio import (atomic_write_text, fit_report_record,
                                load_fit_report, load_levels, load_params,
@@ -111,13 +110,13 @@ class TestSpectrumFiles:
         path = tmp_path / "bad.csv"
         path.write_text("freq_ghz,reflectivity,weight\n"
                         "1.0,0.5,1\n3.0,0.6,1\n2.0,0.7,1\n")
-        with pytest.raises(DataValidationError, match=r"bad\.csv:4"):
+        with pytest.raises(DomainError, match=r"bad\.csv:4"):
             load_spectrum(path)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "noheader.csv"
         path.write_text("1.0,0.5,1\n2.0,0.6,1\n3.0,0.7,1\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(DomainError):
             load_spectrum(path)
 
     @pytest.mark.parametrize("text, message", [
@@ -130,19 +129,19 @@ class TestSpectrumFiles:
     def test_extra_columns_or_no_header_refused(self, tmp_path, text, message):
         path = tmp_path / "layout.csv"
         path.write_text(text)
-        with pytest.raises(FormatError, match=message):
+        with pytest.raises(DomainError, match=message):
             load_spectrum(path)
 
     def test_nan_and_negative_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("freq_ghz,reflectivity,weight\n"
                         "1.0,nan,1\n2.0,0.6,1\n3.0,0.7,1\n")
-        with pytest.raises(DataValidationError, match="nan.csv:2"):
+        with pytest.raises(DomainError, match="nan.csv:2"):
             load_spectrum(path)
         path2 = tmp_path / "neg.csv"
         path2.write_text("freq_ghz,reflectivity,weight\n"
                          "1.0,-0.5,1\n2.0,0.6,1\n3.0,0.7,1\n")
-        with pytest.raises(DataValidationError, match="neg.csv:2"):
+        with pytest.raises(DomainError, match="neg.csv:2"):
             load_spectrum(path2)
 
     @pytest.mark.parametrize("freq, line", [("nan", 3), ("1e999", 5),
@@ -152,8 +151,8 @@ class TestSpectrumFiles:
         rows.insert(line - 2, f"{freq},0.8")
         path = tmp_path / "freq.csv"
         path.write_text("freq_ghz,reflectivity\n" + "\n".join(rows) + "\n")
-        with pytest.raises(DataValidationError, match=rf"freq\.csv:{line}: "
-                                                      "frequency must be finite"):
+        with pytest.raises(DomainError, match=rf"freq\.csv:{line}: "
+                                              "frequency must be finite"):
             load_spectrum(path)
 
     # The loader applies Spectrum's point rules: it refuses exactly the
@@ -177,8 +176,7 @@ class TestSpectrumFiles:
                     assert np.array_equal(got, want)
                 Spectrum(*zip(*rows))
                 return
-            with pytest.raises(DataValidationError,
-                               match=rf"rows\.csv:{bad + 2}: "):
+            with pytest.raises(DomainError, match=rf"rows\.csv:{bad + 2}: "):
                 load_spectrum(path)
         with pytest.raises(DomainError, match=f"spectrum point {bad}: "):
             Spectrum(*zip(*rows))
@@ -187,19 +185,19 @@ class TestSpectrumFiles:
         path = tmp_path / "text.csv"
         path.write_text("freq_ghz,reflectivity,weight\n"
                         "1.0,0.5,1\nabc,0.6,1\n3.0,0.7,1\n")
-        with pytest.raises(DataValidationError, match="text.csv:3"):
+        with pytest.raises(DomainError, match="text.csv:3"):
             load_spectrum(path)
 
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "utf16.csv"
         path.write_bytes(b"\xff\xfe" + "freq_ghz,reflectivity\n".encode("utf-16-le"))
-        with pytest.raises(FormatError, match="utf16.csv"):
+        with pytest.raises(DomainError, match="utf16.csv"):
             load_spectrum(path)
 
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("freq_ghz,reflectivity,weight\n1.0,0.5,1\n2.0,0.6,1\n")
-        with pytest.raises(DataValidationError):
+        with pytest.raises(DomainError):
             load_spectrum(path)
 
 
@@ -228,14 +226,14 @@ class TestParamsFiles:
         record = dict(PARAMS_RECORD, kappa=-1.0)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(record))
-        with pytest.raises(DataValidationError, match="bad.json"):
+        with pytest.raises(DomainError, match="bad.json"):
             load_params(path)
 
     def test_unknown_key_listed(self, tmp_path):
         record = dict(PARAMS_RECORD, gamma5=0.1)
         path = tmp_path / "unknown.json"
         path.write_text(json.dumps(record))
-        with pytest.raises(SchemaError, match="gamma5"):
+        with pytest.raises(DomainError, match="gamma5"):
             load_params(path)
 
     def test_missing_required_key(self, tmp_path):
@@ -243,20 +241,20 @@ class TestParamsFiles:
         del record["kappa"]
         path = tmp_path / "missing.json"
         path.write_text(json.dumps(record))
-        with pytest.raises(SchemaError, match="kappa"):
+        with pytest.raises(DomainError, match="kappa"):
             load_params(path)
 
     def test_partial_levels_rejected(self, tmp_path):
         record = dict(PARAMS_RECORD, electron_g=0.478)
         path = tmp_path / "partial.json"
         path.write_text(json.dumps(record))
-        with pytest.raises(SchemaError):
+        with pytest.raises(DomainError):
             load_params(path)
 
     def test_top_level_array_refused(self, tmp_path):
         path = tmp_path / "array.json"
         path.write_text(json.dumps([PARAMS_RECORD]))
-        with pytest.raises(SchemaError, match="JSON object"):
+        with pytest.raises(DomainError, match="JSON object"):
             load_params(path)
 
     def test_integral_float_fock_dim_accepted(self, tmp_path):
@@ -268,19 +266,19 @@ class TestParamsFiles:
     def test_fractional_fock_dim_refused(self, tmp_path):
         path = tmp_path / "fock.json"
         path.write_text(json.dumps(dict(PARAMS_RECORD, fock_dim=4.5)))
-        with pytest.raises(SchemaError, match="fock_dim must be an integer"):
+        with pytest.raises(DomainError, match="fock_dim must be an integer"):
             load_params(path)
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
-        with pytest.raises(FormatError, match="garbage.json"):
+        with pytest.raises(DomainError, match="garbage.json"):
             load_params(path)
 
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "binary.json"
         path.write_bytes(b"\xff\xfe{}")
-        with pytest.raises(FormatError, match="binary.json"):
+        with pytest.raises(DomainError, match="binary.json"):
             load_params(path)
 
     def test_levels_only_file(self, tmp_path):
@@ -293,7 +291,7 @@ class TestParamsFiles:
         assert levels.field == 0.0
         bad = tmp_path / "bad_levels.json"
         bad.write_text(json.dumps({"electron_g": 0.478}))
-        with pytest.raises(SchemaError):
+        with pytest.raises(DomainError):
             load_levels(bad)
 
 

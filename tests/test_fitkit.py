@@ -499,11 +499,15 @@ class TestDeriveReport:
     """The ``derived`` field of a fit result."""
 
     def test_reference_values(self):
-        result = fit(mixed_problem(mixed_data(0.0)))
+        problem = mixed_problem(mixed_data(0.0))
+        result = fit(problem)
         assert result.derived["g3"] == pytest.approx(7.26, abs=0.01)
         assert result.derived["g3"] == result.params["g3"]
         assert result.derived["detuning_sigma4_cavity"] == pytest.approx(
             0.0, abs=1e-6)
+        values = {**problem.fixed, **result.params}
+        assert result.derived["detuning_sigma4_cavity"] == abs(
+            values["omega_x"] - values["delta_h"] - values["omega_c"])
         # the mixed model has no single coupling and width to form it from
         assert "cooperativity" not in result.derived
 

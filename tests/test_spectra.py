@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spincavity import (DomainError, FringeModel, ScanConfig, ShapeError,
-                        Spectrum, SystemParams, cooperativity, dit_spectrum,
+from spincavity import (DomainError, FringeModel, ScanConfig, Spectrum,
+                        SystemParams, cooperativity, dit_spectrum,
                         field_sweep, lorentzian_spectrum,
                         master_equation_spectrum, max_relative_difference,
                         mixed_spectrum, synthesize_noisy,
@@ -44,7 +44,7 @@ class TestSpectrumType:
             Spectrum([0, 1, 2], [1, np.nan, 1])          # not finite
         with pytest.raises(DomainError):
             Spectrum([0, 1, 2], [1, 1, 1], [1, 0, 1])    # weight <= 0
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError):
             Spectrum([0, 1, 2], [1, 1, 1], [1, 1])
 
     @pytest.mark.parametrize("freq, index", [
@@ -208,6 +208,18 @@ class TestCavityResponse:
             cavity_response(f, kappa, omega_c, with_line),
             cavity_response(f, kappa, omega_c, lines))
 
+    def test_lossless_line_gives_its_limit(self):
+        # with gamma_perp = 0 the line's term g^2 / (a - i b) is i g^2 / b,
+        # infinite at the line itself, where the response is its limit, 0
+        f = np.array([-1.0, 2.0, 3.5])
+        r = cavity_response(f, KAPPA, 0.0, [(G4, 0.0, 2.0)])
+        assert r[1] == 0.0
+        off = f[[0, 2]]
+        im = -2 * np.pi * off + (2 * np.pi * G4) ** 2 / (2 * np.pi * (off - 2.0))
+        np.testing.assert_allclose(r[[0, 2]],
+                                   1.0 / ((np.pi * KAPPA) ** 2 + im ** 2),
+                                   rtol=1e-12, atol=0)
+
 
 class TestTwoTransition:
     def test_single_transition_reduction(self, ref_params, ref_scan):
@@ -275,7 +287,7 @@ class TestMasterEquationAgreement:
         closed = two_transition_spectrum(ref_params, ref_scan)
         other = two_transition_spectrum(ref_params,
                                         replace(ref_scan, n_points=101))
-        with pytest.raises(ShapeError, match="different frequency grids"):
+        with pytest.raises(DomainError, match="different frequency grids"):
             max_relative_difference(closed, other)
 
 
@@ -306,7 +318,7 @@ class TestMixedSpectrum:
         up = lorentzian_spectrum(ref_params.kappa, ref_params.omega_c, ref_scan)
         other = lorentzian_spectrum(ref_params.kappa, ref_params.omega_c,
                                     replace(ref_scan, n_points=101))
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError):
             mixed_spectrum(0.5, up, other)
 
     def test_probability_domain(self, ref_params, ref_scan):
