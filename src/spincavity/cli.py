@@ -106,6 +106,8 @@ def _clean_spectrum(args):
     elif args.model == "two":
         spec = spectra.two_transition_spectrum(params, cfg)
     elif args.model == "master":
+        # the Fock-cutoff check's larger cutoff is refused before the scan
+        hilbert._larger_cutoff(params)
         spec = spectra.master_equation_spectrum(params, cfg)
         closed = spectra.two_transition_spectrum(params, cfg)
         extras["max_rel_diff_master_vs_two"] = spectra.max_relative_difference(

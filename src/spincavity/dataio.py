@@ -4,8 +4,8 @@ Spectra are CSV with header ``freq_ghz,reflectivity,weight`` (the weight
 column is optional on input and defaults to 1.0); comment lines start
 with '#' and metadata is encoded as ``# key=value``. Rows follow the
 point rules of Spectrum: frequencies finite and strictly increasing
-over a finite span, reflectivity finite and >= 0, weights finite and
-> 0. Parameter sets and fit reports are JSON. All loaders reject
+over a finite span, reflectivity a finite number >= 0, weights finite
+numbers > 0. Parameter sets and fit reports are JSON. All loaders reject
 unknown keys and report the file path, and for a spectrum the line, of
 the first offending value.
 """

@@ -167,9 +167,7 @@ class FitProblem:
         if self.g_total is not None:
             if model is not ModelKind.MIXED_TWO_TRANSITION:
                 raise DomainError("the coupling constraint applies to the mixed model only")
-            if not 0 < self.g_total < math.inf:
-                raise DomainError(
-                    f"g_total must be positive and finite, got {self.g_total}")
+            _require_finite_real("g_total", self.g_total, "positive")
             _require_squarable("g_total", self.g_total)
             derived = ("g3",)
         for name, value in self.fixed.items():

@@ -55,7 +55,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NumericalError, StateError
-from .physcalc import TWO_PI, _require_finite_real, _require_int
+from .physcalc import (TWO_PI, _require_finite_real, _require_int,
+                       _require_squarable)
 
 DEFAULT_FOCK_DIM = 4
 
@@ -75,8 +76,10 @@ _CONVERGENCE_EXTRA = 2
 # to three, its real step matrices being half the size.
 _GENERATOR_BYTES_LIMIT = 256 * 2**20
 
-_NON_NEGATIVE = frozenset(("g3", "g4", "gamma3", "gamma4", "gamma_d3", "gamma_d4",
-                           "drive_amp"))
+# The sign each SystemParams rate must have; every other value need only
+# be finite.
+_SIGNS = {"kappa": "positive", **dict.fromkeys(
+    ("g3", "g4", "gamma3", "gamma4", "gamma_d3", "gamma_d4", "drive_amp"), ">= 0")}
 
 
 @dataclass(frozen=True)
@@ -109,11 +112,9 @@ class SystemParams:
             value = getattr(self, f.name)
             if f.name == "fock_dim" or (f.name == "drive_amp" and value is None):
                 continue
-            _require_finite_real(f.name, value)
-            if f.name in _NON_NEGATIVE and value < 0:
-                raise DomainError(f"{f.name} must be >= 0, got {value}")
-        if not self.kappa > 0:
-            raise DomainError(f"kappa must be positive, got {self.kappa}")
+            _require_finite_real(f.name, value, _SIGNS.get(f.name))
+        for name in ("g3", "g4"):
+            _require_squarable(f"2 pi {name}", TWO_PI * getattr(self, name))
         _require_int("fock_dim", self.fock_dim, 2)
         matrix_bytes = 16 * (3 * int(self.fock_dim)) ** 4
         if matrix_bytes > _GENERATOR_BYTES_LIMIT:
@@ -568,6 +569,15 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
     return _density_matrix(0.5 * ((1 + 1j) * c + (1 - 1j) * c[swap]), d)
 
 
+def _larger_cutoff(params: SystemParams) -> SystemParams:
+    """``params`` at the larger Fock cutoff that ``fock_convergence_shift`` uses.
+
+    Building it refuses a cutoff whose generator passes the size limit,
+    so a caller can build it before solving anything.
+    """
+    return replace(params, fock_dim=params.fock_dim + _CONVERGENCE_EXTRA)
+
+
 def fock_convergence_shift(params: SystemParams, probe_freq: float) -> float:
     """Relative photon-number change when the Fock cutoff grows by 2.
 
@@ -575,8 +585,8 @@ def fock_convergence_shift(params: SystemParams, probe_freq: float) -> float:
     not converged and fock_dim should be raised. That threshold is
     calibrated for this fixed +2 (``_CONVERGENCE_EXTRA``).
     """
+    bigger = _larger_cutoff(params)
     n0 = expectation_photon_number(steady_state(params, probe_freq))
-    bigger = replace(params, fock_dim=params.fock_dim + _CONVERGENCE_EXTRA)
     n1 = expectation_photon_number(steady_state(bigger, probe_freq))
     if n1 == 0.0:
         return 0.0

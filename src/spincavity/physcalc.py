@@ -10,6 +10,10 @@ Unit conventions used across the package:
 
 Everything here is a pure function of its arguments; nothing is cached
 or mutated.
+
+``_require_finite_real`` states the package's one number rule (a real
+number, not a bool, finite and, where asked, positive or >= 0); the
+parameter classes and the public functions check their numbers with it.
 """
 
 from __future__ import annotations
@@ -54,14 +58,21 @@ _C_NM_GHZ = CONSTANTS.light_speed
 DEFAULT_TEMPERATURE_K = 4.2
 
 
-def _require_finite_real(name: str, value) -> None:
-    """Raise DomainError unless ``value`` is a finite real number (not a bool)."""
+def _require_finite_real(name: str, value, sign: str | None = None) -> None:
+    """Raise DomainError unless ``value`` is a finite real number (not a bool).
+
+    ``sign`` "positive" also asks for value > 0, and ">= 0" for value >= 0.
+    """
     # The float test comes first: the numbers.Real check is an ABC lookup
     # about 15 times slower, and field sweeps rebuild levels per field.
     real = type(value) is float or (
         isinstance(value, numbers.Real) and not isinstance(value, bool))
     if not (real and math.isfinite(value)):
         raise DomainError(f"{name} must be a finite number, got {value!r}")
+    if sign == "positive" and not value > 0:
+        raise DomainError(f"{name} must be positive, got {value}")
+    if sign == ">= 0" and value < 0:
+        raise DomainError(f"{name} must be >= 0, got {value}")
 
 
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
@@ -94,15 +105,13 @@ def _finite_quotient(numerator: float, denominator: float, what: str) -> float:
 
 def wavelength_to_frequency(lambda_nm: float) -> float:
     """Convert a vacuum wavelength in nm to a frequency in GHz."""
-    if not lambda_nm > 0:
-        raise DomainError(f"wavelength must be positive, got {lambda_nm}")
+    _require_finite_real("wavelength", lambda_nm, "positive")
     return _C_NM_GHZ / lambda_nm
 
 
 def frequency_to_wavelength(freq_ghz: float) -> float:
     """Inverse of :func:`wavelength_to_frequency`."""
-    if not freq_ghz > 0:
-        raise DomainError(f"frequency must be positive, got {freq_ghz}")
+    _require_finite_real("frequency", freq_ghz, "positive")
     return _C_NM_GHZ / freq_ghz
 
 
@@ -112,9 +121,8 @@ def splitting_nm_to_ghz(delta_lambda_nm: float, center_lambda_nm: float) -> floa
     Uses d(nu) = c * d(lambda) / lambda^2 around the given center
     wavelength; the sign of the result follows the sign of the input.
     """
-    if not center_lambda_nm > 0:
-        raise DomainError(
-            f"center wavelength must be positive, got {center_lambda_nm}")
+    _require_finite_real("wavelength splitting", delta_lambda_nm)
+    _require_finite_real("center wavelength", center_lambda_nm, "positive")
     try:
         square = center_lambda_nm**2
     except OverflowError:
@@ -128,8 +136,8 @@ def lande_g_factor(splitting_ghz: float, field: float) -> float:
 
     g = h * dnu / (mu_B * B) with dnu in Hz.
     """
-    if not field > 0:
-        raise DomainError(f"field must be positive, got {field}")
+    _require_finite_real("Zeeman splitting", splitting_ghz)
+    _require_finite_real("field", field, "positive")
     return _finite_quotient(CONSTANTS.planck_h * splitting_ghz * 1e9,
                             CONSTANTS.bohr_magneton * field,
                             "g-factor h dnu / (mu_B B)")
@@ -137,6 +145,8 @@ def lande_g_factor(splitting_ghz: float, field: float) -> float:
 
 def zeeman_splitting_ghz(g_factor: float, field: float) -> float:
     """Zeeman splitting in GHz for a g-factor at a field in T."""
+    _require_finite_real("g-factor", g_factor)
+    _require_finite_real("field", field)
     return g_factor * CONSTANTS.bohr_magneton * field / CONSTANTS.planck_h / 1e9
 
 
@@ -148,8 +158,8 @@ def thermal_spin_up_population(delta_e_mev: float,
     the upper state is r / (1 + r), which lies in (0, 0.5] for dE >= 0.
     For dE < 0 it is evaluated as 1 / (1 + 1/r), so nothing overflows.
     """
-    if not temperature > 0:
-        raise DomainError(f"temperature must be positive, got {temperature}")
+    _require_finite_real("energy splitting", delta_e_mev)
+    _require_finite_real("temperature", temperature, "positive")
     x = _finite_quotient(delta_e_mev * 1e-3 * EV_JOULES,
                          CONSTANTS.boltzmann_k * temperature, "dE / kT")
     ratio = math.exp(-abs(x))
@@ -162,20 +172,17 @@ def cooperativity(g: float, kappa: float, gamma: float) -> float:
     All three rates are quoted values (value/2pi in GHz); the 2pi factors
     cancel in the ratio. The coupling g must be >= 0.
     """
-    if not g >= 0:
-        raise DomainError(f"coupling g must be >= 0, got {g}")
-    if not kappa > 0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
-    if not gamma > 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+    _require_finite_real("coupling g", g, ">= 0")
+    _require_finite_real("kappa", kappa, "positive")
+    _require_finite_real("gamma", gamma, "positive")
     return _finite_quotient(2.0 * g * g, kappa * gamma,
                             "cooperativity 2 g^2 / (kappa gamma)")
 
 
 def is_strongly_coupled(g: float, kappa: float, gamma: float) -> bool:
     """True when coherent exchange beats dissipation: 4 g > kappa + gamma."""
-    if g < 0 or kappa < 0 or gamma < 0:
-        raise DomainError("rates must be non-negative")
+    for name, rate in (("coupling g", g), ("kappa", kappa), ("gamma", gamma)):
+        _require_finite_real(name, rate, ">= 0")
     return 4.0 * g > kappa + gamma
 
 
@@ -198,10 +205,9 @@ class TrionLevels:
 
     def __post_init__(self):
         for name in ("zero_field_frequency", "electron_g", "hole_g",
-                     "diamagnetic_coeff", "field"):
+                     "diamagnetic_coeff"):
             _require_finite_real(name, getattr(self, name))
-        if self.field < 0:
-            raise DomainError(f"field must be >= 0, got {self.field}")
+        _require_finite_real("field", self.field, ">= 0")
 
     @property
     def electron_splitting(self) -> float:

@@ -60,8 +60,8 @@ def _first_bad_point(freq, refl, weight) -> tuple[int, str] | None:
     i, rule = divmod(int(np.argmin(ok)), 4)
     rule_text = ("frequency must be finite and strictly increasing",
                  "frequency span from the first point must be finite",
-                 "reflectivity must be finite and >= 0",
-                 "weight must be finite and > 0")[rule]
+                 "reflectivity must be a finite number >= 0",
+                 "weight must be a finite number > 0")[rule]
     suffix = (f" after {float(freq[i - 1])}" if rule == 0 and i else
               f" from {float(freq[0])}" if rule == 1 else "")
     return i, f"{rule_text}, got {float((freq, freq, refl, weight)[rule][i])}{suffix}"
@@ -72,9 +72,9 @@ class Spectrum:
     """Sampled reflectivity versus probe frequency.
 
     At least 3 points; frequencies are finite and strictly increasing
-    over a finite span, reflectivity is finite and >= 0, and weights are
-    finite and > 0 (default 1). ``meta`` carries free-form annotations
-    such as field_T or a label.
+    over a finite span, reflectivity is a finite number >= 0, and weights
+    are finite numbers > 0 (default 1). ``meta`` carries free-form
+    annotations such as field_T or a label.
     """
 
     freq_ghz: np.ndarray
@@ -124,11 +124,8 @@ class ScanConfig:
         if self.n_points > _ROW_LIMIT:
             raise DomainError(
                 f"need 3 to {_ROW_LIMIT} points, got {self.n_points}")
-        if not 0 < self.scale < math.inf:
-            raise DomainError(f"scale must be positive and finite, got {self.scale}")
-        if not 0 <= self.background < math.inf:
-            raise DomainError(
-                f"background must be finite and >= 0, got {self.background}")
+        _require_finite_real("scale", self.scale, "positive")
+        _require_finite_real("background", self.background, ">= 0")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.n_points)
@@ -144,12 +141,10 @@ class FringeModel:
 
     def __post_init__(self):
         _require_finite_real("fringe amplitude", self.amplitude)
-        _require_finite_real("fringe period", self.period)
+        _require_finite_real("fringe period", self.period, "positive")
         _require_finite_real("fringe phase", self.phase)
         if not 0.0 <= self.amplitude < 0.5:
             raise DomainError(f"fringe amplitude must be in [0, 0.5), got {self.amplitude}")
-        if not self.period > 0:
-            raise DomainError(f"fringe period must be positive, got {self.period}")
 
     def factor(self, freq_ghz: np.ndarray) -> np.ndarray:
         return 1.0 + self.amplitude * np.sin(TWO_PI * freq_ghz / self.period + self.phase)
@@ -212,8 +207,8 @@ def two_transition_response(freq, params: SystemParams):
 
 def lorentzian_spectrum(kappa: float, omega_c: float, cfg: ScanConfig) -> Spectrum:
     """Bare-cavity Lorentzian with FWHM kappa, peaked at omega_c."""
-    if not kappa > 0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
+    _require_finite_real("kappa", kappa, "positive")
+    _require_finite_real("omega_c", omega_c)
     f = cfg.grid()
     r = cfg.background + cfg.scale * lorentzian_response(f, kappa, omega_c)
     return Spectrum(f, r)
@@ -227,10 +222,11 @@ def dit_spectrum(g: float, kappa: float, gamma: float, delta: float,
     resonance the dip is suppressed by 1/(1+C)^2 relative to the bare
     peak, with cooperativity C = 2 g^2 / (kappa gamma).
     """
-    if not kappa > 0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
-    if not gamma > 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+    _require_finite_real("coupling g", g, ">= 0")
+    _require_finite_real("kappa", kappa, "positive")
+    _require_finite_real("gamma", gamma, "positive")
+    _require_finite_real("delta", delta)
+    _require_finite_real("omega_c", omega_c)
     f = cfg.grid()
     r = cfg.background + cfg.scale * cavity_response(
         f, kappa, omega_c, ((g, gamma, omega_c + delta),))
@@ -255,8 +251,7 @@ def master_equation_spectrum(params: SystemParams, cfg: ScanConfig,
     the weak-drive limit. A squared drive that overflows (or underflows
     to 0) raises NumericalError before any steady state is solved.
     """
-    if params.drive_amp <= 0:
-        raise DomainError("master-equation spectrum needs a positive drive_amp")
+    _require_finite_real("drive_amp", params.drive_amp, "positive")
     amp = TWO_PI * params.drive_amp
     norm = amp * amp
     if not 0 < norm < math.inf:
@@ -273,13 +268,19 @@ def master_equation_spectrum(params: SystemParams, cfg: ScanConfig,
     return Spectrum(f, r)
 
 
+def _require_same_grid(a: Spectrum, b: Spectrum) -> None:
+    """Raise DomainError unless the two spectra share one frequency grid."""
+    if not np.array_equal(a.freq_ghz, b.freq_ghz):
+        raise DomainError("the two spectra are on different frequency grids")
+
+
 def mixed_spectrum(p_up: float, spectrum_up: Spectrum,
                    spectrum_down: Spectrum) -> Spectrum:
     """Pointwise convex combination of the two pure-spin spectra."""
+    _require_finite_real("p_up", p_up)
     if not 0.0 <= p_up <= 1.0:
         raise DomainError(f"p_up must be in [0, 1], got {p_up}")
-    if not np.array_equal(spectrum_up.freq_ghz, spectrum_down.freq_ghz):
-        raise DomainError("the two spectra are on different frequency grids")
+    _require_same_grid(spectrum_up, spectrum_down)
     r = p_up * spectrum_up.reflectivity + (1.0 - p_up) * spectrum_down.reflectivity
     meta = dict(spectrum_down.meta)
     meta["p_up"] = p_up
@@ -320,8 +321,7 @@ def synthesize_noisy(spectrum: Spectrum, noise_rel: float,
     remains a valid reflectivity. Identical seeds give identical output;
     the seed must be a non-negative integer.
     """
-    if not 0 <= noise_rel < math.inf:
-        raise DomainError(f"noise_rel must be finite and >= 0, got {noise_rel}")
+    _require_finite_real("noise_rel", noise_rel, ">= 0")
     _require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     clean = spectrum.reflectivity * fringe.factor(spectrum.freq_ghz)
@@ -341,8 +341,7 @@ def max_relative_difference(a: Spectrum, b: Spectrum) -> float:
     scale-relative measure that stays meaningful at the bottom of deep
     dips; it is 0 when both spectra are zero everywhere.
     """
-    if not np.array_equal(a.freq_ghz, b.freq_ghz):
-        raise DomainError("spectra are on different frequency grids")
+    _require_same_grid(a, b)
     diff = np.abs(a.reflectivity - b.reflectivity)
     scale = max(float(np.max(a.reflectivity)), float(np.max(b.reflectivity)))
     return float(np.max(diff) / scale) if scale > 0 else 0.0

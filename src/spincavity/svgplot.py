@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, NumericalError
-from .physcalc import frequency_to_wavelength
+from .errors import NumericalError
+from .physcalc import _require_finite_real, frequency_to_wavelength
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 25, 50, 55
@@ -186,10 +186,9 @@ def render_spectra(entries, title: str = "", nm_axis: bool = False) -> str:
 def render_sweep_map(spectra, norm: float, title: str = "") -> str:
     """Waterfall of spectra divided by ``norm`` and stacked by magnetic field.
 
-    ``norm``, typically the bare-cavity peak, must be positive and finite.
+    ``norm``, typically the bare-cavity peak, must be a finite number > 0.
     """
-    if not 0 < norm < math.inf:
-        raise DomainError(f"sweep map norm must be positive and finite, got {norm}")
+    _require_finite_real("sweep map norm", norm, "positive")
     x0 = min(float(s.freq_ghz[0]) for s in spectra)
     x1 = max(float(s.freq_ghz[-1]) for s in spectra)
     offset_step = 0.8

@@ -126,6 +126,26 @@ class TestSimulate:
         else:
             assert json.loads(stdout)["max_rel_diff_master_vs_two"] < 1e-3
 
+    # fock_dim 20 is admitted, but the convergence check's fock_dim 22 is
+    # not: it is refused before any steady state of the scan is solved
+    def test_master_refuses_the_larger_cutoff_before_the_scan(
+            self, tmp_path, params_file, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a steady state was solved")
+
+        monkeypatch.setattr(cli.hilbert, "steady_state", never)
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(dict(json.loads(params_file.read_text()),
+                                       fock_dim=20)))
+        out = tmp_path / "never.csv"
+        code, stdout, err = run(capsys, "simulate", "--params", str(big),
+                                "--model", "master", "--scan", "-60,60,5",
+                                "--out", str(out))
+        assert (code, stdout, err) == (
+            2, "", "spincavity: error: fock_dim=22 needs a 290 MiB generator, "
+                   "above the 256 MiB limit\n")
+        assert not out.exists()
+
     def test_mixed_requires_pup(self, tmp_path, params_file, capsys):
         out = tmp_path / "never.csv"
         code, _, err = run(capsys, "simulate", "--params", str(params_file),
@@ -732,7 +752,7 @@ class TestExitCodes:
     # where Python's float ** would raise OverflowError and numpy warn.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("case, message", [
-        ("simulate g4=1e200", "line coupling 2 pi g = 6.28319e+200"),
+        ("simulate g4=1e200", "{params}: 2 pi g4 = 6.28319e+200"),
         ("fit kappa=1e200", "pi * kappa = 3.14159e+200"),
         ("fit wide data", "pi * peak width = 6.28319e+300"),
         ("fit gtotal=1e308", "g_total = 1e+308"),
@@ -763,8 +783,8 @@ class TestExitCodes:
         out = tmp_path / "never.out"
         code, stdout, err = run(capsys, *argv, "--out", str(out))
         assert (code, stdout, err) == (
-            2, "", f"spincavity: error: {message} is too large: its square "
-                   "overflows\n")
+            2, "", f"spincavity: error: {message.format(params=params)} is too "
+                   "large: its square overflows\n")
         assert not out.exists()
 
     def test_every_package_error_has_a_row(self):
@@ -774,7 +794,8 @@ class TestExitCodes:
     # every bad input, whether a file, a value or a flag, raises exactly
     # DomainError, with a message naming what is wrong
     @pytest.mark.parametrize("case", ["csv header", "json key", "utf-8",
-                                      "level range", "grids", "flag"])
+                                      "level range", "grids", "mixed grids",
+                                      "flag"])
     def test_bad_input_raises_exactly_domain_error(self, tmp_path, case):
         path = tmp_path / "input"
         content, call, message = {
@@ -794,7 +815,11 @@ class TestExitCodes:
             "grids": (b"", lambda _: max_relative_difference(
                 lorentzian_spectrum(KAPPA, 0.0, ScanConfig(-60, 60, 21)),
                 lorentzian_spectrum(KAPPA, 0.0, ScanConfig(-60, 60, 11))),
-                "spectra are on different frequency grids"),
+                "the two spectra are on different frequency grids"),
+            "mixed grids": (b"", lambda _: mixed_spectrum(
+                0.5, lorentzian_spectrum(KAPPA, 0.0, ScanConfig(-60, 60, 21)),
+                lorentzian_spectrum(KAPPA, 0.0, ScanConfig(-60, 60, 11))),
+                "the two spectra are on different frequency grids"),
             "flag": (b"", lambda _: _numbers("--scan", "a,1,3", "START,STOP,N",
                                              (float, float, int)),
                      "--scan expects START,STOP,N, got 'a,1,3' (could not "

@@ -543,7 +543,7 @@ class TestDeriveReport:
 
     @pytest.mark.parametrize("name, message", [
         ("g", r"^g must lie inside \[0, inf\], got -1$"),
-        ("g_total", r"^g_total must be positive and finite, got -1\.0$"),
+        ("g_total", r"^g_total must be positive, got -1\.0$"),
     ], ids=["g", "g_total"])
     def test_negative_coupling_rejected(self, name, message):
         if name == "g":

@@ -3,12 +3,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spincavity import (CONSTANTS, DomainError, PhysConstants, TrionLevels,
-                        cooperativity, frequency_to_wavelength,
-                        is_strongly_coupled, lande_g_factor, splitting_nm_to_ghz,
-                        thermal_spin_up_population, transition_frequencies,
-                        wavelength_to_frequency, zeeman_splitting_ghz)
+from spincavity import (CONSTANTS, DomainError, FringeModel, PhysConstants,
+                        ScanConfig, Spectrum, SystemParams, TrionLevels,
+                        cooperativity, dit_spectrum, frequency_to_wavelength,
+                        is_strongly_coupled, lande_g_factor,
+                        lorentzian_spectrum, mixed_spectrum,
+                        splitting_nm_to_ghz, thermal_spin_up_population,
+                        transition_frequencies, wavelength_to_frequency,
+                        zeeman_splitting_ghz)
 
 C_NM_GHZ = 299792458.0  # speed of light in nm*GHz
 
@@ -283,3 +287,83 @@ class TestTrionLevels:
         kwargs[key] = value
         with pytest.raises(DomainError, match=key):
             TrionLevels(**kwargs)
+
+
+# The number rule: each public function and parameter class refuses a
+# value that is not a finite real number with DomainError, and a finite
+# one either gives a finite result or is refused the same way.
+_CFG = ScanConfig(-60.0, 60.0, 5)
+_UP = lorentzian_spectrum(31.79, 0.0, _CFG)
+_DOWN = dit_spectrum(17.2, 31.79, 1.78, 0.0, 0.0, _CFG)
+
+# name: (callable, valid keyword arguments); one argument is replaced
+NUMBER_RULE_CASES = {
+    "wavelength_to_frequency": (wavelength_to_frequency, {"lambda_nm": 931.45}),
+    "frequency_to_wavelength": (frequency_to_wavelength, {"freq_ghz": 321855.66}),
+    "splitting_nm_to_ghz": (splitting_nm_to_ghz, {
+        "delta_lambda_nm": 0.13, "center_lambda_nm": 931.45}),
+    "lande_g_factor": (lande_g_factor, {"splitting_ghz": 40.0, "field": 6.2}),
+    "zeeman_splitting_ghz": (zeeman_splitting_ghz, {"g_factor": 0.478, "field": 6.2}),
+    "thermal_spin_up_population": (thermal_spin_up_population, {
+        "delta_e_mev": 0.17, "temperature": 4.2}),
+    "cooperativity": (cooperativity, {"g": 18.67, "kappa": 31.79, "gamma": 1.78}),
+    "is_strongly_coupled": (is_strongly_coupled, {
+        "g": 18.67, "kappa": 31.79, "gamma": 1.78}),
+    "TrionLevels": (lambda **kw: transition_frequencies(TrionLevels(**kw)), {
+        "zero_field_frequency": 321838.42, "electron_g": 0.478, "hole_g": 0.143,
+        "diamagnetic_coeff": 1.15, "field": 6.2}),
+    "SystemParams": (SystemParams, {
+        "kappa": 31.79, "g3": 7.2, "g4": 17.2, "gamma_d3": 3.1, "gamma_d4": 1.4,
+        "omega_c": 0.0, "omega_x": 12.0, "delta_h": 12.0, "gamma3": 0.1,
+        "gamma4": 0.1, "drive_amp": 0.3, "fock_dim": 4}),
+    "ScanConfig": (ScanConfig, {"start": -60.0, "stop": 60.0, "n_points": 5,
+                                "scale": 1.0, "background": 0.0}),
+    "FringeModel": (FringeModel, {"amplitude": 0.1, "period": 10.0, "phase": 0.0}),
+    "lorentzian_spectrum": (lambda **kw: lorentzian_spectrum(cfg=_CFG, **kw),
+                            {"kappa": 31.79, "omega_c": 0.0}),
+    "dit_spectrum": (lambda **kw: dit_spectrum(cfg=_CFG, **kw), {
+        "g": 17.2, "kappa": 31.79, "gamma": 1.78, "delta": 0.0, "omega_c": 0.0}),
+    "mixed_spectrum": (lambda **kw: mixed_spectrum(
+        spectrum_up=_UP, spectrum_down=_DOWN, **kw), {"p_up": 0.5}),
+}
+# None is the documented default of SystemParams.drive_amp (kappa/100).
+_NONE_IS_VALID = {("SystemParams", "drive_amp")}
+# c / x overflows to inf for a subnormal x, and so does g mu_B B for a
+# huge g: their callers refuse that inf with a message of their own
+# (ScanConfig names the bound, transition_frequencies the field).
+_MAY_OVERFLOW = {"wavelength_to_frequency", "frequency_to_wavelength",
+                 "zeeman_splitting_ghz"}
+_NUMBER_DRAWS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, True, "1", None, 0.0]),
+    st.floats(max_value=-0.0, allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+# numpy warns where an extreme finite value overflows inside a spectrum;
+# the Spectrum point rule then refuses what is not finite. A large drawn
+# drive_amp gives SystemParams' documented linear-response warning.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:drive_amp exceeds kappa/10")
+@pytest.mark.parametrize("name", sorted(NUMBER_RULE_CASES))
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_number_rule(name, data):
+    call, valid = NUMBER_RULE_CASES[name]
+    key = data.draw(st.sampled_from(sorted(valid)), label="argument")
+    value = data.draw(_NUMBER_DRAWS, label="value")
+    try:
+        result = call(**dict(valid, **{key: value}))
+    except DomainError:
+        return
+    finite = type(value) is float and math.isfinite(value)
+    assert finite or (value is None and (name, key) in _NONE_IS_VALID), (
+        f"{name} accepted {key}={value!r}")
+    if name == "is_strongly_coupled":
+        assert type(result) is bool
+    elif isinstance(result, float):
+        assert math.isfinite(result) or (
+            name in _MAY_OVERFLOW and not math.isnan(result)), result
+    elif isinstance(result, tuple):
+        assert all(map(math.isfinite, result))
+    elif isinstance(result, Spectrum):
+        assert np.isfinite(result.reflectivity).all()

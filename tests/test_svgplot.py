@@ -32,12 +32,16 @@ def test_sweep_map_is_well_formed():
     assert "1.5 T" in texts
 
 
-@pytest.mark.parametrize("norm", [0.0, -1.0, math.nan, math.inf])
-def test_sweep_map_norm_must_be_positive_and_finite(norm):
+@pytest.mark.parametrize("norm, message", [
+    (0.0, "must be positive, got 0.0"), (-1.0, "must be positive, got -1.0"),
+    (math.nan, "must be a finite number, got nan"),
+    (math.inf, "must be a finite number, got inf")],
+    ids=["0.0", "-1.0", "nan", "inf"])
+def test_sweep_map_norm_must_be_positive_and_finite(norm, message):
     spec = lorentzian_spectrum(30.0, 0.0, ScanConfig(-50, 50, 21))
-    with pytest.raises(DomainError, match="sweep map norm must be positive "
-                                          "and finite"):
+    with pytest.raises(DomainError) as info:
         render_sweep_map([spec], norm)
+    assert str(info.value) == f"sweep map norm {message}"
 
 
 def _ref_x(x, x0, x1):

@@ -1,8 +1,10 @@
 """Print the total lines and the code lines of each module under src/.
 
 Code lines leave out blank lines, comment-only lines and docstrings (the
-string that opens a module, class or function body). Run from the
-repository root:
+string that opens a module, class or function body). Each package's
+``__init__.py`` also gets a line with the number of names in its
+``__all__``, read from its syntax tree without importing it. Run from
+the repository root:
 
     python tools/src_lines.py [SRC_DIR]
 """
@@ -41,6 +43,17 @@ def count(path: Path) -> tuple[int, int]:
     return len(text.splitlines()), len(code)
 
 
+def public_names(path: Path) -> int | None:
+    """Length of the list or tuple assigned to ``__all__`` in a file, else None."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)
+                and isinstance(node.value, (ast.List, ast.Tuple))):
+            return len(node.value.elts)
+    return None
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path("src")
     total = code = 0
@@ -50,6 +63,10 @@ def main(argv: list[str]) -> int:
         code += code_lines
         print(f"{path.relative_to(root)}\t{lines}\t{code_lines}")
     print(f"total\t{total}\t{code}")
+    for path in sorted(root.rglob("__init__.py")):
+        names = public_names(path)
+        if names is not None:
+            print(f"{path.relative_to(root)} __all__\t{names}")
     return 0
 
 
