@@ -465,8 +465,10 @@ def profile_bound(problem: FitProblem, param_name: str,
 
     The threshold is ssr_min * (1 + chi2_95 / dof), the least-squares
     analogue of a single-parameter likelihood-ratio interval with the
-    noise variance estimated from the fit itself.
+    noise variance estimated from the fit itself. ``ssr_min`` must be a
+    finite number >= 0.
     """
+    _require_finite_real("ssr_min", ssr_min, ">= 0")
     profile_ssr = _pinned_ssr(problem, param_name, best_params)
     threshold = ssr_min * (1.0 + CHI2_95_DF1 / _dof(problem))
     lo, hi = _box(problem, param_name)

@@ -20,13 +20,21 @@ Dissipation enters through the Lindblad terms
     + 2 gamma_d3 D(s3's3) + 2 gamma_d4 D(s4's4),
 
 where D(O)rho = O rho O' - {O'O, rho}/2. The probe frequency enters H
-only through -omega N with N = a'a + s3's3 + s4's4, so the generator is
-affine in it:
+only through -omega N with N = a'a + s3's3 + s4's4, and every other
+parameter enters linearly, so the generator is
 
-    L(omega) = L0 + omega D,    D = i 2pi (1 x N - N x 1),
+    L(omega) = sum_t c_t M_t + omega D,    D = i 2pi (1 x N - N x 1),
 
-with D diagonal. Ordered by the excitation difference k = N_i - N_j of
-rho[i, j], L(omega) is block tridiagonal (the undriven generator
+with D diagonal, c_t = 2pi times one of the eleven parameters kappa,
+gamma3, gamma4, gamma_d3, gamma_d4, omega_c, omega_x, delta_h, g3, g4
+and drive_amp, and M_t its fixed superoperator (``_terms``). The M_t of
+a Fock cutoff are tabulated once, sparsely; a parameter set's
+L0 = sum_t c_t M_t is one product of that table with the c_t, the route
+of QuTiP's coefficient-weighted superoperators (Johansson, Nation and
+Nori, Comput. Phys. Commun. 183, 1760 (2012)).
+
+Ordered by the excitation difference k = N_i - N_j of rho[i, j],
+L(omega) is block tridiagonal (the undriven generator
 conserves k, the drive moves it by one). ``steady_state`` eliminates its
 blocks towards k = 0, the matrix continued fraction of Risken, The
 Fokker-Planck Equation, ch. 9. The RK4 oracle uses the dense generator
@@ -67,13 +75,20 @@ POSITIVITY_TOL = -1e-8
 _RESIDUAL_REL = 1e-9
 # Extra Fock levels of the larger cutoff fock_convergence_shift compares.
 _CONVERGENCE_EXTRA = 2
+# Cost of squaring the N x N real RK4 step matrix, in matrix-vector
+# products per row: the medians of 41 timings with OpenBLAS on one thread
+# (x86-64, 2 vCPUs) were 0.17-0.21 matvecs per row for N = 144-441
+# (fock_dim 4-7), and 0.10-0.12 at N = 81 and 576. Counting flops would
+# say 1: a product of two matrices runs near the BLAS peak, a matvec at
+# memory speed.
+_SQUARING_MATVECS = 0.2
 
 # Largest dense generator, 16 (3 fock_dim)^4 bytes, that SystemParams
-# admits. A steady-state solve holds two matrices of this size, the
-# cached L0 and L(omega), and a failed one adds a bordered copy and SVD
-# workspace for its condition number. Assembling L0 with its blocks holds
-# about 1.1-1.3, as jump terms are scattered in place; the RK4 oracle up
-# to three, its real step matrices being half the size.
+# admits. A steady-state solve holds one matrix of this size, L(omega):
+# the cache keeps only L0's nonzero values and its blocks, about 0.6 of
+# it at fock_dim 8. A failed solve adds a bordered copy and SVD workspace
+# for its condition number; the RK4 oracle holds up to three, its real
+# step matrices being half the size.
 _GENERATOR_BYTES_LIMIT = 256 * 2**20
 
 # The sign each SystemParams rate must have; every other value need only
@@ -154,6 +169,26 @@ def number_operator(fock_dim: int) -> np.ndarray:
     return np.kron(np.eye(3), np.diag(np.arange(fock_dim, dtype=float))).astype(complex)
 
 
+def _terms(fock_dim: int, real_g3: bool):
+    """The eleven terms of L0 = sum_t c_t M_t, c_t = 2pi times a parameter.
+
+    One (name, operator, rate factor) per ``SystemParams`` field that
+    enters the generator. A Hamiltonian term has the rate factor None:
+    c_t times its operator is its part of H at zero probe frequency, and
+    M_t rho = -i [operator, rho]. A collapse term C with rate factor f has
+    M_t rho = f (C rho C' - {C'C, rho}/2).
+    """
+    a, s3, s4 = _operators(fock_dim)
+    ad, s3d, s4d = a.conj().T, s3.conj().T, s4.conj().T
+    n3, n4 = s3d @ s3, s4d @ s4
+    g3 = a @ s3d + s3 @ ad if real_g3 else 1j * (a @ s3d - s3 @ ad)
+    return (("kappa", a, 1.0), ("gamma3", s3, 1.0), ("gamma4", s4, 1.0),
+            ("gamma_d3", n3, 2.0), ("gamma_d4", n4, 2.0),
+            ("omega_c", ad @ a, None), ("omega_x", n3 + n4, None),
+            ("delta_h", -n4, None), ("g3", g3, None),
+            ("g4", a @ s4d + s4 @ ad, None), ("drive_amp", a + ad, None))
+
+
 def build_hamiltonian(params: SystemParams, probe_freq: float,
                       real_g3: bool = False) -> np.ndarray:
     """Hamiltonian (angular units, rad/ns) in the probe rotating frame.
@@ -161,101 +196,189 @@ def build_hamiltonian(params: SystemParams, probe_freq: float,
     ``probe_freq`` must be a finite real number.
     """
     _require_finite_real("probe_freq", probe_freq)
-    a, s3, s4 = _operators(params.fock_dim)
-    ad = a.conj().T
-    h = TWO_PI * (
-        (params.omega_c - probe_freq) * (ad @ a)
-        + (params.omega_x - probe_freq) * (s3.conj().T @ s3)
-        + (params.omega_x - params.delta_h - probe_freq) * (s4.conj().T @ s4)
-        + params.g4 * (a @ s4.conj().T + s4 @ ad)
-        + params.drive_amp * (a + ad)
-    )
-    if real_g3:
-        h = h + TWO_PI * params.g3 * (a @ s3.conj().T + s3 @ ad)
-    else:
-        h = h + 1j * TWO_PI * params.g3 * (a @ s3.conj().T - s3 @ ad)
-    return h
+    # The probe enters as -probe_freq N, N = a'a + s3's3 + s4's4: the
+    # operators of omega_c and omega_x.
+    shifted = {"omega_c": params.omega_c - probe_freq,
+               "omega_x": params.omega_x - probe_freq}
+    return sum(TWO_PI * shifted.get(name, getattr(params, name)) * op
+               for name, op, rate in _terms(params.fock_dim, real_g3)
+               if rate is None)
 
 
-@lru_cache(maxsize=1)
-@np.errstate(over="ignore", invalid="ignore")   # overflow is refused below
-def _generator_parts(params: SystemParams, real_g3: bool):
-    """(L0, D, blocks, norms) with L(omega) = L0 + omega * diag(D), cached read-only.
+@dataclass(frozen=True)
+class _Table:
+    """What ``_generator_parts`` needs of one cutoff and phase convention.
 
-    L rho = H_eff rho + rho H_eff' + sum_r r C rho C' with
-    H_eff = -i H - (1/2) sum_r r C'C, where H is the Hamiltonian at zero
-    probe frequency. On the (d, d, d, d) view of the column-major
-    generator, entry [j, i, l, k] maps rho[k, l] to (L rho)[i, j], so
-    the I x H_eff and conj(H_eff) x I terms are writes on diagonal blocks.
-    Each collapse operator C has at most one nonzero per row, so its
-    jump term r C rho C' has at most d^2 nonzeros: for the nonzeros
-    C[i, k] and C[j, l] it adds r conj(C[j, l]) C[i, k] at [j, i, l, k].
-    These are scattered straight into the generator; within one operator
-    the index tuples are distinct, so no entry is added twice, and the
-    operators are added in a fixed order.
-
-    ``blocks`` = (centre, sides, spans, diag, up, down, swap) holds the
-    blocks k >= 0 of the bordered L0, grouped by the integer k = N_i - N_j
-    behind D. The trace row that replaces row 0 (rho[0, 0]) lives on
-    block 0. L0 maps rho' to (L0 rho)', so block -k, its entries in the
-    transposed order of block k's, is the complex conjugate of block k
-    and is not stored. The parts are the column-major flat indices of
-    block 0; rows pairing each index of a block k > 0 with that of its
-    transpose, and the slice ``spans[k]`` of block k's rows; the diagonal
-    blocks and the couplings of block k to k + 1 and to k - 1
-    (``down[0]`` is None); and the permutation that orders block 0 as
-    its own transpose.
-
-    ``norms`` = (||L0||^2, 2 Re <D, diag L0>, ||D||^2), so that
-    ||L(omega)||_F^2 = ||L0||^2 + omega 2 Re <D, diag L0> + omega^2 ||D||^2
-    with no pass over the generator's entries (D is diagonal).
+    L0 is zero but at the row-major flat positions ``at``. Row t of
+    ``coeffs`` holds M_t there, real and imaginary parts interleaved, so
+    c @ coeffs, for the values c of the terms ``names``, is L0.flat[at]
+    viewed as floats. The blocks k >= 0 of the bordered L0 lie side by
+    side in one buffer: ``base`` (zero but for the trace row in block 0)
+    with the values ``src`` of L0 written at ``dst``. ``layout`` gives each
+    block's (start, stop, shape), the diagonal blocks first, then the
+    couplings to k + 1 and to k - 1. ``diag_d`` is D, and ``d_norm2`` its
+    squared norm. ``im_on_diag`` picks, in the float view, the imaginary
+    parts of the diagonal entries of L0 where D is not zero, and D is
+    ``1j * d_on_diag`` there.
     """
-    d = params.dim
-    a, s3, s4 = _operators(params.fock_dim)
-    n3 = s3.conj().T @ s3
-    n4 = s4.conj().T @ s4
-    h_eff = -1j * build_hamiltonian(params, 0.0, real_g3=real_g3)
-    liou = np.zeros((d, d, d, d), dtype=complex)
-    for rate, op in ((TWO_PI * params.kappa, a),
-                     (TWO_PI * params.gamma3, s3),
-                     (TWO_PI * params.gamma4, s4),
-                     (2.0 * TWO_PI * params.gamma_d3, n3),
-                     (2.0 * TWO_PI * params.gamma_d4, n4)):
-        h_eff -= 0.5 * rate * (op.conj().T @ op)
-        r, c = np.nonzero(op)
-        v = op[r, c]
-        liou[r[:, None], r[None, :], c[:, None], c[None, :]] += (
-            rate * np.multiply.outer(v.conj(), v))
-    idx = np.arange(d)
-    liou[idx, :, idx, :] += h_eff
-    liou[:, idx, :, idx] += h_eff.conj()
-    liou = liou.reshape(d * d, d * d)
-    if not np.isfinite(liou).all():
-        raise NumericalError("the generator L0 overflows for these "
-                             "parameters; no steady-state solve can use it")
+
+    names: tuple
+    at: np.ndarray
+    coeffs: np.ndarray
+    diag_d: np.ndarray
+    d_norm2: float
+    im_on_diag: np.ndarray
+    d_on_diag: np.ndarray
+    base: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    layout: tuple
+    centre: np.ndarray
+    sides: np.ndarray
+    spans: list
+    swap: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _generator_table(fock_dim: int, real_g3: bool) -> _Table:
+    """The ``_Table`` of L0 = sum_t c_t M_t at this cutoff, cached read-only.
+
+    M_t rho = G rho + rho G' + f C rho C', with G = -i times the operator
+    of a Hamiltonian term (and no jump), and G = -(f/2) C'C for a collapse
+    term. Each part is listed sparsely from the nonzeros of the d x d
+    operators: for column-major vec, G[i, k] maps rho[k, j] to
+    (L rho)[i, j] for every j, conj(G[j, l]) maps rho[i, l] to it for
+    every i, and f C[i, k] conj(C[j, l]) maps rho[k, l] to it. Entries at
+    one position are summed per term, in a fixed order; positions where
+    every term cancels are dropped.
+
+    The blocks group vec(rho) by the integer k = N_i - N_j behind D. The
+    trace row that replaces row 0 (rho[0, 0]) lives on block 0. L0 maps
+    rho' to (L0 rho)', so block -k, its entries in the transposed order
+    of block k's, is the complex conjugate of block k and is not stored.
+    ``centre`` holds the column-major flat indices of block 0; ``sides``
+    pairs each index of a block k > 0 with that of its transpose, and
+    ``spans[k]`` is the slice of block k's rows in it; ``swap`` orders
+    block 0 as its own transpose.
+    """
+    d = 3 * fock_dim
+    n = d * d
+    terms = _terms(fock_dim, real_g3)
+    every = np.arange(d)
+    rows, cols, values, which = [], [], [], []
+    for t, (_, op, rate) in enumerate(terms):
+        parts = []
+        if rate is None:
+            g = -1j * op
+        else:
+            g = -0.5 * rate * (op.conj().T @ op)
+            r, c = np.nonzero(op)
+            v = op[r, c]
+            parts.append((r[:, None] + d * r, c[:, None] + d * c,
+                          rate * np.multiply.outer(v, v.conj())))
+        r, c = np.nonzero(g)
+        v = g[r, c]
+        parts.append((r[:, None] + d * every, c[:, None] + d * every, v[:, None]))
+        parts.append((every[:, None] + d * r, every[:, None] + d * c, v.conj()))
+        for r, c, v in parts:
+            rows.append(r.reshape(-1))
+            cols.append(c.reshape(-1))
+            values.append(np.broadcast_to(v, r.shape).reshape(-1))
+            which.append(np.full(r.size, t))
+    at, where = np.unique(np.concatenate(rows) * n + np.concatenate(cols),
+                          return_inverse=True)
+    coeffs = np.zeros((at.size, len(terms)), dtype=complex)
+    np.add.at(coeffs, (where, np.concatenate(which)), np.concatenate(values))
+    nonzero = coeffs.any(axis=1)
+    at, coeffs = at[nonzero], coeffs[nonzero]
+    row, col = np.divmod(at, n)
+
     # The probe enters H only as -2pi omega N, N = a'a + s3's3 + s4's4:
     # at index atom * fock_dim + n, N is n plus 1 if the atom is excited.
-    number = idx % params.fock_dim + (idx >= params.fock_dim)
+    number = every % fock_dim + (every >= fock_dim)
     k_of = (number[None, :] - number[:, None]).reshape(-1)
     diag_d = 1j * TWO_PI * k_of
-    index = [np.flatnonzero(k_of == k) for k in range(params.fock_dim + 1)]
-    diag = [liou[np.ix_(i, i)] for i in index]
-    diag[0][0] = _trace_vector(d)[index[0]]
-    up = [liou[np.ix_(m, n)] for m, n in zip(index, index[1:])]
-    up[0][0] = 0.0
-    down = [None] + [liou[np.ix_(m, n)] for m, n in zip(index[1:], index)]
+    index = [np.flatnonzero(k_of == k) for k in range(fock_dim + 1)]
+    local = np.empty(n, dtype=np.intp)
+    for i in index:
+        local[i] = np.arange(i.size)
+    pairs = ([(k, k) for k in range(fock_dim + 1)]
+             + [(k, k + 1) for k in range(fock_dim)]
+             + [(k + 1, k) for k in range(fock_dim)])
+    layout, src, dst, start = [], [], [], 0
+    for p, q in pairs:
+        shape = (index[p].size, index[q].size)
+        hit = np.flatnonzero((k_of[row] == p) & (k_of[col] == q) & (row != 0))
+        src.append(hit)
+        dst.append(start + local[row[hit]] * shape[1] + local[col[hit]])
+        layout.append((start, start + shape[0] * shape[1], shape))
+        start += shape[0] * shape[1]
+    base = np.zeros(start, dtype=complex)
+    base[:index[0].size] = _trace_vector(d)[index[0]]
+
     centre = index[0]
     upper = np.concatenate(index[1:])
     sides = np.stack((upper, upper // d + d * (upper % d)), axis=1)
     ends = np.cumsum([0] + [len(i) for i in index[1:]])
     spans = [None] + [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
     swap = np.searchsorted(centre, centre // d + d * (centre % d))
-    norms = (float(np.vdot(liou, liou).real),
-             2.0 * float(np.vdot(diag_d, liou.diagonal()).real),
-             float(np.vdot(diag_d, diag_d).real))
-    for part in (liou, diag_d, centre, sides, *diag, *up, *down[1:], swap):
+    on_diag = np.flatnonzero((row == col) & (k_of[row] != 0))
+    table = _Table(
+        tuple(name for name, _, _ in terms), at,
+        np.ascontiguousarray(coeffs.T).view(float), diag_d,
+        float(np.vdot(diag_d, diag_d).real), 2 * on_diag + 1,
+        diag_d[row[on_diag]].imag, base, np.concatenate(src),
+        np.concatenate(dst), tuple(layout), centre, sides, spans, swap)
+    for part in (at, table.coeffs, diag_d, table.im_on_diag, table.d_on_diag,
+                 base, table.src, table.dst, centre, sides, swap):
         part.setflags(write=False)
-    return liou, diag_d, (centre, sides, spans, diag, up, down, swap), norms
+    return table
+
+
+@lru_cache(maxsize=1)
+@np.errstate(over="ignore", invalid="ignore")   # overflow is refused below
+def _generator_parts(params: SystemParams, real_g3: bool):
+    """((at, values), D, blocks, norms) with L(omega) = L0 + omega * diag(D).
+
+    L0 is zero but for ``values`` at the row-major flat positions ``at``,
+    the product of the cutoff's coefficient table (``_generator_table``)
+    with the eleven values c_t of ``params``; nothing here is dense in
+    the generator's size. Cached read-only.
+
+    ``blocks`` = (centre, sides, spans, diag, up, down, swap): the index
+    parts of the table, the diagonal blocks k >= 0 of the bordered L0 and
+    the couplings of block k to k + 1 and to k - 1 (``down[0]`` is None).
+
+    ``norms`` = (s, ||L0||^2 / s^2, 2 Re <D, diag L0> / s, ||D||^2), s the
+    largest real or imaginary part in L0 (kappa > 0 keeps it above 0), so
+    that ``_generator_norm`` gives ||L(omega)||_F with no pass over the
+    generator's entries (D is diagonal) and without overflow.
+    """
+    table = _generator_table(params.fock_dim, real_g3)
+    floats = (TWO_PI * np.array([getattr(params, name) for name in table.names])
+              ) @ table.coeffs
+    # The largest real or imaginary part: the scale of the norms, and NaN
+    # or inf when L0 overflows.
+    scale = float(np.max(np.abs(floats)))
+    if not math.isfinite(scale):
+        raise NumericalError("the generator L0 overflows for these "
+                             "parameters; no steady-state solve can use it")
+    values = floats.view(complex)
+    buffer = table.base.copy()
+    buffer[table.dst] = values[table.src]
+    for part in (buffer, values):
+        part.setflags(write=False)
+    blocks = [buffer[lo:hi].reshape(shape) for lo, hi, shape in table.layout]
+    top = len(table.spans) - 1
+    unit = floats / scale
+    # D is imaginary, so Re <D, diag L0> pairs it with Im diag L0.
+    norms = (scale, float(unit @ unit),
+             2.0 * float(table.d_on_diag @ unit[table.im_on_diag]),
+             table.d_norm2)
+    return ((table.at, values), table.diag_d,
+            (table.centre, table.sides, table.spans, blocks[:top + 1],
+             blocks[top + 1:2 * top + 1], [None] + blocks[2 * top + 1:],
+             table.swap), norms)
 
 
 def build_liouvillian(params: SystemParams, probe_freq: float,
@@ -266,16 +389,24 @@ def build_liouvillian(params: SystemParams, probe_freq: float,
     must be a finite real number.
     """
     _require_finite_real("probe_freq", probe_freq)
-    l0, diag, _, _ = _generator_parts(params, real_g3)
-    liou = l0.copy()
-    liou.reshape(-1)[::liou.shape[0] + 1] += probe_freq * diag
+    (at, values), diag, _, _ = _generator_parts(params, real_g3)
+    n = params.dim ** 2
+    liou = np.zeros((n, n), dtype=complex)
+    liou.reshape(-1)[at] = values
+    liou.reshape(-1)[::n + 1] += probe_freq * diag
     return liou
 
 
 def _generator_norm(norms, probe_freq: float) -> float:
-    """||L0 + probe_freq D||_F from the ``norms`` of ``_generator_parts``."""
-    norm2, cross, d_norm2 = norms
-    return math.sqrt(norm2 + probe_freq * (cross + probe_freq * d_norm2))
+    """||L0 + probe_freq D||_F from the ``norms`` of ``_generator_parts``.
+
+    It is formed relative to m = max(s, |probe_freq|), so it overflows
+    only when the norm itself does.
+    """
+    scale, norm2, cross, d_norm2 = norms
+    m = max(scale, abs(probe_freq))
+    r, w = scale / m, probe_freq / m
+    return m * math.sqrt(r * (r * norm2 + w * cross) + w * w * d_norm2)
 
 
 def _trace_vector(d: int) -> np.ndarray:
@@ -404,7 +535,7 @@ def steady_state(params: SystemParams, probe_freq: float,
     iterative refinement follows and reuses the inverse Schur complements.
     The residual of the refinement and the final check are formed with the
     dense L(omega); the final check compares against ||L(omega)||_F, which
-    comes from three cached scalars of the parameter set. The result is
+    comes from four cached scalars of the parameter set. The result is
     symmetrized and exactly trace-normalized, so of the invariants of
     ``validate_density_matrix`` only positivity is left to test, by the
     same rule: an eigenvalue below POSITIVITY_TOL raises StateError. The
@@ -425,10 +556,13 @@ def steady_state(params: SystemParams, probe_freq: float,
     except np.linalg.LinAlgError as exc:
         raise _solve_failure(f"steady-state solve failed ({exc})", liou, d) from exc
 
-    residual = float(np.linalg.norm(liou @ x))
-    if not residual <= _RESIDUAL_REL * scale:
-        raise _solve_failure(f"steady-state residual {residual:.3e} exceeds "
-                             f"{_RESIDUAL_REL} * norm {scale:.3e}", liou, d)
+    # Relative to the scale, so that a residual whose square overflows
+    # is still a finite number.
+    residual = float(np.linalg.norm((liou @ x) / scale))
+    if not residual <= _RESIDUAL_REL:
+        raise _solve_failure(f"steady-state residual {residual * scale:.3e} "
+                             f"exceeds {_RESIDUAL_REL} * norm {scale:.3e}",
+                             liou, d)
 
     rho = _density_matrix(x, d)
     _require_positive(rho)
@@ -508,9 +642,9 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
 
     The n steps are applied as P^n, where P = I + X + X^2 (I/2 + X/6 +
     X^2/24), X = dt M, is the exact RK4 step matrix, built from M^2 with
-    one more product. While more than N = d^2 steps remain, P is squared
-    (N^3 work) to halve their number; the remaining steps are
-    matrix-vector products (N^2 work each). No linear system is solved.
+    one more product. While more than 2N/5 steps remain (N = d^2), P is
+    squared to halve their number (``_SQUARING_MATVECS``); the remaining
+    steps are matrix-vector products. No linear system is solved.
 
     Time is in ns (1/GHz). t_final must be at least 20/kappa; it and an
     explicit dt must be finite real numbers. ``rho0`` (default: the
@@ -548,8 +682,8 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
     v = (0.5 * (rho0 + rho0.conj().T)).reshape(-1, order="F")
     c = v.real + v.imag
     # One RK4 step is c -> P c, P = I + X + X^2 (I/2 + X/6 + X^2/24).
-    # Binary powering of P stops once no more steps remain than P has
-    # rows: a squaring then costs more than the matvecs it saves.
+    # Binary powering of P stops once a squaring costs more than the
+    # matvecs it saves, half of the steps left.
     real *= dt
     square *= dt * dt
     step = real / 6.0
@@ -559,7 +693,7 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
     step += real
     step.reshape(-1)[::n + 1] += 1.0
     del real, square
-    while n_steps > n:
+    while n_steps > 2 * _SQUARING_MATVECS * n:
         if n_steps & 1:
             c = step @ c
         n_steps >>= 1

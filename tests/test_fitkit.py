@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -473,6 +474,19 @@ class TestGoodnessProfile:
         problem = lorentzian_problem(lorentzian_data())
         with pytest.raises(DomainError, match="'nope' is not a free parameter"):
             profile_bound(problem, "nope", {}, 1.0)
+
+    @pytest.mark.parametrize("ssr_min, message", [
+        (math.nan, r"^ssr_min must be a finite number, got nan$"),
+        (math.inf, r"^ssr_min must be a finite number, got inf$"),
+        (-1.0, r"^ssr_min must be >= 0, got -1\.0$"),
+        ("1.0", r"^ssr_min must be a finite number, got '1\.0'$")],
+        ids=["nan", "inf", "negative", "string"])
+    def test_ssr_min_must_be_finite_and_not_negative(self, ssr_min, message):
+        # no SSR reaches a NaN or infinite threshold, and a negative one
+        # sits below the best fit: each returned a limit that meant nothing
+        problem = lorentzian_problem(lorentzian_data())
+        with pytest.raises(DomainError, match=message):
+            profile_bound(problem, "kappa", fit(problem).params, ssr_min)
 
 
 class TestThermalStage:

@@ -27,14 +27,26 @@ def empty_cavity_photon_number(kappa, drive, detuning):
     return eps**2 / ((TWO_PI * detuning) ** 2 + (TWO_PI * kappa / 2.0) ** 2)
 
 
+def textbook_hamiltonian(params, probe, real_g3=False):
+    """Reference H/hbar of the module docstring, term by term (rad/ns)."""
+    a, s3, s4 = hilbert._operators(params.fock_dim)
+    ad, s3d, s4d = a.conj().T, s3.conj().T, s4.conj().T
+    coupling3 = (a @ s3d + s3 @ ad) if real_g3 else 1j * (a @ s3d - s3 @ ad)
+    return TWO_PI * ((params.omega_c - probe) * (ad @ a)
+                     + (params.omega_x - probe) * (s3d @ s3)
+                     + (params.omega_x - params.delta_h - probe) * (s4d @ s4)
+                     + params.g3 * coupling3
+                     + params.g4 * (a @ s4d + s4 @ ad)
+                     + params.drive_amp * (a + ad))
+
+
 def textbook_liouvillian(params, probe, real_g3=False):
     """Reference generator: -i[H, .] plus one Kronecker-built dissipator
     rate * (C* x C - (1/2) I x C'C - (1/2) (C'C)^T x I) per collapse operator."""
-    h = build_hamiltonian(params, probe, real_g3=real_g3)
-    fock = params.fock_dim
+    h = textbook_hamiltonian(params, probe, real_g3=real_g3)
     eye = np.eye(params.dim)
     liou = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    a, s3, s4 = hilbert._operators(fock)
+    a, s3, s4 = hilbert._operators(params.fock_dim)
     for rate, op in ((params.kappa, a),
                      (params.gamma3, s3), (params.gamma4, s4),
                      (2 * params.gamma_d3, s3.conj().T @ s3),
@@ -44,6 +56,23 @@ def textbook_liouvillian(params, probe, real_g3=False):
                                  - 0.5 * np.kron(eye, opdop)
                                  - 0.5 * np.kron(opdop.T, eye))
     return liou
+
+
+# The SystemParams fields that enter the generator.
+GENERATOR_TERMS = ("kappa", "gamma3", "gamma4", "gamma_d3", "gamma_d4",
+                   "omega_c", "omega_x", "delta_h", "g3", "g4", "drive_amp")
+
+
+def distinct_params(fock_dim, real_g3):
+    """A seeded set whose eleven generator terms are nonzero and distinct."""
+    rng = np.random.default_rng([fock_dim, int(real_g3)])
+    kappa = rng.uniform(10, 50)
+    return SystemParams(kappa=kappa, g3=rng.uniform(1, 15), g4=rng.uniform(1, 25),
+                        gamma_d3=rng.uniform(0.5, 5), gamma_d4=rng.uniform(0.5, 5),
+                        omega_c=rng.uniform(-20, -1), omega_x=rng.uniform(1, 20),
+                        delta_h=rng.uniform(1, 20), gamma3=rng.uniform(0.05, 0.5),
+                        gamma4=rng.uniform(0.05, 0.5),
+                        drive_amp=rng.uniform(0.01, 0.1) * kappa, fock_dim=fock_dim)
 
 
 def excitation_difference(fock_dim):
@@ -245,14 +274,26 @@ class TestLiouvillian:
                 np.abs(image))
             assert abs(np.trace(image)) < 1e-10 * np.max(np.abs(image))
 
-    @pytest.mark.parametrize("fock_dim", range(2, 9))
-    @pytest.mark.parametrize("real_g3", [False, True])
-    @pytest.mark.parametrize("dephasing", [0.0, 2.3])
-    def test_matches_textbook_construction(self, ref_params, fock_dim, real_g3,
-                                           dephasing):
-        p = replace(ref_params, fock_dim=fock_dim, omega_c=1.5,
-                    gamma_d3=dephasing, gamma_d4=0.4 * dephasing)
+    @pytest.mark.parametrize("case, real_g3, fock_dim", [
+        *((dephasing, real_g3, fock_dim) for dephasing in (0.0, 2.3)
+          for real_g3 in (False, True) for fock_dim in range(2, 9)),
+        *(("distinct", real_g3, fock_dim) for real_g3 in (False, True)
+          for fock_dim in range(2, 6))])
+    def test_matches_textbook_construction(self, ref_params, case, real_g3,
+                                           fock_dim):
+        if case == "distinct":
+            # the reference set has omega_x = delta_h and gamma3 = gamma4,
+            # so a term lost or swapped between them could go unseen there
+            p = distinct_params(fock_dim, real_g3)
+            values = [getattr(p, name) for name in GENERATOR_TERMS]
+            assert 0.0 not in values and len(set(values)) == len(values) == 11
+        else:
+            p = replace(ref_params, fock_dim=fock_dim, omega_c=1.5,
+                        gamma_d3=case, gamma_d4=0.4 * case)
         for probe in (-60.0, 0.0, 7.25, 41.0):
+            h = textbook_hamiltonian(p, probe, real_g3=real_g3)
+            assert np.max(np.abs(build_hamiltonian(p, probe, real_g3=real_g3)
+                                 - h)) <= 1e-12 * np.max(np.abs(h))
             ref = textbook_liouvillian(p, probe, real_g3=real_g3)
             liou = build_liouvillian(p, probe, real_g3=real_g3)
             assert np.max(np.abs(liou - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -263,7 +304,8 @@ class TestLiouvillian:
                                                         fock_dim, real_g3):
         p = replace(ref_params, fock_dim=fock_dim)
         k = excitation_difference(fock_dim)
-        l0, diag, parts, _ = hilbert._generator_parts(p, real_g3)
+        _, diag, parts, _ = hilbert._generator_parts(p, real_g3)
+        l0 = build_liouvillian(p, 0.0, real_g3=real_g3)
         rows, cols = np.nonzero(l0)
         assert np.max(np.abs(k[rows] - k[cols])) == 1
         # N is read off the basis layout, so D is exactly the i 2pi k
@@ -286,8 +328,8 @@ class TestLiouvillian:
         assert np.array_equal(sides[:, 1], flat.T.reshape(-1, order="F")[sides[:, 0]])
 
     def test_assembly_holds_about_one_generator(self, ref_params):
-        # The jump terms are scattered in place, so the assembly, with
-        # its elimination blocks, holds little more than the generator.
+        # The assembly lists each term sparsely and keeps L0 as its
+        # nonzero values, so it holds less than one dense generator.
         p = replace(ref_params, fock_dim=8)
         hilbert._operators(p.fock_dim)
         hilbert._generator_parts.cache_clear()
@@ -372,6 +414,7 @@ class TestSteadyState:
             assert np.linalg.norm(liou @ vec(rho)) <= 1e-9 * np.linalg.norm(liou)
 
     def test_one_generator_assembly_per_parameter_set(self, ref_params):
+        hilbert._generator_table.cache_clear()
         hilbert._generator_parts.cache_clear()
         for probe in (-20.0, 0.0, 5.0, 20.0):
             steady_state(ref_params, probe)
@@ -381,6 +424,9 @@ class TestSteadyState:
         assert (info.misses, info.hits) == (1, 7)
         steady_state(replace(ref_params, g3=ref_params.g3 + 1.0), 0.0)
         assert hilbert._generator_parts.cache_info().misses == 2
+        # the second set reuses the cutoff's table of the eleven terms
+        info = hilbert._generator_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     @pytest.mark.parametrize("fock_dim", range(2, 9))
     @pytest.mark.parametrize("real_g3", [False, True])
@@ -418,6 +464,33 @@ class TestSteadyState:
                            r"\d\.\d{3}e\+\d+$") as excinfo:
             steady_state(ref_params, probe_freq=0.0)
         assert 1.0 <= excinfo.value.condition_estimate < math.inf
+
+    @pytest.mark.parametrize("kappa, probe", [(None, 1e160), (1e160, 0.0)],
+                             ids=["probe", "kappa"])
+    def test_huge_generator_keeps_a_finite_scale(self, ref_params, monkeypatch,
+                                                 kappa, probe):
+        # ||L(omega)||_F is finite here though its square is not; a scale
+        # of inf would let the residual check pass any finite residual
+        p = replace(ref_params, kappa=kappa or ref_params.kappa)
+        liou = build_liouvillian(p, probe)
+        big = np.max(np.abs(liou))
+        scale = hilbert._generator_norm(hilbert._generator_parts(p, False)[3],
+                                        probe)
+        assert scale == pytest.approx(big * np.linalg.norm(liou / big),
+                                      rel=1e-13, abs=0.0)
+        validate_density_matrix(steady_state(p, probe))
+        solve = hilbert._block_solve
+
+        def corrupted(*args):
+            x = solve(*args)
+            x[p.dim] += 1e-3   # rho[0, 1], in block k = -1
+            return x
+
+        monkeypatch.setattr(hilbert, "_block_solve", corrupted)
+        with pytest.raises(NumericalError, match=r"^steady-state residual "
+                           r"\d\.\d{3}e\+1[56]\d exceeds 1e-09 \* norm "
+                           r"\d\.\d{3}e\+16\d;"):
+            steady_state(p, probe)
 
     def test_positivity_rule_is_shared(self, ref_params, monkeypatch):
         # a threshold above every eigenvalue trips the one positivity rule
@@ -570,20 +643,22 @@ class TestTimeEvolveOracle:
                                     dt=dt)
         assert np.max(np.abs(rho_rk - rho_lu)) < 1e-6
 
-    @pytest.mark.parametrize("fock_dim, matvecs_only", [(3, False), (7, True)])
-    def test_powering_equals_step_loop(self, ref_params, fock_dim, matvecs_only):
-        # fock_dim 3 takes 390 steps on 81 rows: three squarings, two of
-        # them after an odd count, then matvecs. fock_dim 7 with the
-        # spectral step takes fewer steps than its 441 rows: matvecs only.
+    @pytest.mark.parametrize("fock_dim, spectral_step", [(3, False), (7, True)])
+    def test_powering_equals_step_loop(self, ref_params, fock_dim, spectral_step):
+        # fock_dim 3 takes 390 steps on 81 rows: four squarings, two of
+        # them after an odd count, then 24 matvecs. fock_dim 7 with the
+        # spectral step takes 391 steps on 441 rows: two squarings, both
+        # after an odd count, then 97 matvecs.
         p = replace(ref_params, fock_dim=fock_dim)
         liou = build_liouvillian(p, 5.0)
         t_final = 20.0 / p.kappa
-        if matvecs_only:
+        if spectral_step:
             dt, _ = liouvillian_timescales(liou)
         else:
             dt = 2.0 / np.linalg.norm(liou, 1)
         n_steps = math.ceil(t_final / dt)
-        assert n_steps <= p.dim**2 if matvecs_only else n_steps > 4 * p.dim**2
+        squared_above = 2 * hilbert._SQUARING_MATVECS * p.dim**2
+        assert n_steps > (2 if spectral_step else 8) * squared_above
         rng = np.random.default_rng(8)
         psi = rng.standard_normal(p.dim) + 1j * rng.standard_normal(p.dim)
         rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
