@@ -73,6 +73,8 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = -1e-8
 _RESIDUAL_REL = 1e-9
+# A steady-state solve is refined only when its backward error exceeds this.
+_EPSILON = float(np.finfo(float).eps)
 # Extra Fock levels of the larger cutoff fock_convergence_shift compares.
 _CONVERGENCE_EXTRA = 2
 # Cost of squaring the N x N real RK4 step matrix, in matrix-vector
@@ -219,7 +221,8 @@ class _Table:
     couplings to k + 1 and to k - 1. ``diag_d`` is D, and ``d_norm2`` its
     squared norm. ``im_on_diag`` picks, in the float view, the imaginary
     parts of the diagonal entries of L0 where D is not zero, and D is
-    ``1j * d_on_diag`` there.
+    ``1j * d_on_diag`` there. ``centre_rows`` picks, in the float view, the
+    entries of L0 on the rows of block 0, where D is zero.
     """
 
     names: tuple
@@ -229,6 +232,7 @@ class _Table:
     d_norm2: float
     im_on_diag: np.ndarray
     d_on_diag: np.ndarray
+    centre_rows: np.ndarray
     base: np.ndarray
     src: np.ndarray
     dst: np.ndarray
@@ -327,10 +331,12 @@ def _generator_table(fock_dim: int, real_g3: bool) -> _Table:
         tuple(name for name, _, _ in terms), at,
         np.ascontiguousarray(coeffs.T).view(float), diag_d,
         float(np.vdot(diag_d, diag_d).real), 2 * on_diag + 1,
-        diag_d[row[on_diag]].imag, base, np.concatenate(src),
-        np.concatenate(dst), tuple(layout), centre, sides, spans, swap)
+        diag_d[row[on_diag]].imag, np.flatnonzero(np.repeat(k_of[row] == 0, 2)),
+        base, np.concatenate(src), np.concatenate(dst), tuple(layout), centre,
+        sides, spans, swap)
     for part in (at, table.coeffs, diag_d, table.im_on_diag, table.d_on_diag,
-                 base, table.src, table.dst, centre, sides, swap):
+                 table.centre_rows, base, table.src, table.dst, centre, sides,
+                 swap):
         part.setflags(write=False)
     return table
 
@@ -349,10 +355,11 @@ def _generator_parts(params: SystemParams, real_g3: bool):
     parts of the table, the diagonal blocks k >= 0 of the bordered L0 and
     the couplings of block k to k + 1 and to k - 1 (``down[0]`` is None).
 
-    ``norms`` = (s, ||L0||^2 / s^2, 2 Re <D, diag L0> / s, ||D||^2), s the
-    largest real or imaginary part in L0 (kappa > 0 keeps it above 0), so
-    that ``_generator_norm`` gives ||L(omega)||_F with no pass over the
-    generator's entries (D is diagonal) and without overflow.
+    ``norms`` = (s, ||L0||^2 / s^2, 2 Re <D, diag L0> / s, ||D||^2, c / s),
+    s the largest real or imaginary part in L0 (kappa > 0 keeps it above
+    0), so that ``_generator_norm`` gives ||L(omega)||_F with no pass over
+    the generator's entries (D is diagonal) and without overflow; c is the
+    norm of L0's rows on block 0, those of L(omega) at any probe.
     """
     table = _generator_table(params.fock_dim, real_g3)
     floats = (TWO_PI * np.array([getattr(params, name) for name in table.names])
@@ -371,10 +378,11 @@ def _generator_parts(params: SystemParams, real_g3: bool):
     blocks = [buffer[lo:hi].reshape(shape) for lo, hi, shape in table.layout]
     top = len(table.spans) - 1
     unit = floats / scale
+    centre_unit = unit[table.centre_rows]
     # D is imaginary, so Re <D, diag L0> pairs it with Im diag L0.
     norms = (scale, float(unit @ unit),
              2.0 * float(table.d_on_diag @ unit[table.im_on_diag]),
-             table.d_norm2)
+             table.d_norm2, math.sqrt(float(centre_unit @ centre_unit)))
     return ((table.at, values), table.diag_d,
             (table.centre, table.sides, table.spans, blocks[:top + 1],
              blocks[top + 1:2 * top + 1], [None] + blocks[2 * top + 1:],
@@ -403,7 +411,7 @@ def _generator_norm(norms, probe_freq: float) -> float:
     It is formed relative to m = max(s, |probe_freq|), so it overflows
     only when the norm itself does.
     """
-    scale, norm2, cross, d_norm2 = norms
+    scale, norm2, cross, d_norm2, _ = norms
     m = max(scale, abs(probe_freq))
     r, w = scale / m, probe_freq / m
     return m * math.sqrt(r * (r * norm2 + w * cross) + w * w * d_norm2)
@@ -522,6 +530,29 @@ def _solve_failure(message: str, liou: np.ndarray, d: int) -> NumericalError:
                           condition_estimate=cond)
 
 
+def _backward_errors(liou: np.ndarray, x: np.ndarray, d: int,
+                     centre: np.ndarray, norms: tuple) -> tuple:
+    """(r, errors, ||x||) of a solve x of the bordered system B x = e_0.
+
+    B is the generator ``liou`` with row 0 the trace equation, and
+    r = e_0 - B x. ``errors`` are normwise backward errors
+    ||r|| / (||B|| ||x|| + 1): over the whole of r with ``norms[0]`` for
+    ||B||, and over its ``centre`` block with ``norms[1]``, the norm of
+    B's rows there. Each is the norm of r scaled down by its denominator,
+    so a residual whose square overflows still gives a finite figure; a
+    denominator that overflows gives inf.
+    """
+    r = -(liou @ x)
+    r[0] = 1.0 - x[::d + 1].sum()
+    x_norm = float(np.linalg.norm(x))
+    errors = []
+    for part, norm in ((r, norms[0]), (r[centre], norms[1])):
+        den = norm * x_norm + 1.0
+        errors.append(float(np.linalg.norm(part / den)) if den < math.inf
+                      else math.inf)
+    return r, errors, x_norm
+
+
 def steady_state(params: SystemParams, probe_freq: float,
                  real_g3: bool = False) -> np.ndarray:
     """Unique steady state of the driven damped system.
@@ -530,39 +561,45 @@ def steady_state(params: SystemParams, probe_freq: float,
     by the trace-normalization equation. The bordered system is block
     tridiagonal in the excitation-difference ordering (``_generator_parts``);
     it is solved by block elimination from both ends towards k = 0. The
-    right-hand side e_0 lies in block 0, so the first solution is column 0
-    of the centre inverse carried outwards block by block. One step of
-    iterative refinement follows and reuses the inverse Schur complements.
-    The residual of the refinement and the final check are formed with the
-    dense L(omega); the final check compares against ||L(omega)||_F, which
-    comes from four cached scalars of the parameter set. The result is
-    symmetrized and exactly trace-normalized, so of the invariants of
-    ``validate_density_matrix`` only positivity is left to test, by the
-    same rule: an eigenvalue below POSITIVITY_TOL raises StateError. The
-    truncated generator keeps Lindblad form, so its steady state is
-    positive at any Fock cutoff; a breach means a failed solve.
+    right-hand side e_0 lies in block 0, so the solution is column 0 of
+    the centre inverse carried outwards block by block.
+
+    Its residual r, formed with the dense L(omega), gives two normwise
+    backward errors ||r|| / (||L|| ||x|| + 1): one over the whole vector
+    against ||L(omega)||_F, and one over block 0 against the norm of L's
+    rows there, where D is zero, so that an error in that block shows at
+    any probe frequency. Both norms come from cached scalars of the
+    parameter set. Only when either exceeds machine epsilon does one
+    step of iterative refinement follow, reusing the inverse Schur
+    complements; below it a refinement step cannot gain anything (Skeel,
+    Math. Comp. 35, 817 (1980)). Both figures must then be at most 1e-9.
+    The result is symmetrized and exactly trace-normalized, so of the
+    invariants of ``validate_density_matrix`` only positivity is left to
+    test, by the same rule: an eigenvalue below POSITIVITY_TOL raises
+    StateError. The truncated generator keeps Lindblad form, so its
+    steady state is positive at any Fock cutoff; a breach means a failed
+    solve.
     """
     liou = build_liouvillian(params, probe_freq, real_g3=real_g3)
     _, _, blocks, norms = _generator_parts(params, real_g3)
     d = params.dim
-    scale = _generator_norm(norms, probe_freq)
+    scales = (_generator_norm(norms, probe_freq), norms[0] * norms[4])
     try:
         factors = _eliminate(blocks, probe_freq)
-        x = _block_solve(blocks, factors)
-        # Residual of the bordered system: row 0 is the trace equation.
-        r = -(liou @ x)
-        r[0] = 1.0 - x[::d + 1].sum()
-        x += _block_solve(blocks, factors, r)
     except np.linalg.LinAlgError as exc:
         raise _solve_failure(f"steady-state solve failed ({exc})", liou, d) from exc
-
-    # Relative to the scale, so that a residual whose square overflows
-    # is still a finite number.
-    residual = float(np.linalg.norm((liou @ x) / scale))
-    if not residual <= _RESIDUAL_REL:
-        raise _solve_failure(f"steady-state residual {residual * scale:.3e} "
-                             f"exceeds {_RESIDUAL_REL} * norm {scale:.3e}",
-                             liou, d)
+    x = _block_solve(blocks, factors)
+    r, errors, x_norm = _backward_errors(liou, x, d, blocks[0], scales)
+    if not max(errors) <= _EPSILON:
+        x += _block_solve(blocks, factors, r)
+        _, errors, x_norm = _backward_errors(liou, x, d, blocks[0], scales)
+    for label, error, scale in zip(("residual", "centre-block residual"),
+                                   errors, scales):
+        if not error <= _RESIDUAL_REL:
+            raise _solve_failure(
+                f"steady-state {label} {error * (scale * x_norm + 1.0):.3e} "
+                f"exceeds {_RESIDUAL_REL} * (norm {scale:.3e} * |x| "
+                f"{x_norm:.3e} + 1)", liou, d)
 
     rho = _density_matrix(x, d)
     _require_positive(rho)

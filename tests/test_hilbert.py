@@ -368,6 +368,10 @@ class TestLiouvillian:
         expected = np.linalg.norm(build_liouvillian(p, probe, real_g3=real_g3))
         assert hilbert._generator_norm(norms, probe) == pytest.approx(
             expected, rel=1e-13, abs=0.0)
+        # the norm of L0's rows on block 0, where D is zero
+        l0 = build_liouvillian(p, 0.0, real_g3=real_g3)
+        centre = np.linalg.norm(l0[excitation_difference(fock_dim) == 0])
+        assert norms[0] * norms[4] == pytest.approx(centre, rel=1e-13, abs=0.0)
 
     def test_returns_a_fresh_writable_matrix(self, ref_params):
         first = build_liouvillian(ref_params, 3.0)
@@ -460,8 +464,8 @@ class TestSteadyState:
         # a tolerance far below roundoff trips the final residual check
         monkeypatch.setattr(hilbert, "_RESIDUAL_REL", 1e-30)
         with pytest.raises(NumericalError, match=r"^steady-state residual \S+ "
-                           r"exceeds 1e-30 \* norm \S+; condition estimate "
-                           r"\d\.\d{3}e\+\d+$") as excinfo:
+                           r"exceeds 1e-30 \* \(norm \S+ \* \|x\| \S+ \+ 1\); "
+                           r"condition estimate \d\.\d{3}e\+\d+$") as excinfo:
             steady_state(ref_params, probe_freq=0.0)
         assert 1.0 <= excinfo.value.condition_estimate < math.inf
 
@@ -488,9 +492,33 @@ class TestSteadyState:
 
         monkeypatch.setattr(hilbert, "_block_solve", corrupted)
         with pytest.raises(NumericalError, match=r"^steady-state residual "
-                           r"\d\.\d{3}e\+1[56]\d exceeds 1e-09 \* norm "
-                           r"\d\.\d{3}e\+16\d;"):
+                           r"\d\.\d{3}e\+1[56]\d exceeds 1e-09 \* \(norm "
+                           r"\d\.\d{3}e\+16\d \* \|x\| \S+ \+ 1\);"):
             steady_state(p, probe)
+
+    # Entries rho[1, 1], rho[1, 0] and rho[2 fock_dim - 1, 0] of blocks
+    # k = 0, 1 and fock_dim. D is zero on block 0, so once omega D
+    # dominates ||L(omega)||_F only the centre-block figure sees an error
+    # there.
+    @pytest.mark.parametrize("probe", [0.0, 1e4, 1e160])
+    @pytest.mark.parametrize("block", ["0", "1", "fock_dim"])
+    def test_corrupted_block_raises(self, ref_params, monkeypatch, block, probe):
+        d, fock_dim = ref_params.dim, ref_params.fock_dim
+        at = {"0": 1 + d, "1": 1, "fock_dim": 2 * fock_dim - 1}[block]
+        assert excitation_difference(fock_dim)[at] == {
+            "0": 0, "1": 1, "fock_dim": fock_dim}[block]
+        solve = hilbert._block_solve
+
+        def corrupted(*args):
+            x = solve(*args)
+            x[at] += 1e-6
+            return x
+
+        monkeypatch.setattr(hilbert, "_block_solve", corrupted)
+        with pytest.raises(NumericalError,
+                           match=r"^steady-state (centre-block )?residual "):
+            steady_state(ref_params, probe)
+
 
     def test_positivity_rule_is_shared(self, ref_params, monkeypatch):
         # a threshold above every eigenvalue trips the one positivity rule
@@ -539,6 +567,68 @@ class TestSteadyState:
                 ratio = np.linalg.norm(liou @ vec(rho)) / np.linalg.norm(liou)
                 worst = max(worst, ratio)
         assert worst <= 1e-12
+
+
+class TestRefinement:
+    """One refinement step runs only when the first solve's backward
+    error exceeds machine epsilon."""
+
+    @staticmethod
+    def count_solves(monkeypatch, perturb=0.0, at=0):
+        """Count ``_block_solve`` calls; add ``perturb`` at ``at`` to the first."""
+        solve, calls = hilbert._block_solve, []
+
+        def counted(*args):
+            x = solve(*args)
+            if not calls:
+                x[at] += perturb
+            calls.append(len(args))
+            return x
+
+        monkeypatch.setattr(hilbert, "_block_solve", counted)
+        return calls
+
+    def test_clean_solve_is_not_refined(self, ref_params, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        for probe in (-20.0, 0.0, 12.0, 33.0):
+            steady_state(ref_params, probe)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("probe", [0.0, 1e4, 1e160])
+    def test_perturbed_first_solve_is_refined(self, ref_params, monkeypatch,
+                                              probe):
+        clean = steady_state(ref_params, probe)
+        # rho[1, 1], in block 0
+        calls = self.count_solves(monkeypatch, 1e-9, 1 + ref_params.dim)
+        rho = steady_state(ref_params, probe)
+        # the solve for e_0, then the refinement solve for its residual
+        assert calls == [2, 3]
+        assert np.max(np.abs(rho - clean)) <= 1e-14
+
+    def test_matches_two_solves_over_seeded_draws(self):
+        # The ranges of the benchmark's master-equation scan, where no
+        # solve is refined: a refinement step would move no entry of the
+        # state beyond roundoff.
+        rng = np.random.default_rng(27)
+        worst = 0.0
+        for _ in range(40):
+            p = SystemParams(kappa=rng.uniform(10, 50), g3=rng.uniform(0, 15),
+                             g4=rng.uniform(0, 25),
+                             gamma_d3=rng.uniform(0.5, 5),
+                             gamma_d4=rng.uniform(0.5, 5), omega_c=0.0,
+                             omega_x=rng.uniform(-20, 20),
+                             delta_h=rng.uniform(0, 20))
+            blocks = hilbert._generator_parts(p, False)[2]
+            span = max(abs(p.omega_x), abs(p.omega_x - p.delta_h)) + 3 * p.kappa
+            for probe in rng.uniform(-span, span, 4):
+                factors = hilbert._eliminate(blocks, probe)
+                x = hilbert._block_solve(blocks, factors)
+                r = -(build_liouvillian(p, probe) @ x)
+                r[0] = 1.0 - np.trace(x.reshape((p.dim, p.dim), order="F"))
+                x += hilbert._block_solve(blocks, factors, r)
+                twice = hilbert._density_matrix(x, p.dim)
+                worst = max(worst, np.max(np.abs(steady_state(p, probe) - twice)))
+        assert worst <= 1e-15
 
 
 class TestExpectations:

@@ -339,10 +339,8 @@ _NUMBER_DRAWS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False))
 
 
-# numpy warns where an extreme finite value overflows inside a spectrum;
-# the Spectrum point rule then refuses what is not finite. A large drawn
-# drive_amp gives SystemParams' documented linear-response warning.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# A large drawn drive_amp gives SystemParams' documented linear-response
+# warning. No numpy warning is ignored: the suite makes each an error.
 @pytest.mark.filterwarnings("ignore:drive_amp exceeds kappa/10")
 @pytest.mark.parametrize("name", sorted(NUMBER_RULE_CASES))
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)

@@ -221,6 +221,29 @@ class TestCavityResponse:
                                    rtol=1e-12, atol=0)
 
 
+    # Extreme finite inputs whose arithmetic overflows or underflows give
+    # the response's limit without a numpy warning (the suite makes each
+    # an error): a cavity 2.86e307 GHz away is dark, and a line 2.135e153
+    # GHz away, where the square of its angular detuning overflows, leaves
+    # the bare Lorentzian.
+    def test_far_cavity_gives_its_limit(self):
+        spec = lorentzian_spectrum(31.79, -2.86e307, ScanConfig(-60, 60, 11))
+        assert np.array_equal(spec.reflectivity, np.zeros(11))
+
+    def test_far_line_leaves_the_lorentzian(self):
+        cfg = ScanConfig(-60.0, 60.0, 5)
+        spec = dit_spectrum(17.2, 31.79, 1.78, -2.135e153, 0.0, cfg)
+        assert np.array_equal(spec.reflectivity,
+                              lorentzian_spectrum(31.79, 0.0, cfg).reflectivity)
+
+    def test_tiny_lossless_line_off_its_frequency(self):
+        # (2 pi)^2 times the square of the 1e-200 offset underflows to 0,
+        # but the line's term, i g^2 / offset, is finite and negligible
+        f = np.array([1e-200])
+        r = cavity_response(f, KAPPA, 0.0, [(1e-150, 0.0, 0.0)])
+        assert np.array_equal(r, cavity_response(f, KAPPA, 0.0))
+
+
 class TestTwoTransition:
     def test_single_transition_reduction(self, ref_params, ref_scan):
         p = replace(ref_params, g3=0.0)
