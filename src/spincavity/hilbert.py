@@ -535,21 +535,24 @@ def _backward_errors(liou: np.ndarray, x: np.ndarray, d: int,
     """(r, errors, ||x||) of a solve x of the bordered system B x = e_0.
 
     B is the generator ``liou`` with row 0 the trace equation, and
-    r = e_0 - B x. ``errors`` are normwise backward errors
-    ||r|| / (||B|| ||x|| + 1): over the whole of r with ``norms[0]`` for
-    ||B||, and over its ``centre`` block with ``norms[1]``, the norm of
-    B's rows there. Each is the norm of r scaled down by its denominator,
-    so a residual whose square overflows still gives a finite figure; a
-    denominator that overflows gives inf.
+    r = e_0 - B x. ``errors`` are normwise backward errors of L x = 0,
+    ||L x|| / (||L|| ||x||): over all of L x with ``norms[0]`` for ||L||,
+    and over its ``centre`` block with ``norms[1]``, the norm of L's rows
+    there. The trace row is left out of both: the state is normalized
+    exactly afterwards, and its error is on the scale of 1, not of L.
+    Each figure is L x scaled down by its denominator, so a residual
+    whose square overflows still gives a finite figure; a denominator
+    that overflows or is 0 gives inf.
     """
-    r = -(liou @ x)
-    r[0] = 1.0 - x[::d + 1].sum()
+    lx = liou @ x
     x_norm = float(np.linalg.norm(x))
     errors = []
-    for part, norm in ((r, norms[0]), (r[centre], norms[1])):
-        den = norm * x_norm + 1.0
-        errors.append(float(np.linalg.norm(part / den)) if den < math.inf
+    for part, norm in ((lx, norms[0]), (lx[centre], norms[1])):
+        den = norm * x_norm
+        errors.append(float(np.linalg.norm(part / den)) if 0.0 < den < math.inf
                       else math.inf)
+    r = -lx
+    r[0] = 1.0 - x[::d + 1].sum()
     return r, errors, x_norm
 
 
@@ -564,12 +567,12 @@ def steady_state(params: SystemParams, probe_freq: float,
     right-hand side e_0 lies in block 0, so the solution is column 0 of
     the centre inverse carried outwards block by block.
 
-    Its residual r, formed with the dense L(omega), gives two normwise
-    backward errors ||r|| / (||L|| ||x|| + 1): one over the whole vector
-    against ||L(omega)||_F, and one over block 0 against the norm of L's
-    rows there, where D is zero, so that an error in that block shows at
-    any probe frequency. Both norms come from cached scalars of the
-    parameter set. Only when either exceeds machine epsilon does one
+    The product L(omega) x, formed with the dense generator, gives two
+    normwise backward errors ||L x|| / (||L|| ||x||): one over the whole
+    vector against ||L(omega)||_F, and one over block 0 against the norm
+    of L's rows there, where D is zero, so that an error in that block
+    shows at any probe frequency. Both norms come from cached scalars of
+    the parameter set. Only when either exceeds machine epsilon does one
     step of iterative refinement follow, reusing the inverse Schur
     complements; below it a refinement step cannot gain anything (Skeel,
     Math. Comp. 35, 817 (1980)). Both figures must then be at most 1e-9.
@@ -597,9 +600,9 @@ def steady_state(params: SystemParams, probe_freq: float,
                                    errors, scales):
         if not error <= _RESIDUAL_REL:
             raise _solve_failure(
-                f"steady-state {label} {error * (scale * x_norm + 1.0):.3e} "
+                f"steady-state {label} {error * scale * x_norm:.3e} "
                 f"exceeds {_RESIDUAL_REL} * (norm {scale:.3e} * |x| "
-                f"{x_norm:.3e} + 1)", liou, d)
+                f"{x_norm:.3e})", liou, d)
 
     rho = _density_matrix(x, d)
     _require_positive(rho)

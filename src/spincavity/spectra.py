@@ -40,7 +40,6 @@ from .physcalc import (TWO_PI, TrionLevels, _require_finite_real,
 # Most spectrum rows one scan or field sweep may ask for; counts read
 # from outside input are refused above it before anything is allocated.
 _ROW_LIMIT = 10**6
-_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _first_bad_point(freq, refl, weight) -> tuple[int, str] | None:
@@ -158,57 +157,34 @@ def cavity_response(freq, kappa, omega_c, lines=()):
     """Unscaled cavity response with any number of coupled dipole lines.
 
     ``lines`` holds (g, gamma_perp, omega_i) triples; lines with g = 0 are
-    skipped, and with no lines the result is the bare Lorentzian. Where a
-    part of the denominator is infinite, as a lossless line's term
-    (gamma_perp = 0) at its own frequency, or too large to represent, the
-    response is its limit, 0; it is computed without a numpy warning. A
-    coupling whose angular square overflows raises DomainError.
+    skipped, and with no lines the result is the bare Lorentzian. On a
+    lossless line (gamma_perp = 0), at its own frequency, the response is
+    its limit, 0. Where a part of the denominator overflows, the response
+    is its limit, 0, too, and numpy does not warn; a point whose
+    arithmetic gives NaN is left to the Spectrum point rule. A coupling
+    whose angular square overflows raises DomainError.
     """
     freq = np.asarray(freq, dtype=float)
-    couplings = []
-    for g, gamma_perp, omega in lines:
-        if g:
-            w = TWO_PI * g
-            _require_squarable("line coupling 2 pi g", w)
-            couplings.append((w, gamma_perp, omega))
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _response(freq, kappa, omega_c, couplings)
-    except FloatingPointError:
-        with np.errstate(all="ignore"):
-            return _response(freq, kappa, omega_c, couplings, limits=True)
-
-
-def _response(freq, kappa, omega_c, couplings, limits=False):
-    """``cavity_response`` for (2 pi g, gamma_perp, omega_i) lines.
-
-    Real and imaginary parts of the denominator are in angular units;
-    each line adds w^2 / (a - i b) = w^2 (a + i b) / (a^2 + b^2).
-    ``limits`` is for a call whose arithmetic overflowed or divided by
-    zero: an infinite a or b is taken as the largest float,
-    q = w^2 / (a^2 + b^2) comes from h = hypot(a, b) where a^2 + b^2
-    overflows or underflows to 0, and the response is 0 wherever a part
-    of the denominator is infinite. At a point where none of that
-    happens, both ways give the same bits.
-    """
-    re, im = TWO_PI * kappa / 2.0, -TWO_PI * (freq - omega_c)
-    far = np.isinf(re) | np.isinf(im) if limits else False
-    for w, gamma_perp, omega in couplings:
-        a, b = TWO_PI * gamma_perp, TWO_PI * (freq - omega)
-        if limits:
-            a, b = np.clip(a, 0.0, _FLOAT_MAX), np.clip(b, -_FLOAT_MAX, _FLOAT_MAX)
-        d = a * a + b * b
-        q = w ** 2 / d
-        if limits:
-            h = np.hypot(a, b)
-            q = np.where(np.isinf(d) | (d == 0), w / h * w / h, q)
-        ta, tb = a * q, b * q
-        if limits:
-            far = far | np.isinf(q) | np.isinf(ta) | np.isinf(tb)
-        re = re + ta
-        im = im + tb
-    response = 1.0 / (re * re + im * im)
-    return np.where(far, 0.0, response) if limits else response
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # real and imaginary parts of the denominator, in angular units;
+        # each line adds g^2 / (a - i b) = g^2 (a + i b) / (a^2 + b^2)
+        re, im = TWO_PI * kappa / 2.0, -TWO_PI * (freq - omega_c)
+        for g, gamma_perp, omega in lines:
+            if g:
+                a, b = TWO_PI * gamma_perp, TWO_PI * (freq - omega)
+                w = TWO_PI * g
+                _require_squarable("line coupling 2 pi g", w)
+                d = a * a + b * b
+                if a * a == 0:
+                    # a lossless line's term is infinite where d is 0: an
+                    # infinite real part there gives the response's limit, 0
+                    on_line = d == 0
+                    d = np.where(on_line, np.inf, d)
+                    re = np.where(on_line, np.inf, re)
+                q = w ** 2 / d
+                re = re + a * q
+                im = im + b * q
+        return 1.0 / (re * re + im * im)
 
 
 def spin_down_lines(p) -> tuple:

@@ -38,26 +38,55 @@ def test_gain_needs_the_wins_and_a_shift_beyond_the_base_iqr(offsets, gain):
     assert bench_pairs.summary(change, base, "higher")["gain"] is gain
 
 
-def test_pairs_alternate_and_a_failed_pair_is_left_out(tmp_path, monkeypatch, capsys):
+def run(correct, failed=0, attempted=10):
+    return {"correct": correct, "failed": failed, "attempted": attempted}
+
+
+def test_sound_runs():
+    clean = [run(True), run(True)]
+    assert bench_pairs.sound(clean, clean)
+    assert not bench_pairs.sound(clean, [run(True), run(False)])
+    assert not bench_pairs.sound(clean, [run(True), run(True, failed=1)])
+    # the same share of failed tasks as the base is not worse
+    assert bench_pairs.sound([run(True, 1, 20)], [run(True, 1, 20)])
+    assert bench_pairs.sound([run(True, 2, 20)], [run(True, 1, 20)])
+
+
+def fake_pairs(tmp_path, monkeypatch, change_failed=0):
+    """Run main on faked runs; return the runs made and the output lines."""
     base, change = tmp_path / "base", tmp_path / "change"
     for side in (base, change):
         side.mkdir()
-    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "pass_s", "better": "lower"}]}))
+    (change / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 60, "end_to_end": [{"name": "pass_s", "better": "lower"}]}))
     runs = []
 
     def fake(checkout, workload, seed, seconds):
+        assert seconds == 60
         runs.append((checkout.name, seed))
         if seed == 10:   # a warm-up failure: the pair is left out
             return None
         value = 1.0 if checkout == base else 0.5
-        return {"correct": True, "failed": 0, "attempted": 3,
+        return {"correct": True, "attempted": 3,
+                "failed": 0 if checkout == base else change_failed,
                 "metrics": {"pass_s": {"value": value + 0.01 * seed}}}
 
     monkeypatch.setattr(bench_pairs, "run_once", fake)
     assert bench_pairs.main([str(base), str(change), "--workload", "w",
                              "--pairs", "4", "--first-seed", "7"]) == 0
+    return runs
+
+
+def test_pairs_alternate_and_a_failed_pair_is_left_out(tmp_path, monkeypatch, capsys):
+    runs = fake_pairs(tmp_path, monkeypatch)
     assert runs == [("base", 7), ("change", 7), ("change", 8), ("base", 8),
                     ("base", 9), ("change", 9), ("change", 10), ("base", 10)]
     row = capsys.readouterr().out.splitlines()[-1].split()
     assert row[0] == "pass_s" and row[-4:] == ["3/3", "0.5", "0.02", "yes"]
+
+
+def test_failed_tasks_void_a_gain(tmp_path, monkeypatch, capsys):
+    fake_pairs(tmp_path, monkeypatch, change_failed=1)
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1].startswith("# no gain holds")
+    assert out[-2].split()[-4:] == ["3/3", "0.5", "0.02", "no"]

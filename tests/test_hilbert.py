@@ -58,6 +58,13 @@ def textbook_liouvillian(params, probe, real_g3=False):
     return liou
 
 
+# Every rate 1e-4 GHz and the cavity at 0: ||L(omega)||_F is about 0.03
+# near resonance.
+SMALL_RATES = SystemParams(kappa=1e-4, g3=1e-4, g4=1e-4, gamma_d3=1e-4,
+                           gamma_d4=1e-4, omega_c=0.0, omega_x=1e-4,
+                           delta_h=1e-4, gamma3=1e-4, gamma4=1e-4)
+
+
 # The SystemParams fields that enter the generator.
 GENERATOR_TERMS = ("kappa", "gamma3", "gamma4", "gamma_d3", "gamma_d4",
                    "omega_c", "omega_x", "delta_h", "g3", "g4", "drive_amp")
@@ -464,7 +471,7 @@ class TestSteadyState:
         # a tolerance far below roundoff trips the final residual check
         monkeypatch.setattr(hilbert, "_RESIDUAL_REL", 1e-30)
         with pytest.raises(NumericalError, match=r"^steady-state residual \S+ "
-                           r"exceeds 1e-30 \* \(norm \S+ \* \|x\| \S+ \+ 1\); "
+                           r"exceeds 1e-30 \* \(norm \S+ \* \|x\| \S+\); "
                            r"condition estimate \d\.\d{3}e\+\d+$") as excinfo:
             steady_state(ref_params, probe_freq=0.0)
         assert 1.0 <= excinfo.value.condition_estimate < math.inf
@@ -493,17 +500,23 @@ class TestSteadyState:
         monkeypatch.setattr(hilbert, "_block_solve", corrupted)
         with pytest.raises(NumericalError, match=r"^steady-state residual "
                            r"\d\.\d{3}e\+1[56]\d exceeds 1e-09 \* \(norm "
-                           r"\d\.\d{3}e\+16\d \* \|x\| \S+ \+ 1\);"):
+                           r"\d\.\d{3}e\+16\d \* \|x\| \S+\);"):
             steady_state(p, probe)
 
     # Entries rho[1, 1], rho[1, 0] and rho[2 fock_dim - 1, 0] of blocks
     # k = 0, 1 and fock_dim. D is zero on block 0, so once omega D
     # dominates ||L(omega)||_F only the centre-block figure sees an error
-    # there.
+    # there. In the "small" set every rate is 1e-4 GHz, so ||L(omega)||_F
+    # is far below 1 near resonance: the figures must not depend on the
+    # generator's scale.
     @pytest.mark.parametrize("probe", [0.0, 1e4, 1e160])
     @pytest.mark.parametrize("block", ["0", "1", "fock_dim"])
-    def test_corrupted_block_raises(self, ref_params, monkeypatch, block, probe):
-        d, fock_dim = ref_params.dim, ref_params.fock_dim
+    @pytest.mark.parametrize("scale", ["ref", "small"])
+    def test_corrupted_block_raises(self, ref_params, monkeypatch, scale,
+                                    block, probe):
+        params = ref_params if scale == "ref" else SMALL_RATES
+        validate_density_matrix(steady_state(params, probe))
+        d, fock_dim = params.dim, params.fock_dim
         at = {"0": 1 + d, "1": 1, "fock_dim": 2 * fock_dim - 1}[block]
         assert excitation_difference(fock_dim)[at] == {
             "0": 0, "1": 1, "fock_dim": fock_dim}[block]
@@ -517,7 +530,7 @@ class TestSteadyState:
         monkeypatch.setattr(hilbert, "_block_solve", corrupted)
         with pytest.raises(NumericalError,
                            match=r"^steady-state (centre-block )?residual "):
-            steady_state(ref_params, probe)
+            steady_state(params, probe)
 
 
     def test_positivity_rule_is_shared(self, ref_params, monkeypatch):
@@ -588,10 +601,13 @@ class TestRefinement:
         monkeypatch.setattr(hilbert, "_block_solve", counted)
         return calls
 
-    def test_clean_solve_is_not_refined(self, ref_params, monkeypatch):
+    @pytest.mark.parametrize("scale", ["ref", "small"])
+    def test_clean_solve_is_not_refined(self, ref_params, monkeypatch, scale):
+        params, unit = ((ref_params, 1.0) if scale == "ref"
+                        else (SMALL_RATES, 1e-4 / ref_params.kappa))
         calls = self.count_solves(monkeypatch)
         for probe in (-20.0, 0.0, 12.0, 33.0):
-            steady_state(ref_params, probe)
+            steady_state(params, probe * unit)
         assert len(calls) == 4
 
     @pytest.mark.parametrize("probe", [0.0, 1e4, 1e160])
