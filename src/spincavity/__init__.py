@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .errors import DomainError, NumericalError, SpinCavityError, StateError
 from .fitkit import (FitProblem, FitResult, FreeParam, ModelKind, fit,
                      fit_thermal_pup, free_param, profile_bound)
-from .hilbert import (SystemParams, build_hamiltonian, build_liouvillian,
+from .hilbert import (SystemParams, build_liouvillian,
                       expectation_cavity_amplitude, expectation_photon_number,
                       fock_convergence_shift, steady_state,
                       time_evolve_oracle, validate_density_matrix)
@@ -37,7 +37,7 @@ __all__ = [
     "splitting_nm_to_ghz", "lande_g_factor", "zeeman_splitting_ghz",
     "thermal_spin_up_population", "cooperativity", "is_strongly_coupled",
     "transition_frequencies",
-    "build_hamiltonian", "build_liouvillian", "steady_state",
+    "build_liouvillian", "steady_state",
     "time_evolve_oracle", "expectation_photon_number",
     "expectation_cavity_amplitude", "validate_density_matrix",
     "fock_convergence_shift",

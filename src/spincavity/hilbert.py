@@ -47,10 +47,10 @@ All user-facing rates and frequencies are quoted values (value/2pi in
 GHz); internally one global multiplication by 2pi converts them to
 angular units (rad/ns, with time measured in ns).
 
-The i g3 coupling phase is a pure gauge choice: conjugating the atomic
-basis maps it to a real coupling without changing any observable. The
-``real_g3`` flag of the builders switches to the real convention so the
-equivalence can be asserted numerically.
+The library uses the i g3 coupling phase. It is a pure gauge choice:
+the unitary U = diag(1, -i, 1) x I on the atomic basis maps it to the
+real coupling g3 (a s3' + s3 a') without changing any observable, and
+the tests check the real convention through U.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def number_operator(fock_dim: int) -> np.ndarray:
     return np.kron(np.eye(3), np.diag(np.arange(fock_dim, dtype=float))).astype(complex)
 
 
-def _terms(fock_dim: int, real_g3: bool):
+def _terms(fock_dim: int):
     """The eleven terms of L0 = sum_t c_t M_t, c_t = 2pi times a parameter.
 
     One (name, operator, rate factor) per ``SystemParams`` field that
@@ -183,33 +183,16 @@ def _terms(fock_dim: int, real_g3: bool):
     a, s3, s4 = _operators(fock_dim)
     ad, s3d, s4d = a.conj().T, s3.conj().T, s4.conj().T
     n3, n4 = s3d @ s3, s4d @ s4
-    g3 = a @ s3d + s3 @ ad if real_g3 else 1j * (a @ s3d - s3 @ ad)
     return (("kappa", a, 1.0), ("gamma3", s3, 1.0), ("gamma4", s4, 1.0),
             ("gamma_d3", n3, 2.0), ("gamma_d4", n4, 2.0),
             ("omega_c", ad @ a, None), ("omega_x", n3 + n4, None),
-            ("delta_h", -n4, None), ("g3", g3, None),
+            ("delta_h", -n4, None), ("g3", 1j * (a @ s3d - s3 @ ad), None),
             ("g4", a @ s4d + s4 @ ad, None), ("drive_amp", a + ad, None))
-
-
-def build_hamiltonian(params: SystemParams, probe_freq: float,
-                      real_g3: bool = False) -> np.ndarray:
-    """Hamiltonian (angular units, rad/ns) in the probe rotating frame.
-
-    ``probe_freq`` must be a finite real number.
-    """
-    _require_finite_real("probe_freq", probe_freq)
-    # The probe enters as -probe_freq N, N = a'a + s3's3 + s4's4: the
-    # operators of omega_c and omega_x.
-    shifted = {"omega_c": params.omega_c - probe_freq,
-               "omega_x": params.omega_x - probe_freq}
-    return sum(TWO_PI * shifted.get(name, getattr(params, name)) * op
-               for name, op, rate in _terms(params.fock_dim, real_g3)
-               if rate is None)
 
 
 @dataclass(frozen=True)
 class _Table:
-    """What ``_generator_parts`` needs of one cutoff and phase convention.
+    """What ``_generator_parts`` needs of one cutoff.
 
     L0 is zero but at the row-major flat positions ``at``. Row t of
     ``coeffs`` holds M_t there, real and imaginary parts interleaved, so
@@ -244,7 +227,7 @@ class _Table:
 
 
 @lru_cache(maxsize=8)
-def _generator_table(fock_dim: int, real_g3: bool) -> _Table:
+def _generator_table(fock_dim: int) -> _Table:
     """The ``_Table`` of L0 = sum_t c_t M_t at this cutoff, cached read-only.
 
     M_t rho = G rho + rho G' + f C rho C', with G = -i times the operator
@@ -267,7 +250,7 @@ def _generator_table(fock_dim: int, real_g3: bool) -> _Table:
     """
     d = 3 * fock_dim
     n = d * d
-    terms = _terms(fock_dim, real_g3)
+    terms = _terms(fock_dim)
     every = np.arange(d)
     rows, cols, values, which = [], [], [], []
     for t, (_, op, rate) in enumerate(terms):
@@ -343,7 +326,7 @@ def _generator_table(fock_dim: int, real_g3: bool) -> _Table:
 
 @lru_cache(maxsize=1)
 @np.errstate(over="ignore", invalid="ignore")   # overflow is refused below
-def _generator_parts(params: SystemParams, real_g3: bool):
+def _generator_parts(params: SystemParams):
     """((at, values), D, blocks, norms) with L(omega) = L0 + omega * diag(D).
 
     L0 is zero but for ``values`` at the row-major flat positions ``at``,
@@ -361,7 +344,7 @@ def _generator_parts(params: SystemParams, real_g3: bool):
     the generator's entries (D is diagonal) and without overflow; c is the
     norm of L0's rows on block 0, those of L(omega) at any probe.
     """
-    table = _generator_table(params.fock_dim, real_g3)
+    table = _generator_table(params.fock_dim)
     floats = (TWO_PI * np.array([getattr(params, name) for name in table.names])
               ) @ table.coeffs
     # The largest real or imaginary part: the scale of the norms, and NaN
@@ -389,15 +372,18 @@ def _generator_parts(params: SystemParams, real_g3: bool):
              table.swap), norms)
 
 
-def build_liouvillian(params: SystemParams, probe_freq: float,
-                      real_g3: bool = False) -> np.ndarray:
+def build_liouvillian(params: SystemParams, probe_freq: float) -> np.ndarray:
     """Generator L with d vec(rho)/dt = L vec(rho), column-major vec.
 
     Returns a fresh, writable L0 + probe_freq * diag(D). ``probe_freq``
-    must be a finite real number.
+    must be a finite real number. A probe at which ||L||_F overflows
+    raises NumericalError before anything is allocated.
     """
     _require_finite_real("probe_freq", probe_freq)
-    (at, values), diag, _, _ = _generator_parts(params, real_g3)
+    (at, values), diag, _, norms = _generator_parts(params)
+    if not math.isfinite(_generator_norm(norms, float(probe_freq))):
+        raise NumericalError(f"the generator L overflows at probe_freq="
+                             f"{probe_freq:.6g}; no steady-state solve can use it")
     n = params.dim ** 2
     liou = np.zeros((n, n), dtype=complex)
     liou.reshape(-1)[at] = values
@@ -556,8 +542,7 @@ def _backward_errors(liou: np.ndarray, x: np.ndarray, d: int,
     return r, errors, x_norm
 
 
-def steady_state(params: SystemParams, probe_freq: float,
-                 real_g3: bool = False) -> np.ndarray:
+def steady_state(params: SystemParams, probe_freq: float) -> np.ndarray:
     """Unique steady state of the driven damped system.
 
     Solves L vec(rho) = 0 with row 0 of the (singular) generator replaced
@@ -583,8 +568,8 @@ def steady_state(params: SystemParams, probe_freq: float,
     steady state is positive at any Fock cutoff; a breach means a failed
     solve.
     """
-    liou = build_liouvillian(params, probe_freq, real_g3=real_g3)
-    _, _, blocks, norms = _generator_parts(params, real_g3)
+    liou = build_liouvillian(params, probe_freq)
+    _, _, blocks, norms = _generator_parts(params)
     d = params.dim
     scales = (_generator_norm(norms, probe_freq), norms[0] * norms[4])
     try:
@@ -708,7 +693,8 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
     d = params.dim
     n = d * d
     real, swap = _real_form(build_liouvillian(params, probe_freq), d)
-    square = real @ real
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        square = real @ real
     if dt is None:
         dt = 2.0 / math.sqrt(float(np.linalg.norm(square, 1)))
     if dt <= 0 or not math.isfinite(dt):

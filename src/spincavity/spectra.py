@@ -244,8 +244,7 @@ def two_transition_spectrum(params: SystemParams, cfg: ScanConfig,
     return Spectrum(f, r, meta=dict(meta or {}))
 
 
-def master_equation_spectrum(params: SystemParams, cfg: ScanConfig,
-                             real_g3: bool = False) -> Spectrum:
+def master_equation_spectrum(params: SystemParams, cfg: ScanConfig) -> Spectrum:
     """Reflectivity from the steady state of the full master equation.
 
     The coherent cavity response |Tr(rho_ss a)|^2 is divided by the
@@ -264,7 +263,7 @@ def master_equation_spectrum(params: SystemParams, cfg: ScanConfig,
     f = cfg.grid()
     vals = np.empty_like(f)
     for i, probe in enumerate(f):
-        rho = hilbert.steady_state(params, probe, real_g3=real_g3)
+        rho = hilbert.steady_state(params, probe)
         amp = hilbert.expectation_cavity_amplitude(rho)
         vals[i] = abs(amp) ** 2 / norm
     r = cfg.background + cfg.scale * vals

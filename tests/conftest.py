@@ -1,10 +1,12 @@
-"""Shared reference parameter sets for the test suite."""
+"""Shared reference parameter sets and reference generators for the test suite."""
+
+import math
 
 import numpy as np
 import pytest
 
-from spincavity import ScanConfig, SystemParams, TrionLevels
-from spincavity.physcalc import wavelength_to_frequency
+from spincavity import ScanConfig, SystemParams, TrionLevels, hilbert
+from spincavity.physcalc import TWO_PI, wavelength_to_frequency
 
 # Canonical device numbers used throughout the suite: cavity linewidth
 # 31.79 GHz, total zero-field coupling 18.67 GHz with transverse dipole
@@ -58,3 +60,52 @@ def ref_scan() -> ScanConfig:
     """Symmetric scan whose grid contains the cavity resonance exactly."""
     return ScanConfig(start=-60.0, stop=60.0, n_points=241,
                       scale=(np.pi * KAPPA) ** 2, background=0.0)
+
+
+def textbook_hamiltonian(params, probe, real_g3=False):
+    """Reference H/hbar of the ``hilbert`` module docstring, term by term (rad/ns).
+
+    ``real_g3`` takes the real coupling g3 (a s3' + s3 a') in place of the
+    library's i g3 (a s3' - s3 a'); the two differ by the gauge unitary
+    U = diag(1, -i, 1) x I on the atomic basis.
+    """
+    a, s3, s4 = hilbert._operators(params.fock_dim)
+    ad, s3d, s4d = a.conj().T, s3.conj().T, s4.conj().T
+    coupling3 = (a @ s3d + s3 @ ad) if real_g3 else 1j * (a @ s3d - s3 @ ad)
+    return TWO_PI * ((params.omega_c - probe) * (ad @ a)
+                     + (params.omega_x - probe) * (s3d @ s3)
+                     + (params.omega_x - params.delta_h - probe) * (s4d @ s4)
+                     + params.g3 * coupling3
+                     + params.g4 * (a @ s4d + s4 @ ad)
+                     + params.drive_amp * (a + ad))
+
+
+def textbook_liouvillian(params, probe, real_g3=False):
+    """Reference generator: -i[H, .] plus one Kronecker-built dissipator
+    rate * (C* x C - (1/2) I x C'C - (1/2) (C'C)^T x I) per collapse operator."""
+    h = textbook_hamiltonian(params, probe, real_g3=real_g3)
+    eye = np.eye(params.dim)
+    liou = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    a, s3, s4 = hilbert._operators(params.fock_dim)
+    for rate, op in ((params.kappa, a),
+                     (params.gamma3, s3), (params.gamma4, s4),
+                     (2 * params.gamma_d3, s3.conj().T @ s3),
+                     (2 * params.gamma_d4, s4.conj().T @ s4)):
+        opdop = op.conj().T @ op
+        liou += TWO_PI * rate * (np.kron(op.conj(), op)
+                                 - 0.5 * np.kron(eye, opdop)
+                                 - 0.5 * np.kron(opdop.T, eye))
+    return liou
+
+
+def dense_steady_state(liou):
+    """Reference solve: one dense LU of the generator ``liou`` (column-major
+    vec) with row 0 set to the trace row."""
+    d = math.isqrt(liou.shape[0])
+    m = liou.copy()
+    m[0] = np.eye(d).reshape(-1, order="F")
+    b = np.zeros(d * d, dtype=complex)
+    b[0] = 1.0
+    rho = np.linalg.solve(m, b).reshape((d, d), order="F")
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real

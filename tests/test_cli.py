@@ -680,6 +680,22 @@ class TestExitCodes:
         assert "RuntimeWarning" not in err
         assert not out.exists()
 
+    def test_overflowing_probe_is_refused_quietly(self, tmp_path, params_file,
+                                                  capsys):
+        # ||L(omega)||_F overflows at every probe of this scan
+        out = tmp_path / "never.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, stdout, err = run(capsys, "simulate", "--params",
+                                    str(params_file), "--model", "master",
+                                    "--scan", "1e307,1.7e308,3", "--out", str(out))
+        assert code == 3
+        assert stdout == ""
+        assert err.splitlines() == [
+            "spincavity: numerical error: the generator L overflows at "
+            "probe_freq=1e+307; no steady-state solve can use it"]
+        assert sorted(tmp_path.iterdir()) == [params_file]
+
     def test_plot_under_a_regular_file_writes_nothing(self, tmp_path,
                                                       params_file, capsys):
         afile = tmp_path / "afile"

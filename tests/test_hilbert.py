@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spincavity import (DomainError, NumericalError, StateError, SystemParams,
-                        build_hamiltonian, build_liouvillian,
+                        build_liouvillian,
                         expectation_cavity_amplitude,
                         expectation_photon_number, fock_convergence_shift,
                         steady_state, time_evolve_oracle,
@@ -15,6 +16,8 @@ from spincavity import (DomainError, NumericalError, StateError, SystemParams,
 from spincavity import hilbert
 from spincavity.hilbert import ground_state, number_operator, _trace_vector
 from spincavity.physcalc import TWO_PI
+from conftest import (dense_steady_state, textbook_hamiltonian,
+                      textbook_liouvillian)
 
 
 def vec(rho):
@@ -25,37 +28,6 @@ def empty_cavity_photon_number(kappa, drive, detuning):
     """Analytic driven damped cavity occupation (angular internally)."""
     eps = TWO_PI * drive
     return eps**2 / ((TWO_PI * detuning) ** 2 + (TWO_PI * kappa / 2.0) ** 2)
-
-
-def textbook_hamiltonian(params, probe, real_g3=False):
-    """Reference H/hbar of the module docstring, term by term (rad/ns)."""
-    a, s3, s4 = hilbert._operators(params.fock_dim)
-    ad, s3d, s4d = a.conj().T, s3.conj().T, s4.conj().T
-    coupling3 = (a @ s3d + s3 @ ad) if real_g3 else 1j * (a @ s3d - s3 @ ad)
-    return TWO_PI * ((params.omega_c - probe) * (ad @ a)
-                     + (params.omega_x - probe) * (s3d @ s3)
-                     + (params.omega_x - params.delta_h - probe) * (s4d @ s4)
-                     + params.g3 * coupling3
-                     + params.g4 * (a @ s4d + s4 @ ad)
-                     + params.drive_amp * (a + ad))
-
-
-def textbook_liouvillian(params, probe, real_g3=False):
-    """Reference generator: -i[H, .] plus one Kronecker-built dissipator
-    rate * (C* x C - (1/2) I x C'C - (1/2) (C'C)^T x I) per collapse operator."""
-    h = textbook_hamiltonian(params, probe, real_g3=real_g3)
-    eye = np.eye(params.dim)
-    liou = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    a, s3, s4 = hilbert._operators(params.fock_dim)
-    for rate, op in ((params.kappa, a),
-                     (params.gamma3, s3), (params.gamma4, s4),
-                     (2 * params.gamma_d3, s3.conj().T @ s3),
-                     (2 * params.gamma_d4, s4.conj().T @ s4)):
-        opdop = op.conj().T @ op
-        liou += TWO_PI * rate * (np.kron(op.conj(), op)
-                                 - 0.5 * np.kron(eye, opdop)
-                                 - 0.5 * np.kron(opdop.T, eye))
-    return liou
 
 
 # Every rate 1e-4 GHz and the cavity at 0: ||L(omega)||_F is about 0.03
@@ -70,9 +42,9 @@ GENERATOR_TERMS = ("kappa", "gamma3", "gamma4", "gamma_d3", "gamma_d4",
                    "omega_c", "omega_x", "delta_h", "g3", "g4", "drive_amp")
 
 
-def distinct_params(fock_dim, real_g3):
+def distinct_params(fock_dim, variant):
     """A seeded set whose eleven generator terms are nonzero and distinct."""
-    rng = np.random.default_rng([fock_dim, int(real_g3)])
+    rng = np.random.default_rng([fock_dim, int(variant)])
     kappa = rng.uniform(10, 50)
     return SystemParams(kappa=kappa, g3=rng.uniform(1, 15), g4=rng.uniform(1, 25),
                         gamma_d3=rng.uniform(0.5, 5), gamma_d4=rng.uniform(0.5, 5),
@@ -90,16 +62,14 @@ def excitation_difference(fock_dim):
     return (n[:, None] - n[None, :]).reshape(-1, order="F")
 
 
-def dense_steady_state(params, probe, real_g3=False):
-    """Reference solve: one dense LU of L with row 0 set to the trace row."""
-    d = params.dim
-    m = build_liouvillian(params, probe, real_g3=real_g3)
-    m[0] = np.eye(d).reshape(-1, order="F")
-    b = np.zeros(d * d, dtype=complex)
-    b[0] = 1.0
-    rho = np.linalg.solve(m, b).reshape((d, d), order="F")
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
+def gauge(fock_dim):
+    """Diagonal of S = conj(U) x U, U = diag(1, -i, 1) x I on the atomic basis.
+
+    U maps the library's i g3 coupling to the real one, so S L S^-1 is the
+    generator of the real convention (column-major vec).
+    """
+    u = np.repeat([1.0, -1j, 1.0], fock_dim)
+    return np.kron(u.conj(), u)
 
 
 def rk4_loop(liou, v, dt, n_steps):
@@ -207,13 +177,13 @@ class TestHamiltonian:
                              omega_c=rng.uniform(-50, 50),
                              omega_x=rng.uniform(-50, 50),
                              delta_h=rng.uniform(0, 20))
-            h = build_hamiltonian(p, rng.uniform(-60, 60))
+            h = textbook_hamiltonian(p, rng.uniform(-60, 60))
             assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
     def test_resonant_uncoupled_probe(self):
         p = SystemParams(kappa=10, g3=0, g4=0, gamma_d3=0, gamma_d4=0,
                          omega_c=5.0, omega_x=30.0, delta_h=12.0, drive_amp=0.0)
-        h = build_hamiltonian(p, probe_freq=5.0)
+        h = textbook_hamiltonian(p, 5.0)
         # photon sector contributes nothing on the diagonal; only the
         # atomic detunings remain
         diag = np.diag(h).real / TWO_PI
@@ -228,7 +198,7 @@ class TestHamiltonian:
         p = SystemParams(kappa=10, g3=0.0, g4=5.0, gamma_d3=0, gamma_d4=0,
                          omega_c=0.0, omega_x=12.0, delta_h=12.0,
                          drive_amp=0.0, fock_dim=2)
-        h = build_hamiltonian(p, probe_freq=0.0)
+        h = textbook_hamiltonian(p, 0.0)
         # basis |ground,1> (index 1) and |excited4,0> (index 4)
         block = h[np.ix_([1, 4], [1, 4])] / TWO_PI
         eigs = np.sort(np.linalg.eigvalsh(block))
@@ -281,38 +251,37 @@ class TestLiouvillian:
                 np.abs(image))
             assert abs(np.trace(image)) < 1e-10 * np.max(np.abs(image))
 
-    @pytest.mark.parametrize("case, real_g3, fock_dim", [
-        *((dephasing, real_g3, fock_dim) for dephasing in (0.0, 2.3)
-          for real_g3 in (False, True) for fock_dim in range(2, 9)),
-        *(("distinct", real_g3, fock_dim) for real_g3 in (False, True)
+    # A gauge row checks the real coupling convention: the library's L
+    # conjugated by S = conj(U) x U is the textbook generator with real g3.
+    @pytest.mark.parametrize("case, gauged, fock_dim", [
+        *((dephasing, gauged, fock_dim) for dephasing in (0.0, 2.3)
+          for gauged in (False, True) for fock_dim in range(2, 9)),
+        *(("distinct", gauged, fock_dim) for gauged in (False, True)
           for fock_dim in range(2, 6))])
-    def test_matches_textbook_construction(self, ref_params, case, real_g3,
+    def test_matches_textbook_construction(self, ref_params, case, gauged,
                                            fock_dim):
         if case == "distinct":
             # the reference set has omega_x = delta_h and gamma3 = gamma4,
             # so a term lost or swapped between them could go unseen there
-            p = distinct_params(fock_dim, real_g3)
+            p = distinct_params(fock_dim, gauged)
             values = [getattr(p, name) for name in GENERATOR_TERMS]
             assert 0.0 not in values and len(set(values)) == len(values) == 11
         else:
             p = replace(ref_params, fock_dim=fock_dim, omega_c=1.5,
                         gamma_d3=case, gamma_d4=0.4 * case)
+        s = gauge(fock_dim) if gauged else np.ones(p.dim**2)
         for probe in (-60.0, 0.0, 7.25, 41.0):
-            h = textbook_hamiltonian(p, probe, real_g3=real_g3)
-            assert np.max(np.abs(build_hamiltonian(p, probe, real_g3=real_g3)
-                                 - h)) <= 1e-12 * np.max(np.abs(h))
-            ref = textbook_liouvillian(p, probe, real_g3=real_g3)
-            liou = build_liouvillian(p, probe, real_g3=real_g3)
+            ref = textbook_liouvillian(p, probe, real_g3=gauged)
+            liou = s[:, None] * build_liouvillian(p, probe) * s.conj()
             assert np.max(np.abs(liou - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("fock_dim", range(2, 9))
-    @pytest.mark.parametrize("real_g3", [False, True])
     def test_block_tridiagonal_in_excitation_difference(self, ref_params,
-                                                        fock_dim, real_g3):
+                                                        fock_dim):
         p = replace(ref_params, fock_dim=fock_dim)
         k = excitation_difference(fock_dim)
-        _, diag, parts, _ = hilbert._generator_parts(p, real_g3)
-        l0 = build_liouvillian(p, 0.0, real_g3=real_g3)
+        _, diag, parts, _ = hilbert._generator_parts(p)
+        l0 = build_liouvillian(p, 0.0)
         rows, cols = np.nonzero(l0)
         assert np.max(np.abs(k[rows] - k[cols])) == 1
         # N is read off the basis layout, so D is exactly the i 2pi k
@@ -342,7 +311,7 @@ class TestLiouvillian:
         hilbert._generator_parts.cache_clear()
         tracemalloc.start()
         try:
-            hilbert._generator_parts(p, False)
+            hilbert._generator_parts(p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -353,30 +322,51 @@ class TestLiouvillian:
                                        None, True])
     def test_nonfinite_probe_refused(self, ref_params, probe):
         with pytest.raises(DomainError, match="probe_freq"):
-            build_hamiltonian(ref_params, probe)
-        with pytest.raises(DomainError, match="probe_freq"):
             build_liouvillian(ref_params, probe)
         with pytest.raises(DomainError, match="probe_freq"):
             steady_state(ref_params, probe)
+
+    # At 2e306 every entry of L is finite but ||L||_F overflows; at
+    # +-1.7e308 the entries probe_freq * D overflow too. A scan grid yields
+    # np.float64 probes, whose scalar arithmetic would warn where a float's
+    # does not. The suite turns every RuntimeWarning into an error.
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    @pytest.mark.parametrize("probe", [2e306, 1.7e308, -1.7e308])
+    def test_overflowing_probe_refused(self, ref_params, probe, kind):
+        message = ("^the generator L overflows at probe_freq="
+                   + re.escape(f"{probe:.6g}; no steady-state solve"))
+        hilbert._generator_parts(ref_params)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match=message):
+                build_liouvillian(ref_params, kind(probe))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # refused before the dense generator is allocated
+        assert peak < 16 * ref_params.dim**4 / 4
+        with pytest.raises(NumericalError, match=message):
+            steady_state(ref_params, kind(probe))
+        with pytest.raises(NumericalError, match=message):
+            time_evolve_oracle(ref_params, kind(probe), t_final=1.0)
 
     @settings(max_examples=80, deadline=None)
     @given(kappa=st.floats(10, 50), g3=st.floats(0, 15), g4=st.floats(0, 25),
            gamma_d3=st.floats(0, 5), gamma_d4=st.floats(0, 5),
            omega_x=st.floats(-20, 20), delta_h=st.floats(0, 20),
-           probe=st.floats(-1e4, 1e4), fock_dim=st.integers(2, 6),
-           real_g3=st.booleans())
+           probe=st.floats(-1e4, 1e4), fock_dim=st.integers(2, 6))
     def test_cached_norm_matches_the_generator(self, kappa, g3, g4, gamma_d3,
                                                gamma_d4, omega_x, delta_h,
-                                               probe, fock_dim, real_g3):
+                                               probe, fock_dim):
         p = SystemParams(kappa=kappa, g3=g3, g4=g4, gamma_d3=gamma_d3,
                          gamma_d4=gamma_d4, omega_c=0.0, omega_x=omega_x,
                          delta_h=delta_h, fock_dim=fock_dim)
-        norms = hilbert._generator_parts(p, real_g3)[3]
-        expected = np.linalg.norm(build_liouvillian(p, probe, real_g3=real_g3))
+        norms = hilbert._generator_parts(p)[3]
+        expected = np.linalg.norm(build_liouvillian(p, probe))
         assert hilbert._generator_norm(norms, probe) == pytest.approx(
             expected, rel=1e-13, abs=0.0)
         # the norm of L0's rows on block 0, where D is zero
-        l0 = build_liouvillian(p, 0.0, real_g3=real_g3)
+        l0 = build_liouvillian(p, 0.0)
         centre = np.linalg.norm(l0[excitation_difference(fock_dim) == 0])
         assert norms[0] * norms[4] == pytest.approx(centre, rel=1e-13, abs=0.0)
 
@@ -440,13 +430,12 @@ class TestSteadyState:
         assert (info.misses, info.hits) == (1, 1)
 
     @pytest.mark.parametrize("fock_dim", range(2, 9))
-    @pytest.mark.parametrize("real_g3", [False, True])
     def test_trace_column_solve_matches_the_general_solve(self, ref_params,
-                                                          fock_dim, real_g3):
+                                                          fock_dim):
         # The first solve skips the sweep towards k = 0, which would act
         # on zeros only; it must give the bits of the general solve.
         p = replace(ref_params, fock_dim=fock_dim, omega_c=1.5)
-        blocks = hilbert._generator_parts(p, real_g3)[2]
+        blocks = hilbert._generator_parts(p)[2]
         e0 = np.zeros(p.dim**2, dtype=complex)
         e0[0] = 1.0
         for probe in (-60.0, 0.0, 7.25, 41.0):
@@ -485,8 +474,7 @@ class TestSteadyState:
         p = replace(ref_params, kappa=kappa or ref_params.kappa)
         liou = build_liouvillian(p, probe)
         big = np.max(np.abs(liou))
-        scale = hilbert._generator_norm(hilbert._generator_parts(p, False)[3],
-                                        probe)
+        scale = hilbert._generator_norm(hilbert._generator_parts(p)[3], probe)
         assert scale == pytest.approx(big * np.linalg.norm(liou / big),
                                       rel=1e-13, abs=0.0)
         validate_density_matrix(steady_state(p, probe))
@@ -550,16 +538,16 @@ class TestSteadyState:
            gamma_d3=st.one_of(st.just(0.0), st.floats(0, 5)),
            gamma_d4=st.one_of(st.just(0.0), st.floats(0, 5)),
            omega_x=st.floats(-20, 20), delta_h=st.floats(0, 20),
-           probe=st.floats(-190, 190), fock_dim=st.integers(2, 5),
-           real_g3=st.booleans())
+           probe=st.floats(-190, 190), fock_dim=st.integers(2, 5))
     def test_agrees_with_a_dense_solve(self, kappa, g3, g4, gamma_d3,
                                        gamma_d4, omega_x, delta_h, probe,
-                                       fock_dim, real_g3):
+                                       fock_dim):
         p = SystemParams(kappa=kappa, g3=g3, g4=g4, gamma_d3=gamma_d3,
                          gamma_d4=gamma_d4, omega_c=0.0, omega_x=omega_x,
                          delta_h=delta_h, fock_dim=fock_dim)
-        rho = steady_state(p, probe, real_g3=real_g3)
-        assert np.max(np.abs(rho - dense_steady_state(p, probe, real_g3))) <= 1e-12
+        rho = steady_state(p, probe)
+        dense = dense_steady_state(build_liouvillian(p, probe))
+        assert np.max(np.abs(rho - dense)) <= 1e-12
 
     def test_elimination_residual_over_seeded_draws(self):
         # The block elimination does not pivot across blocks; the
@@ -634,7 +622,7 @@ class TestRefinement:
                              gamma_d4=rng.uniform(0.5, 5), omega_c=0.0,
                              omega_x=rng.uniform(-20, 20),
                              delta_h=rng.uniform(0, 20))
-            blocks = hilbert._generator_parts(p, False)[2]
+            blocks = hilbert._generator_parts(p)[2]
             span = max(abs(p.omega_x), abs(p.omega_x - p.delta_h)) + 3 * p.kappa
             for probe in rng.uniform(-span, span, 4):
                 factors = hilbert._eliminate(blocks, probe)
@@ -850,6 +838,13 @@ class TestTimeEvolveOracle:
         with pytest.raises(NumericalError, match=message):
             time_evolve_oracle(ref_params, 0.0, t_final=1.0, dt=dt)
 
+    def test_overflowing_step_matrix_refused_quietly(self, ref_params):
+        # ||L||_F is finite at this probe, but M^2 overflows: the default
+        # step is 0 and is refused, with no numpy warning
+        with pytest.raises(NumericalError, match=r"^invalid integration "
+                           r"step dt=0\.0$"):
+            time_evolve_oracle(ref_params, 1e160, t_final=1.0)
+
     def test_randomized_oracle_equivalence(self):
         rng = np.random.default_rng(2024)
         for _ in range(20):
@@ -891,9 +886,10 @@ class TestWeakDriveRegime:
             assert fock_convergence_shift(p, probe) < 1e-3
 
     def test_phase_convention_invariance(self, ref_params):
+        # the real coupling convention, solved densely from the textbook
+        # generator
         for probe in (-25.0, 0.0, 9.0, 30.0):
-            n_imag = expectation_photon_number(
-                steady_state(ref_params, probe, real_g3=False))
-            n_real = expectation_photon_number(
-                steady_state(ref_params, probe, real_g3=True))
+            n_imag = expectation_photon_number(steady_state(ref_params, probe))
+            n_real = expectation_photon_number(dense_steady_state(
+                textbook_liouvillian(ref_params, probe, real_g3=True)))
             assert abs(n_imag - n_real) / n_imag < 1e-10

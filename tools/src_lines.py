@@ -1,10 +1,12 @@
-"""Print the total lines and the code lines of each module under src/.
+"""Print the total lines, code lines and options of each module under src/.
 
 Code lines leave out blank lines, comment-only lines and docstrings (the
-string that opens a module, class or function body). Each package's
-``__init__.py`` also gets a line with the number of names in its
-``__all__``, read from its syntax tree without importing it. Run from
-the repository root:
+string that opens a module, class or function body). Options are the
+parameters with a default of public functions and methods, and the
+fields with a default of public dataclasses; a name is public unless it
+starts with an underscore. Each package's ``__init__.py`` also gets a
+line with the number of names in its ``__all__``. Everything is read
+from the syntax tree, without importing. Run from the repository root:
 
     python tools/src_lines.py [SRC_DIR]
 """
@@ -19,13 +21,14 @@ from pathlib import Path
 
 _NON_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _docstring_lines(tree: ast.AST) -> set[int]:
     lines = set()
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                             ast.AsyncFunctionDef)) and ast.get_docstring(node):
+        if isinstance(node, (ast.Module, ast.ClassDef, *_FUNCTIONS)) \
+                and ast.get_docstring(node):
             doc = node.body[0]
             lines.update(range(doc.lineno, doc.end_lineno + 1))
     return lines
@@ -54,15 +57,53 @@ def public_names(path: Path) -> int | None:
     return None
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(
+            target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _defaults(function: ast.FunctionDef | ast.AsyncFunctionDef) -> int:
+    args = function.args
+    return len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+
+
+def options(path: Path) -> int:
+    """Parameters with a default of the public functions and methods of
+    one file, plus the fields with a default of its public dataclasses."""
+    total = 0
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if (not isinstance(node, (*_FUNCTIONS, ast.ClassDef))
+                or node.name.startswith("_")):
+            continue
+        if isinstance(node, _FUNCTIONS):
+            total += _defaults(node)
+        else:
+            total += sum(_defaults(item) for item in node.body
+                         if isinstance(item, _FUNCTIONS)
+                         and not item.name.startswith("_"))
+            if _is_dataclass(node):
+                total += sum(isinstance(item, ast.AnnAssign)
+                             and item.value is not None for item in node.body)
+    return total
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path("src")
-    total = code = 0
+    total = code = opts = 0
+    print("file\tlines\tcode\toptions")
     for path in sorted(root.rglob("*.py")):
         lines, code_lines = count(path)
+        file_opts = options(path)
         total += lines
         code += code_lines
-        print(f"{path.relative_to(root)}\t{lines}\t{code_lines}")
-    print(f"total\t{total}\t{code}")
+        opts += file_opts
+        print(f"{path.relative_to(root)}\t{lines}\t{code_lines}\t{file_opts}")
+    print(f"total\t{total}\t{code}\t{opts}")
     for path in sorted(root.rglob("__init__.py")):
         names = public_names(path)
         if names is not None:
