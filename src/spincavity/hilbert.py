@@ -34,14 +34,15 @@ of QuTiP's coefficient-weighted superoperators (Johansson, Nation and
 Nori, Comput. Phys. Commun. 183, 1760 (2012)).
 
 Ordered by the excitation difference k = N_i - N_j of rho[i, j],
-L(omega) is block tridiagonal (the undriven generator
-conserves k, the drive moves it by one). ``steady_state`` eliminates its
-blocks towards k = 0, the matrix continued fraction of Risken, The
-Fokker-Planck Equation, ch. 9. The RK4 oracle uses the dense generator
-alone and solves no linear system. L maps hermitian matrices to
-hermitian ones, so the oracle integrates its real form (Alicki and
-Lendi, Quantum Dynamical Semigroups and Applications, 1987), on which
-every product is real.
+L(omega) is block tridiagonal (the undriven generator conserves k, the
+drive moves it by one). ``steady_state`` eliminates its blocks towards
+k = 0, the matrix continued fraction of Risken, The Fokker-Planck
+Equation, ch. 9, with LU solves only: one per block k > 0 and one of
+the centre block for a single column, and no inverse. The RK4 oracle
+uses the dense generator alone and solves no linear system. L maps
+hermitian matrices to hermitian ones, so the oracle integrates its real
+form (Alicki and Lendi, Quantum Dynamical Semigroups and Applications,
+1987), on which every product is real.
 
 All user-facing rates and frequencies are quoted values (value/2pi in
 GHz); internally one global multiplication by 2pi converts them to
@@ -224,6 +225,7 @@ class _Table:
     sides: np.ndarray
     spans: list
     swap: np.ndarray
+    fold: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -246,7 +248,8 @@ def _generator_table(fock_dim: int) -> _Table:
     ``centre`` holds the column-major flat indices of block 0; ``sides``
     pairs each index of a block k > 0 with that of its transpose, and
     ``spans[k]`` is the slice of block k's rows in it; ``swap`` orders
-    block 0 as its own transpose.
+    block 0 as its own transpose, and ``fold`` is the row-major flat index
+    that gathers a centre-sized matrix w into w[swap][:, swap].
     """
     d = 3 * fock_dim
     n = d * d
@@ -316,10 +319,10 @@ def _generator_table(fock_dim: int) -> _Table:
         float(np.vdot(diag_d, diag_d).real), 2 * on_diag + 1,
         diag_d[row[on_diag]].imag, np.flatnonzero(np.repeat(k_of[row] == 0, 2)),
         base, np.concatenate(src), np.concatenate(dst), tuple(layout), centre,
-        sides, spans, swap)
+        sides, spans, swap, swap[:, None] * swap.size + swap)
     for part in (at, table.coeffs, diag_d, table.im_on_diag, table.d_on_diag,
                  table.centre_rows, base, table.src, table.dst, centre, sides,
-                 swap):
+                 swap, table.fold):
         part.setflags(write=False)
     return table
 
@@ -334,9 +337,10 @@ def _generator_parts(params: SystemParams):
     with the eleven values c_t of ``params``; nothing here is dense in
     the generator's size. Cached read-only.
 
-    ``blocks`` = (centre, sides, spans, diag, up, down, swap): the index
-    parts of the table, the diagonal blocks k >= 0 of the bordered L0 and
-    the couplings of block k to k + 1 and to k - 1 (``down[0]`` is None).
+    ``blocks`` = (centre, sides, spans, diag, up, down, swap, fold): the
+    index parts of the table, the diagonal blocks k >= 0 of the bordered
+    L0 and the couplings of block k to k + 1 and to k - 1 (``down[0]`` is
+    None).
 
     ``norms`` = (s, ||L0||^2 / s^2, 2 Re <D, diag L0> / s, ||D||^2, c / s),
     s the largest real or imaginary part in L0 (kappa > 0 keeps it above
@@ -369,7 +373,7 @@ def _generator_parts(params: SystemParams):
     return ((table.at, values), table.diag_d,
             (table.centre, table.sides, table.spans, blocks[:top + 1],
              blocks[top + 1:2 * top + 1], [None] + blocks[2 * top + 1:],
-             table.swap), norms)
+             table.swap, table.fold), norms)
 
 
 def build_liouvillian(params: SystemParams, probe_freq: float) -> np.ndarray:
@@ -438,55 +442,63 @@ def validate_density_matrix(rho: np.ndarray) -> None:
 
 
 def _eliminate(blocks, probe_freq: float):
-    """Inverse Schur complements of the bordered L(probe_freq).
+    """Schur complements of the bordered L(probe_freq), by LU solves alone.
 
     The blocks k > 0 are eliminated from k = fock_dim down to 1:
-    S_k = A_k + i 2pi k omega - up_k T_(k+1) and T_k = S_k^-1 down_k.
-    The side k < 0 is the complex conjugate of this one and folds into
-    the centre block through ``swap``. Returns (inverses, couplings):
-    S_k^-1 and T_k for k >= 1, and at k = 0 the inverse of the centre.
-    A singular block raises ``np.linalg.LinAlgError``.
+    S_k = A_k + i 2pi k omega - up_k T_(k+1) and T_k = S_k^-1 down_k,
+    formed by one LU solve of S_k for the columns of down_k. The side
+    k < 0 is the complex conjugate of this one and folds into the centre
+    block through the flat index ``fold``. Returns (schur, couplings):
+    S_k and T_k for k >= 1, and at k = 0 the centre Schur complement C,
+    unfactored. No inverse is formed (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, ch. 14). A singular S_k raises
+    ``np.linalg.LinAlgError``; a singular C raises it in ``_block_solve``.
     """
-    _, _, _, diag, up, down, swap = blocks
+    _, _, _, diag, up, down, _, fold = blocks
     top = len(diag) - 1
-    inverses, couplings = [None] * (top + 1), [None] * (top + 1)
+    schur, couplings = [None] * (top + 1), [None] * (top + 1)
     for k in range(top, 0, -1):
         s = diag[k].copy()
         s.reshape(-1)[::s.shape[0] + 1] += 1j * TWO_PI * k * probe_freq
         if k < top:
             s -= up[k] @ couplings[k + 1]
-        inverses[k] = np.linalg.inv(s)
-        couplings[k] = inverses[k] @ down[k]
+        schur[k] = s
+        couplings[k] = np.linalg.solve(s, down[k])
     w = up[0] @ couplings[1]
-    inverses[0] = np.linalg.inv(diag[0] - w - w[swap][:, swap].conj())
-    return inverses, couplings
+    schur[0] = diag[0] - w - w.take(fold).conj()
+    return schur, couplings
 
 
 def _block_solve(blocks, factors, rhs: np.ndarray | None = None) -> np.ndarray:
-    """Solve the bordered system for ``rhs`` with the factors of ``_eliminate``.
+    """Solve the bordered system for ``rhs`` with ``_eliminate``'s factors.
 
     The entries of blocks k and -k run together as the two columns
-    [v_k, conj(v_-k)], so both sides go through the same k > 0 factors.
+    [v_k, conj(v_-k)], so both sides go through the same k > 0 blocks.
     ``rhs=None`` stands for e_0, the right-hand side of the trace row.
     It lies in the centre block at position 0, so the sweep towards
-    k = 0 would act on zeros only: the centre solution is column 0 of
-    the centre inverse, and only the sweep outwards runs.
+    k = 0 would act on zeros only: the centre solution is one LU solve
+    of C for the column e_0, and only the sweep outwards runs, with the
+    couplings T_k. A general ``rhs`` (the rare refinement step) sweeps
+    inwards with LU solves of the kept S_k first. A singular C raises
+    ``np.linalg.LinAlgError``.
     """
-    centre, sides, spans, _, up, _, swap = blocks
-    inverses, couplings = factors
+    centre, sides, spans, _, up, _, swap, _ = blocks
+    schur, couplings = factors
     top = len(spans) - 1
     if rhs is None:
         y = np.zeros(sides.shape, dtype=complex)
-        x0 = inverses[0][:, 0]
+        b0 = np.zeros(len(centre), dtype=complex)
+        b0[0] = 1.0
     else:
         y = rhs[sides]
         y[:, 1] = y[:, 1].conj()
         for k in range(top, 0, -1):
             if k < top:
                 y[spans[k]] -= up[k] @ y[spans[k + 1]]
-            y[spans[k]] = inverses[k] @ y[spans[k]]
+            y[spans[k]] = np.linalg.solve(schur[k], y[spans[k]])
         w = up[0] @ y[spans[1]]
-        x0 = inverses[0] @ (rhs[centre] - w[:, 0] - w[swap, 1].conj())
+        b0 = rhs[centre] - w[:, 0] - w[swap, 1].conj()
+    x0 = np.linalg.solve(schur[0], b0)
     below = np.stack((x0, x0[swap].conj()), axis=1)
     for k in range(1, top + 1):
         y[spans[k]] -= couplings[k] @ below
@@ -548,9 +560,11 @@ def steady_state(params: SystemParams, probe_freq: float) -> np.ndarray:
     Solves L vec(rho) = 0 with row 0 of the (singular) generator replaced
     by the trace-normalization equation. The bordered system is block
     tridiagonal in the excitation-difference ordering (``_generator_parts``);
-    it is solved by block elimination from both ends towards k = 0. The
-    right-hand side e_0 lies in block 0, so the solution is column 0 of
-    the centre inverse carried outwards block by block.
+    it is solved by block elimination from both ends towards k = 0, with
+    one LU solve per Schur complement S_k and none forming an inverse. The
+    right-hand side e_0 lies in block 0, so the solution is one LU solve of
+    the centre Schur complement for the column e_0, carried outwards block
+    by block.
 
     The product L(omega) x, formed with the dense generator, gives two
     normwise backward errors ||L x|| / (||L|| ||x||): one over the whole
@@ -558,9 +572,10 @@ def steady_state(params: SystemParams, probe_freq: float) -> np.ndarray:
     of L's rows there, where D is zero, so that an error in that block
     shows at any probe frequency. Both norms come from cached scalars of
     the parameter set. Only when either exceeds machine epsilon does one
-    step of iterative refinement follow, reusing the inverse Schur
-    complements; below it a refinement step cannot gain anything (Skeel,
-    Math. Comp. 35, 817 (1980)). Both figures must then be at most 1e-9.
+    step of iterative refinement follow, LU-solving the kept Schur
+    complements S_k and the centre one again; below it a refinement step
+    cannot gain anything (Skeel, Math. Comp. 35, 817 (1980)). Both
+    figures must then be at most 1e-9.
     The result is symmetrized and exactly trace-normalized, so of the
     invariants of ``validate_density_matrix`` only positivity is left to
     test, by the same rule: an eigenvalue below POSITIVITY_TOL raises
@@ -574,9 +589,9 @@ def steady_state(params: SystemParams, probe_freq: float) -> np.ndarray:
     scales = (_generator_norm(norms, probe_freq), norms[0] * norms[4])
     try:
         factors = _eliminate(blocks, probe_freq)
+        x = _block_solve(blocks, factors)
     except np.linalg.LinAlgError as exc:
         raise _solve_failure(f"steady-state solve failed ({exc})", liou, d) from exc
-    x = _block_solve(blocks, factors)
     r, errors, x_norm = _backward_errors(liou, x, d, blocks[0], scales)
     if not max(errors) <= _EPSILON:
         x += _block_solve(blocks, factors, r)

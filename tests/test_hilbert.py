@@ -292,7 +292,7 @@ class TestLiouvillian:
         # bordered generator; block -k holds the transposes of block k
         bordered = l0.copy()
         bordered[0] = _trace_vector(p.dim)
-        centre, sides, spans, blocks, up, down, _ = parts
+        centre, sides, spans, blocks, up, down, swap, fold = parts
         index = [centre] + [sides[span, 0] for span in spans[1:]]
         for kk, idx in enumerate(index):
             assert np.array_equal(idx, np.flatnonzero(k == kk))
@@ -301,7 +301,13 @@ class TestLiouvillian:
                 assert np.array_equal(down[kk], bordered[np.ix_(idx, index[kk - 1])])
                 assert np.array_equal(up[kk - 1], bordered[np.ix_(index[kk - 1], idx)])
         flat = np.arange(p.dim**2).reshape((p.dim, p.dim), order="F")
-        assert np.array_equal(sides[:, 1], flat.T.reshape(-1, order="F")[sides[:, 0]])
+        transpose = flat.T.reshape(-1, order="F")
+        assert np.array_equal(sides[:, 1], transpose[sides[:, 0]])
+        # block 0 is its own transpose: swap reorders it so, and fold
+        # gathers w[swap][:, swap] of a centre-sized w in one step
+        assert np.array_equal(centre[swap], transpose[centre])
+        w = np.arange(centre.size**2).reshape(centre.size, centre.size)
+        assert np.array_equal(w.take(fold), w[swap][:, swap])
 
     def test_assembly_holds_about_one_generator(self, ref_params):
         # The assembly lists each term sparsely and keeps L0 as its
@@ -433,7 +439,9 @@ class TestSteadyState:
     def test_trace_column_solve_matches_the_general_solve(self, ref_params,
                                                           fock_dim):
         # The first solve skips the sweep towards k = 0, which would act
-        # on zeros only; it must give the bits of the general solve.
+        # on zeros only, and LU-solves the centre block C for e_0 alone.
+        # The general solve's inward sweep leaves that right-hand side
+        # e_0 exactly, so it must give the same bits.
         p = replace(ref_params, fock_dim=fock_dim, omega_c=1.5)
         blocks = hilbert._generator_parts(p)[2]
         e0 = np.zeros(p.dim**2, dtype=complex)
@@ -455,6 +463,49 @@ class TestSteadyState:
         cond = excinfo.value.condition_estimate
         assert 1e12 < cond < math.inf
         assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+
+    def test_singular_centre_block_raises(self, ref_params, monkeypatch):
+        # C is factored only by the first solve's one LU solve for e_0, so
+        # a singular C raises in _block_solve, with the same error as a
+        # singular block of the elimination
+        centre = hilbert._generator_parts(ref_params)[2][0]
+        solve, refused = np.linalg.solve, []
+
+        def singular_centre(a, b):
+            if a.shape == (centre.size, centre.size) and b.ndim == 1:
+                refused.append(a.shape)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_centre)
+        with pytest.raises(NumericalError, match=r"^steady-state solve failed "
+                           r"\(Singular matrix\); condition estimate "
+                           r"\d\.\d{3}e\+\d+$") as excinfo:
+            steady_state(ref_params, probe_freq=0.0)
+        assert refused == [(centre.size, centre.size)]
+        assert 1.0 <= excinfo.value.condition_estimate < math.inf
+        assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("fock_dim", range(2, 9))
+    def test_solves_without_an_explicit_inverse(self, ref_params, monkeypatch,
+                                                fock_dim):
+        # Every block is LU-solved, never inverted: with np.linalg.inv
+        # refused, a clean solve and a refined one give the same state.
+        p = replace(ref_params, fock_dim=fock_dim, omega_c=1.5)
+        probes = (-60.0, 0.0, 7.25, 41.0)
+        clean = [steady_state(p, probe) for probe in probes]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the steady-state solve formed an inverse")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        for probe, expected in zip(probes, clean):
+            assert np.array_equal(steady_state(p, probe), expected)
+            with pytest.MonkeyPatch.context() as patch:
+                calls = TestRefinement.count_solves(patch, 1e-9, 1 + p.dim)
+                rho = steady_state(p, probe)
+            assert calls == [2, 3]
+            assert np.max(np.abs(rho - expected)) <= 1e-14
 
     def test_residual_check_raises(self, ref_params, monkeypatch):
         # a tolerance far below roundoff trips the final residual check
@@ -599,15 +650,20 @@ class TestRefinement:
         assert len(calls) == 4
 
     @pytest.mark.parametrize("probe", [0.0, 1e4, 1e160])
-    def test_perturbed_first_solve_is_refined(self, ref_params, monkeypatch,
-                                              probe):
+    def test_perturbed_first_solve_is_refined(self, ref_params, probe):
         clean = steady_state(ref_params, probe)
-        # rho[1, 1], in block 0
-        calls = self.count_solves(monkeypatch, 1e-9, 1 + ref_params.dim)
-        rho = steady_state(ref_params, probe)
-        # the solve for e_0, then the refinement solve for its residual
-        assert calls == [2, 3]
-        assert np.max(np.abs(rho - clean)) <= 1e-14
+        d, fock_dim = ref_params.dim, ref_params.fock_dim
+        # rho[1, 1], rho[1, 0] and rho[2 fock_dim - 1, 0], in blocks k = 0,
+        # 1 and fock_dim: the refinement's sweep towards k = 0 carries each
+        # residual through the kept S_k, down to the centre block C
+        for at, k in ((1 + d, 0), (1, 1), (2 * fock_dim - 1, fock_dim)):
+            assert excitation_difference(fock_dim)[at] == k
+            with pytest.MonkeyPatch.context() as patch:
+                calls = self.count_solves(patch, 1e-9, at)
+                rho = steady_state(ref_params, probe)
+            # the solve for e_0, then the refinement solve for its residual
+            assert calls == [2, 3]
+            assert np.max(np.abs(rho - clean)) <= 1e-14
 
     def test_matches_two_solves_over_seeded_draws(self):
         # The ranges of the benchmark's master-equation scan, where no
