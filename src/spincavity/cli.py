@@ -261,8 +261,8 @@ def _cmd_sweep(args) -> dict:
     cfg = _parse_scan(args)
     sweep = spectra.field_sweep(levels, params, fields, cfg)
     outdir = Path(args.out)
-    pending = [(outdir / _field_file_name(b), dataio.spectrum_to_text(spec))
-               for b, spec in zip(fields, sweep)]
+    pending = [(outdir / _field_file_name(b), text)
+               for b, text in zip(fields, dataio.spectra_to_texts(sweep))]
     if args.plot:
         bare_peak = float(np.max(spectra.lorentzian_spectrum(
             params.kappa, params.omega_c, cfg).reflectivity))

@@ -2,7 +2,9 @@
 
 Spectra are CSV with header ``freq_ghz,reflectivity,weight`` (the weight
 column is optional on input and defaults to 1.0); comment lines start
-with '#' and metadata is encoded as ``# key=value``. Rows follow the
+with '#' and metadata is encoded as ``# key=value``. Each float is
+written as its ``repr``, the shortest text that reads back to the same
+bits, so a spectrum survives a write and a load exactly. Rows follow the
 point rules of Spectrum: frequencies finite and strictly increasing
 over a finite span, reflectivity a finite number >= 0, weights finite
 numbers > 0. Parameter sets and fit reports are JSON. All loaders reject
@@ -58,16 +60,33 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def spectra_to_texts(spectra) -> list[str]:
+    """CSV text of each spectrum, in order; each column is formatted once.
+
+    A column whose bits equal the same column of the previous spectrum
+    (a shared grid, unit weights) reuses that spectrum's text. Bits, not
+    values: -0.0 == 0.0, but their texts differ.
+    """
+    texts, previous = [], ()
+    for spec in spectra:
+        columns = []
+        for i, col in enumerate((spec.freq_ghz, spec.reflectivity, spec.weight)):
+            bits = col.view(np.int64)
+            if previous and np.array_equal(bits, previous[i][0]):
+                columns.append(previous[i])
+            else:
+                columns.append((bits, list(map(repr, col.tolist()))))
+        lines = [f"# {key}={spec.meta[key]}" for key in sorted(spec.meta)]
+        lines.append(SPECTRUM_HEADER)
+        lines.extend(map(",".join, zip(*(text for _, text in columns))))
+        texts.append("\n".join(lines) + "\n")
+        previous = columns
+    return texts
+
+
 def spectrum_to_text(spectrum: Spectrum) -> str:
-    """CSV text of a spectrum; ``repr`` gives each float's shortest exact text."""
-    lines = []
-    for key in sorted(spectrum.meta):
-        lines.append(f"# {key}={spectrum.meta[key]}")
-    lines.append(SPECTRUM_HEADER)
-    for f, r, w in zip(spectrum.freq_ghz.tolist(), spectrum.reflectivity.tolist(),
-                       spectrum.weight.tolist()):
-        lines.append(f"{f!r},{r!r},{w!r}")
-    return "\n".join(lines) + "\n"
+    """CSV text of one spectrum (see :func:`spectra_to_texts`)."""
+    return spectra_to_texts([spectrum])[0]
 
 
 def load_spectrum(path) -> Spectrum:

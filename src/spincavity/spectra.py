@@ -295,7 +295,10 @@ def field_sweep(levels: TrionLevels, params: SystemParams,
 
     At every field the frequency of transition 3 and the excited-state
     splitting are recomputed from the Zeeman level structure; the other
-    system parameters are held fixed. Spectra carry ``field_T`` metadata.
+    system parameters are held fixed. All fields are evaluated in one
+    broadcast of :func:`cavity_response` over a (fields, points) array,
+    bit for bit the per-field :func:`two_transition_spectrum`. Spectra
+    carry ``field_T`` metadata and each has its own frequency array.
     """
     fields = list(fields)
     if not fields:
@@ -304,12 +307,21 @@ def field_sweep(levels: TrionLevels, params: SystemParams,
         raise DomainError(
             f"{len(fields)} fields of {cfg.n_points} points pass the "
             f"{_ROW_LIMIT}-row limit")
-    out = []
+    fields = [float(b) for b in fields]
+    nu3, nu4 = [], []
     for b in fields:
-        _, _, nu3, nu4 = transition_frequencies(replace(levels, field=float(b)))
-        p = replace(params, omega_x=nu3, delta_h=nu3 - nu4)
-        out.append(two_transition_spectrum(p, cfg, meta={"field_T": float(b)}))
-    return out
+        _, _, a, c = transition_frequencies(replace(levels, field=b))
+        nu3.append(a)
+        nu4.append(c)
+    # (F, 1) columns broadcast against the (N,) grid to (F, N)
+    nu3 = np.array(nu3)[:, None]
+    lines = spin_down_lines({**vars(params), "omega_x": nu3,
+                             "delta_h": nu3 - np.array(nu4)[:, None]})
+    f = cfg.grid()
+    r = cfg.background + cfg.scale * cavity_response(
+        f, params.kappa, params.omega_c, lines)
+    return [Spectrum(f.copy(), row, meta={"field_T": b})
+            for b, row in zip(fields, r)]
 
 
 def synthesize_noisy(spectrum: Spectrum, noise_rel: float,

@@ -8,12 +8,15 @@ neighbouring labels needs (on the nm axis, the spacing of the
 wavelengths at the GHz ticks).
 Data coordinates are mapped to pixels as whole arrays, one numpy
 expression per curve, with the same floating-point operations in the
-same order as a point-by-point loop.
+same order as a point-by-point loop; a curve's flat coordinate list is
+then formatted by one ``%.2f`` template.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import NumericalError
 from .physcalc import _require_finite_real, frequency_to_wavelength
@@ -50,7 +53,8 @@ def _labels(values: list[float]) -> list[str]:
     of the spacing of its value) and writes a 2.5 step exactly. At least
     6 significant digits are allowed, so a value below 1e6 reads without
     an exponent; trailing zeros are dropped. A lone value, or values
-    that coincide, get the shortest text that reads back exactly.
+    that coincide, get the shortest text that reads back exactly. The
+    sweep map labels its fields by the same rule.
     """
     gap = min((abs(b - a) for a, b in zip(values, values[1:])), default=0.0)
     if not gap > 0:
@@ -91,19 +95,22 @@ class _Canvas:
     def add(self, element: str) -> None:
         self.parts.append(element)
 
-    def _points(self, xs, ys):
-        """Pixel coordinates of a curve's points (float arrays) as pairs."""
-        return zip(self.px(xs).tolist(), self.py(ys).tolist())
+    def _points(self, xs, ys) -> list[float]:
+        """Pixel coordinates of a curve's points (float arrays), flat: x0, y0, x1, ..."""
+        return np.column_stack((self.px(xs), self.py(ys))).ravel().tolist()
 
     def polyline(self, xs, ys, color: str, width: float = 1.5) -> None:
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in self._points(xs, ys))
+        flat = self._points(xs, ys)
+        pts = " ".join(["%.2f,%.2f"] * (len(flat) // 2)) % tuple(flat)
         self.add(f'<polyline fill="none" stroke="{color}" '
                  f'stroke-width="{width}" points="{pts}"/>')
 
     def dots(self, xs, ys, color: str) -> None:
-        for x, y in self._points(xs, ys):
-            self.add(f'<circle cx="{x:.2f}" cy="{y:.2f}" '
-                     f'r="2.0" fill="{color}" fill-opacity="0.7"/>')
+        # '%%' keeps a '%' in the colour out of the template's conversions
+        circle = (f'<circle cx="%.2f" cy="%.2f" r="2.0" '
+                  f'fill="{color.replace("%", "%%")}" fill-opacity="0.7"/>')
+        flat = iter(self._points(xs, ys))
+        self.parts.extend(map(circle.__mod__, zip(flat, flat)))
 
     def text(self, x_px, y_px, content, size=13, anchor="middle", rotate=None):
         # XML-escape; '&' goes first so no entity is escaped twice
@@ -187,6 +194,9 @@ def render_sweep_map(spectra, norm: float, title: str = "") -> str:
     """Waterfall of spectra divided by ``norm`` and stacked by magnetic field.
 
     ``norm``, typically the bare-cavity peak, must be a finite number > 0.
+    Each curve with ``field_T`` metadata is labelled with its field by
+    the tick-label rule (:func:`_labels`) over all the labelled fields,
+    so distinct fields get distinct labels.
     """
     _require_finite_real("sweep map norm", norm, "positive")
     x0 = min(float(s.freq_ghz[0]) for s in spectra)
@@ -196,12 +206,13 @@ def render_sweep_map(spectra, norm: float, title: str = "") -> str:
     canvas = _Canvas((x0, x1), (0.0, y1))
     canvas.axes("probe frequency (GHz)", "normalized reflectivity + offset",
                 title=title)
-    for i, spec in enumerate(spectra):
+    fields = [spec.meta.get("field_T") for spec in spectra]
+    labels = iter(_labels([b for b in fields if b is not None]))
+    for i, (spec, b) in enumerate(zip(spectra, fields)):
         color = PALETTE[i % len(PALETTE)]
         ys = spec.reflectivity / norm + offset_step * i
         canvas.polyline(spec.freq_ghz, ys, color, width=1.2)
-        label = spec.meta.get("field_T")
-        if label is not None:
+        if b is not None:
             canvas.text(canvas.px(x1) - 4, canvas.py(ys[-1]) - 4,
-                        f"{label:g} T", size=10, anchor="end")
+                        f"{next(labels)} T", size=10, anchor="end")
     return canvas.render()

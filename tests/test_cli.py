@@ -905,6 +905,24 @@ class TestSweep:
             field = float(name[len("field_"):-len("T.csv")])
             assert load_spectrum(outdir / name).meta["field_T"] == field
 
+    def test_map_labels_tell_close_fields_apart(self, tmp_path, levels_file,
+                                                capsys):
+        # five fields 0.1 uT apart: five files and five distinct labels
+        outdir = tmp_path / "outdir"
+        plot = tmp_path / "map.svg"
+        code, _, _ = run(capsys, "sweep", "--params", str(levels_file),
+                         "--fields", "6.2:6.2000004:0.0000001",
+                         "--scan", "321795,321915,11", "--out", str(outdir),
+                         "--plot", str(plot))
+        assert code == 0
+        names = sorted(p.name for p in outdir.iterdir())
+        assert names == sorted(["field_06.200T.csv"] + [
+            f"field_06.200000{k}T.csv" for k in range(1, 5)])
+        texts = [t.text for t in ET.fromstring(plot.read_text()).iter(
+            "{http://www.w3.org/2000/svg}text")]
+        assert [t for t in texts if t.endswith(" T")] == [
+            "6.2 T"] + [f"6.200000{k} T" for k in range(1, 5)]
+
     def test_single_field_name_gives_back_its_field(self, tmp_path,
                                                     levels_file, capsys):
         # one field is rounded to 9 decimals, as a range's fields are

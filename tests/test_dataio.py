@@ -13,7 +13,7 @@ from spincavity import (DomainError, ScanConfig, Spectrum, SystemParams,
 from spincavity.dataio import (atomic_write_text, fit_report_record,
                                load_fit_report, load_levels, load_params,
                                load_spectrum, save_params, sha256_of,
-                               spectrum_to_text)
+                               spectra_to_texts, spectrum_to_text)
 
 # Finite and awkward values alike, so drawn rows break each point rule.
 POINT_VALUES = st.one_of(
@@ -55,6 +55,39 @@ def reference_text(spec) -> str:
         lines.append(",".join(repr(float(column[i])) for column in
                               (spec.freq_ghz, spec.reflectivity, spec.weight)))
     return "\n".join(lines) + "\n"
+
+
+# Where a spectrum's grid and weights come from, relative to the previous
+# spectrum's: the same array, an equal copy, a copy with every zero's
+# sign flipped (equal in value, not in bits), or its own drawn rows.
+COLUMN_SOURCES = st.sampled_from(["shared", "equal", "zeros_flipped", "own"])
+
+
+def _column(source, previous, own):
+    if source == "shared":
+        return previous
+    if source == "equal":
+        return previous.copy()
+    if source == "zeros_flipped":
+        return np.where(previous == 0, -previous, previous)
+    return own
+
+
+@st.composite
+def spectrum_sequences(draw):
+    """1 to 4 spectra of one length whose grids and weights may repeat."""
+    n = draw(st.integers(3, 6))
+    spectra = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = sorted(draw(st.lists(AWKWARD_ROW, min_size=n, max_size=n,
+                                    unique_by=lambda row: row[0])))
+        assume(math.isfinite(rows[-1][0] - rows[0][0]))
+        freq, refl, weight = (np.array(col) for col in zip(*rows))
+        if spectra:
+            freq = _column(draw(COLUMN_SOURCES), spectra[-1].freq_ghz, freq)
+            weight = _column(draw(COLUMN_SOURCES), spectra[-1].weight, weight)
+        spectra.append(Spectrum(freq, refl, weight, meta=draw(META)))
+    return spectra
 
 
 PARAMS_RECORD = {
@@ -99,6 +132,22 @@ class TestSpectrumFiles:
                           (back.weight, spec.weight)):
             assert got.tobytes() == want.tobytes()
         assert back.meta == meta
+
+    @settings(max_examples=100, deadline=None)
+    @given(spectra=spectrum_sequences())
+    def test_texts_of_many_are_the_text_of_each(self, spectra):
+        texts = spectra_to_texts(spectra)
+        assert texts == [spectrum_to_text(s) for s in spectra]
+        assert texts == [reference_text(s) for s in spectra]
+
+    def test_a_column_equal_in_value_only_is_written_anew(self):
+        # -0.0 == 0.0, so an equality of values would reuse the text "0.0"
+        grid = np.array([-1.0, 0.0, 1.0])
+        spectra = [Spectrum(grid, [1.0, 2.0, 3.0]),
+                   Spectrum(-grid[::-1], [1.0, 2.0, 3.0])]
+        first, second = spectra_to_texts(spectra)
+        assert first.splitlines()[2] == "0.0,2.0,1.0"
+        assert second.splitlines()[2] == "-0.0,2.0,1.0"
 
     def test_weight_column_optional(self, tmp_path):
         path = tmp_path / "two_col.csv"

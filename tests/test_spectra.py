@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spincavity import (DomainError, FringeModel, ScanConfig, Spectrum,
-                        SystemParams, cooperativity, dit_spectrum,
-                        field_sweep, lorentzian_spectrum,
+                        SystemParams, TrionLevels, cooperativity,
+                        dit_spectrum, field_sweep, lorentzian_spectrum,
                         master_equation_spectrum, max_relative_difference,
                         mixed_spectrum, synthesize_noisy,
-                        two_transition_spectrum, wavelength_to_frequency)
+                        transition_frequencies, two_transition_spectrum,
+                        wavelength_to_frequency)
 from spincavity.spectra import cavity_response
 from conftest import (CAVITY_NM, DELTA_H, G3, G4, G_TOTAL, GAMMA_D3, GAMMA_D4,
                       GAMMA_PERP_0T, KAPPA)
@@ -404,6 +405,62 @@ class TestFieldSweep:
             field_sweep(ref_levels, ref_params, [], ref_scan)
         with pytest.raises(DomainError):
             field_sweep(ref_levels, ref_params, [-1.0], ref_scan)
+
+    # README's parameter file and sweep; a dot at 0 GHz whose lossless
+    # transition 4 sits on the grid point 0.0 at field 0; one field
+    @pytest.mark.parametrize("case", ["readme", "lossless_on_grid", "single"])
+    def test_bits_of_the_per_field_spectra(self, case):
+        if case == "lossless_on_grid":
+            levels = TrionLevels(zero_field_frequency=0.0, electron_g=0.478,
+                                 hole_g=0.143, diamagnetic_coeff=1.15)
+            params = SystemParams(kappa=KAPPA, g3=G3, g4=G4, gamma_d3=GAMMA_D3,
+                                  gamma_d4=0.0, gamma4=0.0, omega_c=0.0,
+                                  omega_x=DELTA_H, delta_h=DELTA_H)
+            cfg = ScanConfig(-60.0, 60.0, 241, scale=2.0, background=0.05)
+            fields = [0.0, 0.5, 1.0]
+        else:
+            levels = TrionLevels(zero_field_frequency=321838.42,
+                                 electron_g=0.478, hole_g=0.143,
+                                 diamagnetic_coeff=1.15)
+            params = SystemParams(kappa=31.79, g3=7.26, g4=17.2, gamma_d3=3.1,
+                                  gamma_d4=1.4, omega_c=321855.66,
+                                  omega_x=321867.66, delta_h=12.0)
+            cfg = ScanConfig(321795.0, 321915.0, 201)
+            fields = [0.5 * k for k in range(14)] if case == "readme" else [6.2]
+        sweep = field_sweep(levels, params, fields, cfg)
+        assert len(sweep) == len(fields)
+        for b, spec in zip(fields, sweep):
+            _, _, nu3, nu4 = transition_frequencies(replace(levels, field=b))
+            want = two_transition_spectrum(
+                replace(params, omega_x=nu3, delta_h=nu3 - nu4), cfg)
+            for got, ref in ((spec.freq_ghz, want.freq_ghz),
+                             (spec.reflectivity, want.reflectivity),
+                             (spec.weight, want.weight)):
+                assert got.tobytes() == ref.tobytes()
+            assert spec.meta == {"field_T": b}
+        if case == "lossless_on_grid":
+            # on the lossless line the response is its limit, 0
+            assert sweep[0].freq_ghz[120] == 0.0
+            assert sweep[0].reflectivity[120] == cfg.background
+        sweep[0].freq_ghz[0] = 1.0
+        assert all(spec.freq_ghz[0] == cfg.start for spec in sweep[1:])
+
+    def test_peak_memory_is_bounded_by_the_output(self, ref_levels,
+                                                  ref_params):
+        # 2.0e5 rows: the broadcast's (fields, points) temporaries stay
+        # within twice the arrays of the spectra it returns
+        cfg = ScanConfig(-60.0, 60.0, 2001)
+        fields = np.linspace(0.0, 6.5, 100)
+        tracemalloc.start()
+        try:
+            sweep = field_sweep(ref_levels, ref_params, fields, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(s.freq_ghz.nbytes + s.reflectivity.nbytes + s.weight.nbytes
+                   for s in sweep)
+        assert held == 3 * 8 * 100 * 2001
+        assert peak <= 3 * held
 
 
 class TestSynthesizeNoisy:

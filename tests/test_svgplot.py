@@ -32,6 +32,30 @@ def test_sweep_map_is_well_formed():
     assert "1.5 T" in texts
 
 
+@pytest.mark.parametrize("fields, labels", [
+    # README's sweep: the labels that f"{field:g}" gave
+    ([0.5 * k for k in range(14)], [f"{0.5 * k:g}" for k in range(14)]),
+    # five fields 0.1 uT apart, which f"{field:g}" wrote as 6.2 each
+    ([round(6.2 + k * 1e-7, 9) for k in range(5)],
+     ["6.2", "6.2000001", "6.2000002", "6.2000003", "6.2000004"])],
+    ids=["readme", "0.1uT_apart"])
+def test_sweep_map_labels_follow_the_tick_label_rule(fields, labels):
+    base = lorentzian_spectrum(30.0, 0.0, ScanConfig(-50, 50, 21))
+    sweep = [replace(base, meta={"field_T": b}) for b in fields]
+    texts = [t.text for t in ET.fromstring(render_sweep_map(sweep, 1.0)).iter(SVG_TEXT)]
+    assert [t for t in texts if t.endswith(" T")] == [f"{b} T" for b in labels]
+
+
+def test_a_percent_sign_in_a_colour_is_written_as_is():
+    canvas = _Canvas((0.0, 1.0), (0.0, 1.0))
+    canvas.dots(np.array([0.5]), np.array([0.5]), "%s%%")
+    canvas.polyline(np.array([0.5]), np.array([0.5]), "%s%%")
+    assert canvas.parts[3:] == [
+        '<circle cx="382.50" cy="237.50" r="2.0" fill="%s%%" fill-opacity="0.7"/>',
+        '<polyline fill="none" stroke="%s%%" stroke-width="1.5" '
+        'points="382.50,237.50"/>']
+
+
 @pytest.mark.parametrize("norm, message", [
     (0.0, "must be positive, got 0.0"), (-1.0, "must be positive, got -1.0"),
     (math.nan, "must be a finite number, got nan"),
