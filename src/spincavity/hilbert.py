@@ -35,14 +35,18 @@ Nori, Comput. Phys. Commun. 183, 1760 (2012)).
 
 Ordered by the excitation difference k = N_i - N_j of rho[i, j],
 L(omega) is block tridiagonal (the undriven generator conserves k, the
-drive moves it by one). ``steady_state`` eliminates its blocks towards
-k = 0, the matrix continued fraction of Risken, The Fokker-Planck
-Equation, ch. 9, with LU solves only: one per block k > 0 and one of
-the centre block for a single column, and no inverse. The RK4 oracle
-uses the dense generator alone and solves no linear system. L maps
-hermitian matrices to hermitian ones, so the oracle integrates its real
-form (Alicki and Lendi, Quantum Dynamical Semigroups and Applications,
-1987), on which every product is real.
+drive moves it by one). L maps hermitian matrices to hermitian ones, so
+on them it has a real form (Alicki and Lendi, Quantum Dynamical
+Semigroups and Applications, 1987), and block -k of a hermitian rho is
+the conjugate transpose of block k. ``steady_state`` works on that
+hermitian half: it eliminates the blocks k > 0 towards k = 0, the matrix
+continued fraction of Risken, The Fokker-Planck Equation, ch. 9, with
+one LU solve per block and no inverse, folds the mirrored side k < 0
+into the real form of the centre Schur complement, LU-solves that real
+matrix for a single column, and carries the one column outwards. The
+RK4 oracle uses the dense generator alone and solves no linear system;
+it integrates the real form of the whole generator, on which every
+product is real.
 
 All user-facing rates and frequencies are quoted values (value/2pi in
 GHz); internally one global multiplication by 2pi converts them to
@@ -60,6 +64,7 @@ import math
 import warnings
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,6 +98,10 @@ _SQUARING_MATVECS = 0.2
 # for its condition number; the RK4 oracle holds up to three, its real
 # step matrices being half the size.
 _GENERATOR_BYTES_LIMIT = 256 * 2**20
+
+# The signs of the four gathers that fold the side k < 0 into the real
+# form of the centre block (``_Table.fold``, ``_eliminate``).
+_FOLD_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
 
 # The sign each SystemParams rate must have; every other value need only
 # be finite.
@@ -207,6 +216,18 @@ class _Table:
     parts of the diagonal entries of L0 where D is not zero, and D is
     ``1j * d_on_diag`` there. ``centre_rows`` picks, in the float view, the
     entries of L0 on the rows of block 0, where D is zero.
+
+    The solver's vector holds block 0, then the blocks k = 1 .. fock_dim,
+    then their transposes (blocks -k) in the same order: slot s holds
+    the column-major flat index ``order[s]``, ``spans[k]`` is block k's
+    slice (``spans[0]`` that of block 0, whose indices are ``centre``),
+    and ``gather`` is the inverse of ``order``. ``transpose`` maps each
+    flat index to that of the transposed entry, and ``swap`` does so
+    within block 0, which is its own transpose. ``fold`` holds four rows
+    of flat indices into the float view of a complex block-0-sized w:
+    they gather Re w, Im w[:, swap], Re w[swap][:, swap] and
+    Im w[swap, :], which with the signs ``_FOLD_SIGNS`` sum to the real
+    form of w + conj(w[swap][:, swap]).
     """
 
     names: tuple
@@ -222,10 +243,22 @@ class _Table:
     dst: np.ndarray
     layout: tuple
     centre: np.ndarray
-    sides: np.ndarray
-    spans: list
+    order: np.ndarray
+    gather: np.ndarray
+    spans: tuple
+    transpose: np.ndarray
     swap: np.ndarray
     fold: np.ndarray
+
+
+class _Blocks(NamedTuple):
+    """The bordered L0 of one parameter set, blocked by k (``_generator_parts``)."""
+
+    table: _Table
+    diag: list
+    up: list
+    down: list
+    centre_real: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -245,11 +278,6 @@ def _generator_table(fock_dim: int) -> _Table:
     trace row that replaces row 0 (rho[0, 0]) lives on block 0. L0 maps
     rho' to (L0 rho)', so block -k, its entries in the transposed order
     of block k's, is the complex conjugate of block k and is not stored.
-    ``centre`` holds the column-major flat indices of block 0; ``sides``
-    pairs each index of a block k > 0 with that of its transpose, and
-    ``spans[k]`` is the slice of block k's rows in it; ``swap`` orders
-    block 0 as its own transpose, and ``fold`` is the row-major flat index
-    that gathers a centre-sized matrix w into w[swap][:, swap].
     """
     d = 3 * fock_dim
     n = d * d
@@ -308,10 +336,14 @@ def _generator_table(fock_dim: int) -> _Table:
 
     centre = index[0]
     upper = np.concatenate(index[1:])
-    sides = np.stack((upper, upper // d + d * (upper % d)), axis=1)
-    ends = np.cumsum([0] + [len(i) for i in index[1:]])
-    spans = [None] + [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
-    swap = np.searchsorted(centre, centre // d + d * (centre % d))
+    transpose = np.arange(n)
+    transpose = transpose // d + d * (transpose % d)
+    order = np.concatenate((centre, upper, transpose[upper]))
+    ends = np.cumsum([0] + [len(i) for i in index]).tolist()
+    swap = np.searchsorted(centre, transpose[centre])
+    flat = np.arange(2 * centre.size**2).reshape(centre.size, centre.size, 2)
+    re, im = flat[..., 0], flat[..., 1]
+    fold = np.stack((re, im[:, swap], re[swap][:, swap], im[swap, :]))
     on_diag = np.flatnonzero((row == col) & (k_of[row] != 0))
     table = _Table(
         tuple(name for name, _, _ in terms), at,
@@ -319,10 +351,11 @@ def _generator_table(fock_dim: int) -> _Table:
         float(np.vdot(diag_d, diag_d).real), 2 * on_diag + 1,
         diag_d[row[on_diag]].imag, np.flatnonzero(np.repeat(k_of[row] == 0, 2)),
         base, np.concatenate(src), np.concatenate(dst), tuple(layout), centre,
-        sides, spans, swap, swap[:, None] * swap.size + swap)
+        order, np.argsort(order), tuple(map(slice, ends, ends[1:])), transpose,
+        swap, fold.reshape(4, -1))
     for part in (at, table.coeffs, diag_d, table.im_on_diag, table.d_on_diag,
-                 table.centre_rows, base, table.src, table.dst, centre, sides,
-                 swap, table.fold):
+                 table.centre_rows, base, table.src, table.dst, centre, order,
+                 table.gather, transpose, swap, table.fold):
         part.setflags(write=False)
     return table
 
@@ -337,10 +370,10 @@ def _generator_parts(params: SystemParams):
     with the eleven values c_t of ``params``; nothing here is dense in
     the generator's size. Cached read-only.
 
-    ``blocks`` = (centre, sides, spans, diag, up, down, swap, fold): the
-    index parts of the table, the diagonal blocks k >= 0 of the bordered
-    L0 and the couplings of block k to k + 1 and to k - 1 (``down[0]`` is
-    None).
+    ``blocks`` is a ``_Blocks``: the cutoff's table, the diagonal blocks
+    k >= 0 of the bordered L0, the couplings of block k to k + 1 and to
+    k - 1 (``down[0]`` is None), and the real form of block 0,
+    Re diag[0] + Im diag[0][:, swap] (``_real_form``).
 
     ``norms`` = (s, ||L0||^2 / s^2, 2 Re <D, diag L0> / s, ||D||^2, c / s),
     s the largest real or imaginary part in L0 (kappa > 0 keeps it above
@@ -364,6 +397,8 @@ def _generator_parts(params: SystemParams):
         part.setflags(write=False)
     blocks = [buffer[lo:hi].reshape(shape) for lo, hi, shape in table.layout]
     top = len(table.spans) - 1
+    centre_real = blocks[0].real + blocks[0].imag[:, table.swap]
+    centre_real.setflags(write=False)
     unit = floats / scale
     centre_unit = unit[table.centre_rows]
     # D is imaginary, so Re <D, diag L0> pairs it with Im diag L0.
@@ -371,9 +406,8 @@ def _generator_parts(params: SystemParams):
              2.0 * float(table.d_on_diag @ unit[table.im_on_diag]),
              table.d_norm2, math.sqrt(float(centre_unit @ centre_unit)))
     return ((table.at, values), table.diag_d,
-            (table.centre, table.sides, table.spans, blocks[:top + 1],
-             blocks[top + 1:2 * top + 1], [None] + blocks[2 * top + 1:],
-             table.swap, table.fold), norms)
+            _Blocks(table, blocks[:top + 1], blocks[top + 1:2 * top + 1],
+                    [None] + blocks[2 * top + 1:], centre_real), norms)
 
 
 def build_liouvillian(params: SystemParams, probe_freq: float) -> np.ndarray:
@@ -441,20 +475,23 @@ def validate_density_matrix(rho: np.ndarray) -> None:
     _require_positive(rho)
 
 
-def _eliminate(blocks, probe_freq: float):
+def _eliminate(blocks: _Blocks, probe_freq: float):
     """Schur complements of the bordered L(probe_freq), by LU solves alone.
 
     The blocks k > 0 are eliminated from k = fock_dim down to 1:
     S_k = A_k + i 2pi k omega - up_k T_(k+1) and T_k = S_k^-1 down_k,
     formed by one LU solve of S_k for the columns of down_k. The side
-    k < 0 is the complex conjugate of this one and folds into the centre
-    block through the flat index ``fold``. Returns (schur, couplings):
-    S_k and T_k for k >= 1, and at k = 0 the centre Schur complement C,
-    unfactored. No inverse is formed (Higham, Accuracy and Stability of
+    k < 0 is the complex conjugate of this one, so with w = up_0 T_1 the
+    centre Schur complement is C = A_0 - w - conj(w[swap][:, swap]). C
+    maps the block 0 of a hermitian matrix to that of a hermitian one, so
+    only its real form M = Re C + Im C[:, swap] (``_real_form``) is
+    formed, from w by one gather of the table's ``fold`` indices.
+    Returns (schur, couplings): S_k and T_k for k >= 1, and M, unfactored,
+    at k = 0. No inverse is formed (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., 2002, ch. 14). A singular S_k raises
-    ``np.linalg.LinAlgError``; a singular C raises it in ``_block_solve``.
+    ``np.linalg.LinAlgError``; a singular M raises it in ``_block_solve``.
     """
-    _, _, _, diag, up, down, _, fold = blocks
+    diag, up, down = blocks.diag, blocks.up, blocks.down
     top = len(diag) - 1
     schur, couplings = [None] * (top + 1), [None] * (top + 1)
     for k in range(top, 0, -1):
@@ -465,49 +502,60 @@ def _eliminate(blocks, probe_freq: float):
         schur[k] = s
         couplings[k] = np.linalg.solve(s, down[k])
     w = up[0] @ couplings[1]
-    schur[0] = diag[0] - w - w.take(fold).conj()
+    folded = _FOLD_SIGNS @ w.view(float).take(blocks.table.fold)
+    schur[0] = blocks.centre_real - folded.reshape(w.shape)
     return schur, couplings
 
 
-def _block_solve(blocks, factors, rhs: np.ndarray | None = None) -> np.ndarray:
-    """Solve the bordered system for ``rhs`` with ``_eliminate``'s factors.
+def _block_solve(blocks: _Blocks, factors, rhs: np.ndarray | None = None) -> np.ndarray:
+    """Solve the bordered system for a hermitian ``rhs`` with ``_eliminate``'s factors.
 
-    The entries of blocks k and -k run together as the two columns
-    [v_k, conj(v_-k)], so both sides go through the same k > 0 blocks.
-    ``rhs=None`` stands for e_0, the right-hand side of the trace row.
-    It lies in the centre block at position 0, so the sweep towards
-    k = 0 would act on zeros only: the centre solution is one LU solve
-    of C for the column e_0, and only the sweep outwards runs, with the
-    couplings T_k. A general ``rhs`` (the rare refinement step) sweeps
-    inwards with LU solves of the kept S_k first. A singular C raises
-    ``np.linalg.LinAlgError``.
+    The bordered generator maps hermitian matrices to hermitian ones (the
+    trace of one is real), so for a hermitian right-hand side the solution
+    is hermitian: its block -k is the conjugate of block k, transposed.
+    The solve runs on the hermitian half alone, one column in the table's
+    ``order``: blocks 0 and k > 0, of which it reads ``rhs``. The centre
+    is one real LU solve, M c = Re b_0 + Im b_0 for the centre right-hand
+    side b_0, and x_0 = ((1 + i) c + (1 - i) c[swap]) / 2 is exactly
+    hermitian; the sweep outwards with the couplings T_k then gives each
+    block k > 0, its conjugate gives block -k, and one gather of the
+    table's ``gather`` gives x in column-major order, exactly hermitian.
+
+    ``rhs=None`` stands for e_0, the right-hand side of the trace row. It
+    lies in block 0, so the sweep towards k = 0 would act on zeros only,
+    and c = M^-1 e_0. Any other ``rhs`` (the rare refinement step) is
+    first swept inwards with LU solves of the kept S_k. A singular M
+    raises ``np.linalg.LinAlgError``.
     """
-    centre, sides, spans, _, up, _, swap, _ = blocks
+    table = blocks.table
     schur, couplings = factors
-    top = len(spans) - 1
+    spans = table.spans
+    top, half = len(spans) - 1, spans[-1].stop
+    x = np.zeros(table.order.size, dtype=complex)
     if rhs is None:
-        y = np.zeros(sides.shape, dtype=complex)
-        b0 = np.zeros(len(centre), dtype=complex)
+        b0 = np.zeros(table.centre.size)
         b0[0] = 1.0
     else:
-        y = rhs[sides]
-        y[:, 1] = y[:, 1].conj()
+        x[:half] = rhs[table.order[:half]]
         for k in range(top, 0, -1):
             if k < top:
-                y[spans[k]] -= up[k] @ y[spans[k + 1]]
-            y[spans[k]] = np.linalg.solve(schur[k], y[spans[k]])
-        w = up[0] @ y[spans[1]]
-        b0 = rhs[centre] - w[:, 0] - w[swap, 1].conj()
-    x0 = np.linalg.solve(schur[0], b0)
-    below = np.stack((x0, x0[swap].conj()), axis=1)
+                x[spans[k]] -= blocks.up[k] @ x[spans[k + 1]]
+            x[spans[k]] = np.linalg.solve(schur[k], x[spans[k]])
+        w = blocks.up[0] @ x[spans[1]]
+        b0 = x[spans[0]] - w - w[table.swap].conj()
+        b0 = b0.real + b0.imag
+    c = np.linalg.solve(schur[0], b0)
+    # x_0 = ((1 + i) c + (1 - i) c[swap]) / 2 is a sum and a difference of
+    # the same two entries, so x_0[swap] = conj(x_0) holds exactly, also
+    # where c is subnormal
+    x0, c_swap = x[spans[0]], c[table.swap]
+    x0.real = c + c_swap
+    x0.imag = c - c_swap
+    x0 *= 0.5
     for k in range(1, top + 1):
-        y[spans[k]] -= couplings[k] @ below
-        below = y[spans[k]]
-    y[:, 1] = y[:, 1].conj()
-    x = np.empty(len(centre) + sides.size, dtype=complex)
-    x[centre] = x0
-    x[sides] = y
-    return x
+        x[spans[k]] -= couplings[k] @ x[spans[k - 1]]
+    np.conjugate(x[spans[0].stop:half], out=x[half:])
+    return x.take(table.gather)
 
 
 def _solve_failure(message: str, liou: np.ndarray, d: int) -> NumericalError:
@@ -528,30 +576,31 @@ def _solve_failure(message: str, liou: np.ndarray, d: int) -> NumericalError:
                           condition_estimate=cond)
 
 
-def _backward_errors(liou: np.ndarray, x: np.ndarray, d: int,
-                     centre: np.ndarray, norms: tuple) -> tuple:
-    """(r, errors, ||x||) of a solve x of the bordered system B x = e_0.
+def _backward_errors(liou: np.ndarray, x: np.ndarray, centre: np.ndarray,
+                     norms: tuple) -> tuple:
+    """(L x, errors, ||x||) of a solve x of the bordered system B x = e_0.
 
-    B is the generator ``liou`` with row 0 the trace equation, and
-    r = e_0 - B x. ``errors`` are normwise backward errors of L x = 0,
-    ||L x|| / (||L|| ||x||): over all of L x with ``norms[0]`` for ||L||,
-    and over its ``centre`` block with ``norms[1]``, the norm of L's rows
-    there. The trace row is left out of both: the state is normalized
-    exactly afterwards, and its error is on the scale of 1, not of L.
-    Each figure is L x scaled down by its denominator, so a residual
-    whose square overflows still gives a finite figure; a denominator
-    that overflows or is 0 gives inf.
+    B is the generator ``liou`` with row 0 the trace equation. ``errors``
+    are normwise backward errors of L x = 0, ||L x|| / (||L|| ||x||):
+    over all of L x with ``norms[0]`` for ||L||, and over its ``centre``
+    block with ``norms[1]``, the norm of L's rows there. The trace row is
+    left out of both: the state is normalized exactly afterwards, and its
+    error is on the scale of 1, not of L. Each figure is the norm of L x
+    scaled down by its denominator, so a residual whose square overflows
+    still gives a finite figure; a denominator that overflows or is 0
+    gives inf.
     """
     lx = liou @ x
-    x_norm = float(np.linalg.norm(x))
+    x_norm = math.sqrt(np.vdot(x, x).real)
     errors = []
     for part, norm in ((lx, norms[0]), (lx[centre], norms[1])):
         den = norm * x_norm
-        errors.append(float(np.linalg.norm(part / den)) if 0.0 < den < math.inf
-                      else math.inf)
-    r = -lx
-    r[0] = 1.0 - x[::d + 1].sum()
-    return r, errors, x_norm
+        if 0.0 < den < math.inf:
+            part = part / den
+            errors.append(math.sqrt(np.vdot(part, part).real))
+        else:
+            errors.append(math.inf)
+    return lx, errors, x_norm
 
 
 def steady_state(params: SystemParams, probe_freq: float) -> np.ndarray:
@@ -559,12 +608,13 @@ def steady_state(params: SystemParams, probe_freq: float) -> np.ndarray:
 
     Solves L vec(rho) = 0 with row 0 of the (singular) generator replaced
     by the trace-normalization equation. The bordered system is block
-    tridiagonal in the excitation-difference ordering (``_generator_parts``);
-    it is solved by block elimination from both ends towards k = 0, with
-    one LU solve per Schur complement S_k and none forming an inverse. The
-    right-hand side e_0 lies in block 0, so the solution is one LU solve of
-    the centre Schur complement for the column e_0, carried outwards block
-    by block.
+    tridiagonal in the excitation-difference ordering (``_generator_parts``)
+    and maps hermitian matrices to hermitian ones, so it is solved on the
+    hermitian half of rho: block elimination of the blocks k > 0 towards
+    k = 0, one LU solve per Schur complement S_k and none forming an
+    inverse, the mirrored side k < 0 folded into the real form of the
+    centre Schur complement, one real LU solve of that for the column
+    e_0, and one column carried outwards block by block (``_block_solve``).
 
     The product L(omega) x, formed with the dense generator, gives two
     normwise backward errors ||L x|| / (||L|| ||x||): one over the whole
@@ -574,9 +624,12 @@ def steady_state(params: SystemParams, probe_freq: float) -> np.ndarray:
     the parameter set. Only when either exceeds machine epsilon does one
     step of iterative refinement follow, LU-solving the kept Schur
     complements S_k and the centre one again; below it a refinement step
-    cannot gain anything (Skeel, Math. Comp. 35, 817 (1980)). Both
-    figures must then be at most 1e-9.
-    The result is symmetrized and exactly trace-normalized, so of the
+    cannot gain anything (Skeel, Math. Comp. 35, 817 (1980)). The solution
+    is hermitian, so the step adds the solve for the hermitian part of
+    the residual to the hermitian part of x. Both figures must then be at
+    most 1e-9.
+    Either way x is exactly hermitian, so the result is x divided by its
+    real trace: exactly hermitian and exactly trace-normalized, so of the
     invariants of ``validate_density_matrix`` only positivity is left to
     test, by the same rule: an eigenvalue below POSITIVITY_TOL raises
     StateError. The truncated generator keeps Lindblad form, so its
@@ -586,16 +639,21 @@ def steady_state(params: SystemParams, probe_freq: float) -> np.ndarray:
     liou = build_liouvillian(params, probe_freq)
     _, _, blocks, norms = _generator_parts(params)
     d = params.dim
+    centre = blocks.table.centre
     scales = (_generator_norm(norms, probe_freq), norms[0] * norms[4])
     try:
         factors = _eliminate(blocks, probe_freq)
         x = _block_solve(blocks, factors)
     except np.linalg.LinAlgError as exc:
         raise _solve_failure(f"steady-state solve failed ({exc})", liou, d) from exc
-    r, errors, x_norm = _backward_errors(liou, x, d, blocks[0], scales)
+    lx, errors, x_norm = _backward_errors(liou, x, centre, scales)
     if not max(errors) <= _EPSILON:
-        x += _block_solve(blocks, factors, r)
-        _, errors, x_norm = _backward_errors(liou, x, d, blocks[0], scales)
+        r = -lx
+        r[0] = 1.0 - x[::d + 1].sum()
+        transpose = blocks.table.transpose
+        x = 0.5 * (x + x[transpose].conj())
+        x += _block_solve(blocks, factors, 0.5 * (r + r[transpose].conj()))
+        _, errors, x_norm = _backward_errors(liou, x, centre, scales)
     for label, error, scale in zip(("residual", "centre-block residual"),
                                    errors, scales):
         if not error <= _RESIDUAL_REL:
@@ -604,7 +662,7 @@ def steady_state(params: SystemParams, probe_freq: float) -> np.ndarray:
                 f"exceeds {_RESIDUAL_REL} * (norm {scale:.3e} * |x| "
                 f"{x_norm:.3e})", liou, d)
 
-    rho = _density_matrix(x, d)
+    rho = x.reshape((d, d), order="F") / x[::d + 1].sum().real
     _require_positive(rho)
     return rho
 
@@ -617,20 +675,37 @@ def _fock_dim_of(rho: np.ndarray) -> int:
     return d // 3
 
 
+@lru_cache(maxsize=16)
+def _readouts(fock_dim: int):
+    """(rows, cols, sqrt(n), n) of the photon readouts, cached read-only.
+
+    n is the photon number of each basis state. a has the entry sqrt(n)
+    at (i - 1, i) for each state i with n >= 1, so
+    Tr(rho a) = rho[rows, cols] @ sqrt(n)[rows], with cols = rows - 1;
+    a'a is diagonal, so Tr(rho a'a) = diag(rho) @ n.
+    """
+    n = np.tile(np.arange(fock_dim, dtype=float), 3)
+    rows = np.flatnonzero(n)
+    parts = (rows, rows - 1, np.sqrt(n[rows]), n)
+    for part in parts:
+        part.setflags(write=False)
+    return parts
+
+
 def expectation_photon_number(rho: np.ndarray) -> float:
-    """Tr(rho a'a); validates the state first."""
+    """Tr(rho a'a), read from the diagonal of rho; validates the state first."""
     fock_dim = _fock_dim_of(rho)
     validate_density_matrix(rho)
-    value = complex(np.trace(rho @ number_operator(fock_dim)))
+    value = complex(np.diagonal(rho) @ _readouts(fock_dim)[3])
     if abs(value.imag) > 1e-10:
         raise StateError(f"photon number has imaginary part {value.imag:.3e}")
     return max(value.real, 0.0)
 
 
 def expectation_cavity_amplitude(rho: np.ndarray) -> complex:
-    """Coherent cavity amplitude Tr(rho a)."""
-    a, _, _ = _operators(_fock_dim_of(rho))
-    return complex(np.trace(rho @ a))
+    """Coherent cavity amplitude Tr(rho a), read from the entries rho[n, n - 1]."""
+    rows, cols, weights, _ = _readouts(_fock_dim_of(rho))
+    return complex(rho[rows, cols] @ weights)
 
 
 def ground_state(fock_dim: int) -> np.ndarray:
@@ -657,8 +732,7 @@ def _real_form(liou: np.ndarray, d: int):
     n = d * d
     real = liou.imag.reshape(n, d, d).transpose(0, 2, 1).reshape(n, n)
     real += liou.real
-    index = np.arange(n)
-    return real, index // d + d * (index % d)
+    return real, _generator_table(d // 3).transpose
 
 
 def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,

@@ -90,3 +90,55 @@ def test_failed_tasks_void_a_gain(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[-1].startswith("# no gain holds")
     assert out[-2].split()[-4:] == ["3/3", "0.5", "0.02", "no"]
+
+
+def test_write_records_each_workload(tmp_path, monkeypatch, capsys):
+    base, change = tmp_path / "base", tmp_path / "change"
+    for side in (base, change):
+        side.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 60, "end_to_end": [{"name": "pass_s", "better": "lower"}],
+        "per_layer": [{"name": "hilbert.steady_state.calls", "better": "lower"},
+                      {"name": "absent.metric", "better": "lower"}]}))
+    traced = []
+
+    def fake(checkout, workload, seed, seconds, trace=0):
+        value = 1.0 if checkout == base else 0.5
+        if trace:
+            traced.append((checkout.name, workload, seed))
+        return {"correct": True, "attempted": 3, "failed": 0,
+                "metrics": {"pass_s": {"value": value + 0.01 * seed},
+                            "hilbert.steady_state.calls": {"value": 44.0 * value}},
+                "provenance": {"git_sha": checkout.name * 2, "git_dirty": False,
+                               "seed": seed, "cpu_count": 2, "numpy": "2.4.6"}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake)
+    out = tmp_path / "BENCH_1.json"
+    for workload in ("w1", "w2"):
+        assert bench_pairs.main([str(base), str(change), "--workload", workload,
+                                 "--pairs", "3", "--first-seed", "7",
+                                 "--write", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1] == f"# wrote w2 to {out}"
+    # one traced run per side and workload, with the first seed
+    assert traced == [("base", "w1", 7), ("change", "w1", 7),
+                      ("base", "w2", 7), ("change", "w2", 7)]
+    record = json.loads(out.read_text())
+    assert record["base"] == {"git_sha": "basebase", "git_dirty": False}
+    assert record["change"] == {"git_sha": "changechange", "git_dirty": False}
+    assert record["host"] == {"cpu_count": 2, "numpy": "2.4.6"}
+    assert set(record["workloads"]) == {"w1", "w2"}
+    w1 = record["workloads"]["w1"]
+    assert (w1["pairs_asked"], w1["first_seed"], w1["run_seconds"], w1["sound"]) == (
+        3, 7, 60, True)
+    # the end-to-end entry is the row the tool prints
+    expected = bench_pairs.summary([1.07, 1.08, 1.09], [0.57, 0.58, 0.59], "lower")
+    entry = w1["end_to_end"]["pass_s"]
+    assert entry["better"] == "lower" and entry["gain"] is True
+    for key in ("wins", "pairs", "shift", "base_iqr"):
+        assert entry[key] == pytest.approx(expected[key])
+    for side in ("base", "change"):
+        assert entry[side] == pytest.approx(list(expected[side]))
+    assert w1["per_layer"] == {"seed": 7,
+                               "base": {"hilbert.steady_state.calls": 44.0},
+                               "change": {"hilbert.steady_state.calls": 22.0}}

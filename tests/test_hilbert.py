@@ -292,22 +292,39 @@ class TestLiouvillian:
         # bordered generator; block -k holds the transposes of block k
         bordered = l0.copy()
         bordered[0] = _trace_vector(p.dim)
-        centre, sides, spans, blocks, up, down, swap, fold = parts
-        index = [centre] + [sides[span, 0] for span in spans[1:]]
+        table = parts.table
+        index = [table.order[span] for span in table.spans]
         for kk, idx in enumerate(index):
             assert np.array_equal(idx, np.flatnonzero(k == kk))
-            assert np.array_equal(blocks[kk], bordered[np.ix_(idx, idx)])
+            assert np.array_equal(parts.diag[kk], bordered[np.ix_(idx, idx)])
             if kk:
-                assert np.array_equal(down[kk], bordered[np.ix_(idx, index[kk - 1])])
-                assert np.array_equal(up[kk - 1], bordered[np.ix_(index[kk - 1], idx)])
+                assert np.array_equal(parts.down[kk],
+                                      bordered[np.ix_(idx, index[kk - 1])])
+                assert np.array_equal(parts.up[kk - 1],
+                                      bordered[np.ix_(index[kk - 1], idx)])
         flat = np.arange(p.dim**2).reshape((p.dim, p.dim), order="F")
         transpose = flat.T.reshape(-1, order="F")
-        assert np.array_equal(sides[:, 1], transpose[sides[:, 0]])
+        assert np.array_equal(table.transpose, transpose)
+        # the solver's vector holds block 0, the blocks k > 0 and then
+        # their transposes, and gather puts it back in column-major order
+        centre_size, half = table.spans[0].stop, table.spans[-1].stop
+        assert np.array_equal(table.order[half:],
+                              transpose[table.order[centre_size:half]])
+        assert np.array_equal(table.order[table.gather], np.arange(p.dim**2))
         # block 0 is its own transpose: swap reorders it so, and fold
-        # gathers w[swap][:, swap] of a centre-sized w in one step
+        # gathers the real form of w + conj(w[swap][:, swap]) for a
+        # centre-sized w in one step
+        centre, swap = table.centre, table.swap
+        assert np.array_equal(centre, index[0])
         assert np.array_equal(centre[swap], transpose[centre])
-        w = np.arange(centre.size**2).reshape(centre.size, centre.size)
-        assert np.array_equal(w.take(fold), w[swap][:, swap])
+        rng = np.random.default_rng(fock_dim)
+        w = rng.standard_normal((centre_size, 2 * centre_size)).view(complex)
+        folded = w + w[swap][:, swap].conj()
+        assert np.allclose(hilbert._FOLD_SIGNS @ w.view(float).take(table.fold),
+                           (folded.real + folded.imag[:, swap]).reshape(-1),
+                           rtol=0.0, atol=1e-14)
+        assert np.array_equal(parts.centre_real, parts.diag[0].real
+                              + parts.diag[0].imag[:, swap])
 
     def test_assembly_holds_about_one_generator(self, ref_params):
         # The assembly lists each term sparsely and keeps L0 as its
@@ -452,6 +469,42 @@ class TestSteadyState:
             general = hilbert._block_solve(blocks, factors, e0)
             assert direct.tobytes() == general.tobytes()
 
+    @pytest.mark.parametrize("probe", [0.0, 1e4, 1e160])
+    @pytest.mark.parametrize("fock_dim", range(2, 7))
+    def test_state_is_exactly_hermitian(self, monkeypatch, fock_dim, probe):
+        # The solve comes from the real form of the centre block and
+        # mirrors block k into block -k, so the state is hermitian bit for
+        # bit, also where the coherences are subnormal (probe 1e160). Most
+        # draws need no refinement step; a refined state is checked in
+        # TestRefinement.
+        calls = TestRefinement.count_solves(monkeypatch)
+        unrefined = 0
+        for variant in range(6):
+            rho = steady_state(distinct_params(fock_dim, variant), probe)
+            unrefined += calls == [2]
+            calls.clear()
+            assert np.array_equal(rho, rho.conj().T)
+        assert unrefined >= 1
+
+    @pytest.mark.parametrize("fock_dim", range(2, 7))
+    def test_hermitian_right_hand_side_matches_a_dense_solve(self, fock_dim):
+        # The refinement step's solve, for a right-hand side that is
+        # hermitian but not e_0, sweeps inwards through the kept S_k
+        p = distinct_params(fock_dim, 0)
+        rng = np.random.default_rng(fock_dim)
+        blocks = hilbert._generator_parts(p)[2]
+        transpose = blocks.table.transpose
+        for probe in (-60.0, 0.0, 41.0, 1e4):
+            bordered = build_liouvillian(p, probe)
+            bordered[0] = _trace_vector(p.dim)
+            r = rng.standard_normal(p.dim**2) + 1j * rng.standard_normal(p.dim**2)
+            r = 0.5 * (r + r[transpose].conj())
+            x = hilbert._block_solve(blocks, hilbert._eliminate(blocks, probe), r)
+            dense = np.linalg.solve(bordered, r)
+            assert np.linalg.norm(x - dense) <= 1e-13 * np.linalg.norm(dense)
+            assert (np.linalg.norm(bordered @ x - r)
+                    <= 1e-15 * np.linalg.norm(bordered) * np.linalg.norm(x))
+
     def test_degenerate_system_raises(self):
         # no decay at all from the atomic sector: steady state not unique
         p = SystemParams(kappa=20.0, g3=0, g4=0, gamma_d3=0, gamma_d4=0,
@@ -468,7 +521,7 @@ class TestSteadyState:
         # C is factored only by the first solve's one LU solve for e_0, so
         # a singular C raises in _block_solve, with the same error as a
         # singular block of the elimination
-        centre = hilbert._generator_parts(ref_params)[2][0]
+        centre = hilbert._generator_parts(ref_params)[2].table.centre
         solve, refused = np.linalg.solve, []
 
         def singular_centre(a, b):
@@ -664,6 +717,7 @@ class TestRefinement:
             # the solve for e_0, then the refinement solve for its residual
             assert calls == [2, 3]
             assert np.max(np.abs(rho - clean)) <= 1e-14
+            assert np.array_equal(rho, rho.conj().T)
 
     def test_matches_two_solves_over_seeded_draws(self):
         # The ranges of the benchmark's master-equation scan, where no
@@ -685,7 +739,9 @@ class TestRefinement:
                 x = hilbert._block_solve(blocks, factors)
                 r = -(build_liouvillian(p, probe) @ x)
                 r[0] = 1.0 - np.trace(x.reshape((p.dim, p.dim), order="F"))
-                x += hilbert._block_solve(blocks, factors, r)
+                transpose = blocks.table.transpose
+                x += hilbert._block_solve(blocks, factors,
+                                          0.5 * (r + r[transpose].conj()))
                 twice = hilbert._density_matrix(x, p.dim)
                 worst = max(worst, np.max(np.abs(steady_state(p, probe) - twice)))
         assert worst <= 1e-15
@@ -734,6 +790,24 @@ class TestExpectations:
 
     def test_amplitude_of_vacuum(self):
         assert expectation_cavity_amplitude(ground_state(4)) == 0.0
+
+    @pytest.mark.parametrize("fock_dim", range(2, 9))
+    def test_readouts_match_the_operator_traces(self, fock_dim):
+        # Both readouts take the entries of rho they need, not a product
+        a = hilbert._operators(fock_dim)[0]
+        number = number_operator(fock_dim)
+        rng = np.random.default_rng(fock_dim)
+        m = rng.standard_normal((3 * fock_dim, 6 * fock_dim)).view(complex)
+        mixed = m @ m.conj().T
+        states = [mixed / np.trace(mixed).real] + [
+            steady_state(distinct_params(fock_dim, 1), probe)
+            for probe in (-30.0, 0.0, 12.0)]
+        eps = np.finfo(float).eps
+        for rho in states:
+            for value, reference in (
+                    (expectation_cavity_amplitude(rho), np.trace(rho @ a)),
+                    (expectation_photon_number(rho), np.trace(rho @ number).real)):
+                assert abs(value - reference) <= 4 * eps * max(1.0, abs(reference))
 
 
 class TestRealForm:

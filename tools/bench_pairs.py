@@ -19,9 +19,19 @@ the change wins at least nine pairs in ten with a shift above that IQR,
 every change run is correct, and the change fails no larger share of
 its tasks than the base. A run that is not correct or has failed tasks
 is reported and its pair kept; a pair in which either run exits with an
-error (as a warm-up failure does) is reported and left out. Nothing is
-written; the runs themselves write what ``bench/run.py`` writes in their
-own checkout.
+error (as a warm-up failure does) is reported and left out. The runs
+themselves write what ``bench/run.py`` writes in their own checkout.
+
+With ``--write FILE`` (a ``BENCH_<n>.json`` at the repository root) the
+tool also runs ``bench/run.py --trace 1`` once per side, with the first
+seed, and records in FILE under the workload's name what the table
+shows, per end-to-end metric, and the per-layer metrics of
+BENCHMARK.json from those two traced runs, with the commits of both
+checkouts and the host from their provenance. An existing FILE keeps
+its other workloads, so one run per workload fills it:
+
+    python tools/bench_pairs.py BASE . --workload master_fock4 \\
+        --pairs 10 --first-seed 91 --write BENCH_<n>.json
 """
 
 from __future__ import annotations
@@ -42,6 +52,8 @@ _SPEC = importlib.util.spec_from_file_location("bench_run", _RUN)
 _bench_run = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(_bench_run)
 quartiles = _bench_run.quartiles
+# The prefix of the provenance line that ``bench/run.py`` prints.
+_PROVENANCE = "# provenance "
 
 
 def wins(base, change, better):
@@ -75,17 +87,52 @@ def sound(base_runs, change_runs):
             and failed_share(change_runs) <= failed_share(base_runs))
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float):
-    """The last output line of one untraced run, parsed; None if it failed."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0):
+    """The last output line of one run, parsed, with the run's provenance
+    line under "provenance"; None if it failed."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         last = (proc.stderr.strip().splitlines() or [""])[-1]
         print(f"# {checkout}: seed {seed} exited {proc.returncode}: {last}")
         return None
-    return json.loads(lines[-1])
+    out = json.loads(lines[-1])
+    out["provenance"] = next((json.loads(line[len(_PROVENANCE):])
+                              for line in lines if line.startswith(_PROVENANCE)), {})
+    return out
+
+
+def write_record(path: Path, workload: str, table: dict, traced: dict,
+                 spec: dict, settings: dict) -> None:
+    """Merge one workload's pairs and traced runs into the JSON file ``path``.
+
+    ``table`` maps each end-to-end metric to its ``summary``; ``traced``
+    maps "base" and "change" to the parsed ``--trace 1`` run of that side.
+    """
+    record = (json.loads(path.read_text(encoding="utf-8")) if path.exists()
+              else {"workloads": {}})
+    for side, out in traced.items():
+        prov = out["provenance"]
+        record[side] = {"git_sha": prov.get("git_sha"),
+                        "git_dirty": prov.get("git_dirty")}
+    record["host"] = {key: value for key, value in traced["change"]["provenance"].items()
+                      if key not in ("seed", "git_sha", "git_dirty")}
+    record["workloads"][workload] = {
+        **settings,
+        "end_to_end": {name: {key: list(value) if isinstance(value, tuple) else value
+                              for key, value in s.items()}
+                       for name, s in table.items()},
+        "per_layer": {
+            "seed": settings["first_seed"],
+            **{side: {m["name"]: out["metrics"][m["name"]]["value"]
+                      for m in spec["per_layer"] if m["name"] in out["metrics"]}
+               for side, out in traced.items()}},
+    }
+    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
+                    encoding="utf-8")
 
 
 def main(argv=None) -> int:
@@ -95,6 +142,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--write", type=Path, default=None)
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -126,9 +174,11 @@ def main(argv=None) -> int:
           f"{'change q1 / median / q3':>30s} {'wins':>7s} {'shift':>10s} "
           f"{'base IQR':>10s} {'gain':>5s}")
     runs_sound = sound(outs["base"], outs["change"])
+    table = {}
     for name, direction in better.items():
         s = summary(values["base"][name], values["change"][name], direction)
         s["gain"] = s["gain"] and runs_sound
+        table[name] = {"better": direction, **s}
         cells = ["{:.4g} / {:.4g} / {:.4g}".format(*s[side])
                  for side in ("base", "change")]
         print(f"{name:12s} {cells[0]:>30s} {cells[1]:>30s} "
@@ -137,6 +187,17 @@ def main(argv=None) -> int:
     if not runs_sound:
         print("# no gain holds: a change run is not correct, or the change "
               "fails a larger share of its tasks than the base")
+    if args.write is not None:
+        traced = {side: run_once(getattr(args, side), args.workload,
+                                 args.first_seed, spec["run_seconds"], trace=1)
+                  for side in ("base", "change")}
+        if None in traced.values():
+            print(f"# a traced run failed; {args.write} is not written")
+            return 1
+        write_record(args.write, args.workload, table, traced, spec,
+                     {"pairs_asked": args.pairs, "first_seed": args.first_seed,
+                      "run_seconds": spec["run_seconds"], "sound": runs_sound})
+        print(f"# wrote {args.workload} to {args.write}")
     return 0
 
 
