@@ -46,7 +46,8 @@ into the real form of the centre Schur complement, LU-solves that real
 matrix for a single column, and carries the one column outwards. The
 RK4 oracle uses the dense generator alone and solves no linear system;
 it integrates the real form of the whole generator, on which every
-product is real.
+product is real. Both read one cached, read-only record per parameter
+set, ``_Generator``: L0's values, its blocks and the scalars of its norm.
 
 All user-facing rates and frequencies are quoted values (value/2pi in
 GHz); internally one global multiplication by 2pi converts them to
@@ -64,7 +65,6 @@ import math
 import warnings
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -160,6 +160,17 @@ class SystemParams:
         return 3 * self.fock_dim
 
 
+def _read_only(value):
+    """``value`` (a tuple or a record) with each array in it or in its tuples,
+    and each array those view, made read-only: a cache hands it to every caller."""
+    for part in value if isinstance(value, tuple) else vars(value).values():
+        for array in part if isinstance(part, tuple) else (part,):
+            while isinstance(array, np.ndarray):
+                array.setflags(write=False)
+                array = array.base
+    return value
+
+
 @lru_cache(maxsize=16)
 def _operators(fock_dim: int):
     """(a, sigma3, sigma4) on the full space, cached read-only."""
@@ -171,9 +182,7 @@ def _operators(fock_dim: int):
     m4[0, 2] = 1.0   # |ground><excited4|
     s3 = np.kron(m3, np.eye(fock_dim))
     s4 = np.kron(m4, np.eye(fock_dim))
-    for op in (a, s3, s4):
-        op.setflags(write=False)
-    return a, s3, s4
+    return _read_only((a, s3, s4))
 
 
 def number_operator(fock_dim: int) -> np.ndarray:
@@ -251,14 +260,38 @@ class _Table:
     fold: np.ndarray
 
 
-class _Blocks(NamedTuple):
-    """The bordered L0 of one parameter set, blocked by k (``_generator_parts``)."""
+@dataclass(frozen=True)
+class _Generator:
+    """L(omega) = L0 + omega D of one parameter set (``_generator_parts``).
+
+    L0 is zero but for ``values`` at the flat positions ``table.at``; D is
+    ``table.diag_d``. ``diag`` holds the diagonal blocks k >= 0 of the
+    bordered L0, ``up`` and ``down`` the couplings of block k to k + 1 and
+    to k - 1 (``down[0]`` is None), ``centre_real`` the real form of block
+    0 (``_real_form``). ``norm`` gives ||L(omega)||_F with no overflow and
+    no pass over the entries from ``scale``, L0's largest real or imaginary
+    part (above 0 as kappa is), ``norm2`` = ||L0||^2 / scale^2, ``cross`` =
+    2 Re <D, diag L0> / scale and ``table.d_norm2`` = ||D||^2. ``centre_norm``
+    is the norm of L0's rows on block 0, where D is zero.
+    """
 
     table: _Table
-    diag: list
-    up: list
-    down: list
+    values: np.ndarray
+    diag: tuple
+    up: tuple
+    down: tuple
     centre_real: np.ndarray
+    scale: float
+    norm2: float
+    cross: float
+    centre_norm: float
+
+    def norm(self, probe_freq: float) -> float:
+        """||L0 + probe_freq D||_F, formed relative to max(scale, |probe_freq|)."""
+        m = max(self.scale, abs(probe_freq))
+        r, w = self.scale / m, probe_freq / m
+        return m * math.sqrt(r * (r * self.norm2 + w * self.cross)
+                             + w * w * self.table.d_norm2)
 
 
 @lru_cache(maxsize=8)
@@ -345,41 +378,24 @@ def _generator_table(fock_dim: int) -> _Table:
     re, im = flat[..., 0], flat[..., 1]
     fold = np.stack((re, im[:, swap], re[swap][:, swap], im[swap, :]))
     on_diag = np.flatnonzero((row == col) & (k_of[row] != 0))
-    table = _Table(
+    return _read_only(_Table(
         tuple(name for name, _, _ in terms), at,
         np.ascontiguousarray(coeffs.T).view(float), diag_d,
         float(np.vdot(diag_d, diag_d).real), 2 * on_diag + 1,
         diag_d[row[on_diag]].imag, np.flatnonzero(np.repeat(k_of[row] == 0, 2)),
         base, np.concatenate(src), np.concatenate(dst), tuple(layout), centre,
         order, np.argsort(order), tuple(map(slice, ends, ends[1:])), transpose,
-        swap, fold.reshape(4, -1))
-    for part in (at, table.coeffs, diag_d, table.im_on_diag, table.d_on_diag,
-                 table.centre_rows, base, table.src, table.dst, centre, order,
-                 table.gather, transpose, swap, table.fold):
-        part.setflags(write=False)
-    return table
+        swap, fold.reshape(4, -1)))
 
 
 @lru_cache(maxsize=1)
 @np.errstate(over="ignore", invalid="ignore")   # overflow is refused below
-def _generator_parts(params: SystemParams):
-    """((at, values), D, blocks, norms) with L(omega) = L0 + omega * diag(D).
+def _generator_parts(params: SystemParams) -> _Generator:
+    """The ``_Generator`` of ``params``, cached read-only.
 
-    L0 is zero but for ``values`` at the row-major flat positions ``at``,
-    the product of the cutoff's coefficient table (``_generator_table``)
-    with the eleven values c_t of ``params``; nothing here is dense in
-    the generator's size. Cached read-only.
-
-    ``blocks`` is a ``_Blocks``: the cutoff's table, the diagonal blocks
-    k >= 0 of the bordered L0, the couplings of block k to k + 1 and to
-    k - 1 (``down[0]`` is None), and the real form of block 0,
-    Re diag[0] + Im diag[0][:, swap] (``_real_form``).
-
-    ``norms`` = (s, ||L0||^2 / s^2, 2 Re <D, diag L0> / s, ||D||^2, c / s),
-    s the largest real or imaginary part in L0 (kappa > 0 keeps it above
-    0), so that ``_generator_norm`` gives ||L(omega)||_F with no pass over
-    the generator's entries (D is diagonal) and without overflow; c is the
-    norm of L0's rows on block 0, those of L(omega) at any probe.
+    Its ``values`` are the product of its ``table`` (``_generator_table``)
+    with the eleven values c_t of ``params``, its blocks are views of one
+    buffer of the bordered L0, and nothing is dense in the generator's size.
     """
     table = _generator_table(params.fock_dim)
     floats = (TWO_PI * np.array([getattr(params, name) for name in table.names])
@@ -393,21 +409,17 @@ def _generator_parts(params: SystemParams):
     values = floats.view(complex)
     buffer = table.base.copy()
     buffer[table.dst] = values[table.src]
-    for part in (buffer, values):
-        part.setflags(write=False)
     blocks = [buffer[lo:hi].reshape(shape) for lo, hi, shape in table.layout]
     top = len(table.spans) - 1
     centre_real = blocks[0].real + blocks[0].imag[:, table.swap]
-    centre_real.setflags(write=False)
     unit = floats / scale
     centre_unit = unit[table.centre_rows]
     # D is imaginary, so Re <D, diag L0> pairs it with Im diag L0.
-    norms = (scale, float(unit @ unit),
-             2.0 * float(table.d_on_diag @ unit[table.im_on_diag]),
-             table.d_norm2, math.sqrt(float(centre_unit @ centre_unit)))
-    return ((table.at, values), table.diag_d,
-            _Blocks(table, blocks[:top + 1], blocks[top + 1:2 * top + 1],
-                    [None] + blocks[2 * top + 1:], centre_real), norms)
+    return _read_only(_Generator(
+        table, values, tuple(blocks[:top + 1]), tuple(blocks[top + 1:2 * top + 1]),
+        (None, *blocks[2 * top + 1:]), centre_real, scale, float(unit @ unit),
+        2.0 * float(table.d_on_diag @ unit[table.im_on_diag]),
+        scale * math.sqrt(float(centre_unit @ centre_unit))))
 
 
 def build_liouvillian(params: SystemParams, probe_freq: float) -> np.ndarray:
@@ -418,27 +430,15 @@ def build_liouvillian(params: SystemParams, probe_freq: float) -> np.ndarray:
     raises NumericalError before anything is allocated.
     """
     _require_finite_real("probe_freq", probe_freq)
-    (at, values), diag, _, norms = _generator_parts(params)
-    if not math.isfinite(_generator_norm(norms, float(probe_freq))):
+    gen = _generator_parts(params)
+    if not math.isfinite(gen.norm(float(probe_freq))):
         raise NumericalError(f"the generator L overflows at probe_freq="
                              f"{probe_freq:.6g}; no steady-state solve can use it")
     n = params.dim ** 2
     liou = np.zeros((n, n), dtype=complex)
-    liou.reshape(-1)[at] = values
-    liou.reshape(-1)[::n + 1] += probe_freq * diag
+    liou.reshape(-1)[gen.table.at] = gen.values
+    liou.reshape(-1)[::n + 1] += probe_freq * gen.table.diag_d
     return liou
-
-
-def _generator_norm(norms, probe_freq: float) -> float:
-    """||L0 + probe_freq D||_F from the ``norms`` of ``_generator_parts``.
-
-    It is formed relative to m = max(s, |probe_freq|), so it overflows
-    only when the norm itself does.
-    """
-    scale, norm2, cross, d_norm2, _ = norms
-    m = max(scale, abs(probe_freq))
-    r, w = scale / m, probe_freq / m
-    return m * math.sqrt(r * (r * norm2 + w * cross) + w * w * d_norm2)
 
 
 def _trace_vector(d: int) -> np.ndarray:
@@ -475,7 +475,7 @@ def validate_density_matrix(rho: np.ndarray) -> None:
     _require_positive(rho)
 
 
-def _eliminate(blocks: _Blocks, probe_freq: float):
+def _eliminate(gen: _Generator, probe_freq: float):
     """Schur complements of the bordered L(probe_freq), by LU solves alone.
 
     The blocks k > 0 are eliminated from k = fock_dim down to 1:
@@ -491,23 +491,22 @@ def _eliminate(blocks: _Blocks, probe_freq: float):
     Numerical Algorithms, 2nd ed., 2002, ch. 14). A singular S_k raises
     ``np.linalg.LinAlgError``; a singular M raises it in ``_block_solve``.
     """
-    diag, up, down = blocks.diag, blocks.up, blocks.down
-    top = len(diag) - 1
+    top = len(gen.diag) - 1
     schur, couplings = [None] * (top + 1), [None] * (top + 1)
     for k in range(top, 0, -1):
-        s = diag[k].copy()
+        s = gen.diag[k].copy()
         s.reshape(-1)[::s.shape[0] + 1] += 1j * TWO_PI * k * probe_freq
         if k < top:
-            s -= up[k] @ couplings[k + 1]
+            s -= gen.up[k] @ couplings[k + 1]
         schur[k] = s
-        couplings[k] = np.linalg.solve(s, down[k])
-    w = up[0] @ couplings[1]
-    folded = _FOLD_SIGNS @ w.view(float).take(blocks.table.fold)
-    schur[0] = blocks.centre_real - folded.reshape(w.shape)
+        couplings[k] = np.linalg.solve(s, gen.down[k])
+    w = gen.up[0] @ couplings[1]
+    folded = _FOLD_SIGNS @ w.view(float).take(gen.table.fold)
+    schur[0] = gen.centre_real - folded.reshape(w.shape)
     return schur, couplings
 
 
-def _block_solve(blocks: _Blocks, factors, rhs: np.ndarray | None = None) -> np.ndarray:
+def _block_solve(gen: _Generator, factors, rhs: np.ndarray | None = None) -> np.ndarray:
     """Solve the bordered system for a hermitian ``rhs`` with ``_eliminate``'s factors.
 
     The bordered generator maps hermitian matrices to hermitian ones (the
@@ -527,7 +526,7 @@ def _block_solve(blocks: _Blocks, factors, rhs: np.ndarray | None = None) -> np.
     first swept inwards with LU solves of the kept S_k. A singular M
     raises ``np.linalg.LinAlgError``.
     """
-    table = blocks.table
+    table = gen.table
     schur, couplings = factors
     spans = table.spans
     top, half = len(spans) - 1, spans[-1].stop
@@ -539,9 +538,9 @@ def _block_solve(blocks: _Blocks, factors, rhs: np.ndarray | None = None) -> np.
         x[:half] = rhs[table.order[:half]]
         for k in range(top, 0, -1):
             if k < top:
-                x[spans[k]] -= blocks.up[k] @ x[spans[k + 1]]
+                x[spans[k]] -= gen.up[k] @ x[spans[k + 1]]
             x[spans[k]] = np.linalg.solve(schur[k], x[spans[k]])
-        w = blocks.up[0] @ x[spans[1]]
+        w = gen.up[0] @ x[spans[1]]
         b0 = x[spans[0]] - w - w[table.swap].conj()
         b0 = b0.real + b0.imag
     c = np.linalg.solve(schur[0], b0)
@@ -577,13 +576,13 @@ def _solve_failure(message: str, liou: np.ndarray, d: int) -> NumericalError:
 
 
 def _backward_errors(liou: np.ndarray, x: np.ndarray, centre: np.ndarray,
-                     norms: tuple) -> tuple:
+                     scales: tuple) -> tuple:
     """(L x, errors, ||x||) of a solve x of the bordered system B x = e_0.
 
     B is the generator ``liou`` with row 0 the trace equation. ``errors``
     are normwise backward errors of L x = 0, ||L x|| / (||L|| ||x||):
-    over all of L x with ``norms[0]`` for ||L||, and over its ``centre``
-    block with ``norms[1]``, the norm of L's rows there. The trace row is
+    over all of L x with ``scales[0]`` for ||L||, and over its ``centre``
+    block with ``scales[1]``, the norm of L's rows there. The trace row is
     left out of both: the state is normalized exactly afterwards, and its
     error is on the scale of 1, not of L. Each figure is the norm of L x
     scaled down by its denominator, so a residual whose square overflows
@@ -593,7 +592,7 @@ def _backward_errors(liou: np.ndarray, x: np.ndarray, centre: np.ndarray,
     lx = liou @ x
     x_norm = math.sqrt(np.vdot(x, x).real)
     errors = []
-    for part, norm in ((lx, norms[0]), (lx[centre], norms[1])):
+    for part, norm in ((lx, scales[0]), (lx[centre], scales[1])):
         den = norm * x_norm
         if 0.0 < den < math.inf:
             part = part / den
@@ -637,23 +636,22 @@ def steady_state(params: SystemParams, probe_freq: float) -> np.ndarray:
     solve.
     """
     liou = build_liouvillian(params, probe_freq)
-    _, _, blocks, norms = _generator_parts(params)
+    gen = _generator_parts(params)
     d = params.dim
-    centre = blocks.table.centre
-    scales = (_generator_norm(norms, probe_freq), norms[0] * norms[4])
+    scales = (gen.norm(probe_freq), gen.centre_norm)
     try:
-        factors = _eliminate(blocks, probe_freq)
-        x = _block_solve(blocks, factors)
+        factors = _eliminate(gen, probe_freq)
+        x = _block_solve(gen, factors)
     except np.linalg.LinAlgError as exc:
         raise _solve_failure(f"steady-state solve failed ({exc})", liou, d) from exc
-    lx, errors, x_norm = _backward_errors(liou, x, centre, scales)
+    lx, errors, x_norm = _backward_errors(liou, x, gen.table.centre, scales)
     if not max(errors) <= _EPSILON:
         r = -lx
         r[0] = 1.0 - x[::d + 1].sum()
-        transpose = blocks.table.transpose
+        transpose = gen.table.transpose
         x = 0.5 * (x + x[transpose].conj())
-        x += _block_solve(blocks, factors, 0.5 * (r + r[transpose].conj()))
-        _, errors, x_norm = _backward_errors(liou, x, centre, scales)
+        x += _block_solve(gen, factors, 0.5 * (r + r[transpose].conj()))
+        _, errors, x_norm = _backward_errors(liou, x, gen.table.centre, scales)
     for label, error, scale in zip(("residual", "centre-block residual"),
                                    errors, scales):
         if not error <= _RESIDUAL_REL:
@@ -686,20 +684,22 @@ def _readouts(fock_dim: int):
     """
     n = np.tile(np.arange(fock_dim, dtype=float), 3)
     rows = np.flatnonzero(n)
-    parts = (rows, rows - 1, np.sqrt(n[rows]), n)
-    for part in parts:
-        part.setflags(write=False)
-    return parts
+    return _read_only((rows, rows - 1, np.sqrt(n[rows]), n))
+
+
+def _photon_number(rho: np.ndarray, fock_dim: int) -> float:
+    """Tr(rho a'a), read from the diagonal of a state already checked."""
+    value = complex(np.diagonal(rho) @ _readouts(fock_dim)[3])
+    if abs(value.imag) > 1e-10:
+        raise StateError(f"photon number has imaginary part {value.imag:.3e}")
+    return max(value.real, 0.0)
 
 
 def expectation_photon_number(rho: np.ndarray) -> float:
     """Tr(rho a'a), read from the diagonal of rho; validates the state first."""
     fock_dim = _fock_dim_of(rho)
     validate_density_matrix(rho)
-    value = complex(np.diagonal(rho) @ _readouts(fock_dim)[3])
-    if abs(value.imag) > 1e-10:
-        raise StateError(f"photon number has imaginary part {value.imag:.3e}")
-    return max(value.real, 0.0)
+    return _photon_number(rho, fock_dim)
 
 
 def expectation_cavity_amplitude(rho: np.ndarray) -> complex:
@@ -760,14 +760,14 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
     squared to halve their number (``_SQUARING_MATVECS``); the remaining
     steps are matrix-vector products. No linear system is solved.
 
-    Time is in ns (1/GHz). t_final must be at least 20/kappa; it and an
-    explicit dt must be finite real numbers. ``rho0`` (default: the
-    ground state) must be a finite density matrix on the 3*fock_dim
-    space of ``params`` (``validate_density_matrix``), else StateError.
+    Time is in ns (1/GHz). t_final must be a finite real number of at least
+    20/kappa, and an explicit dt a finite real number above 0. ``rho0``
+    (default: the ground state) must be a finite density matrix on the
+    3*fock_dim space of ``params`` (``validate_density_matrix``), else StateError.
     """
     _require_finite_real("t_final", t_final)
     if dt is not None:
-        _require_finite_real("dt", dt)
+        _require_finite_real("dt", dt, "positive")
     if t_final < 20.0 / params.kappa:
         raise DomainError(
             f"t_final={t_final} is below 20/kappa={20.0 / params.kappa}; "
@@ -835,8 +835,8 @@ def fock_convergence_shift(params: SystemParams, probe_freq: float) -> float:
     calibrated for this fixed +2 (``_CONVERGENCE_EXTRA``).
     """
     bigger = _larger_cutoff(params)
-    n0 = expectation_photon_number(steady_state(params, probe_freq))
-    n1 = expectation_photon_number(steady_state(bigger, probe_freq))
+    n0 = _photon_number(steady_state(params, probe_freq), params.fock_dim)
+    n1 = _photon_number(steady_state(bigger, probe_freq), bigger.fock_dim)
     if n1 == 0.0:
         return 0.0
     return abs(n1 - n0) / n1

@@ -32,10 +32,31 @@ def test_wins_follow_the_direction():
 def test_gain_needs_the_wins_and_a_shift_beyond_the_base_iqr(offsets, gain):
     base = [10.0 + 0.1 * i for i in range(10)]
     change = [b + o for b, o in zip(base, offsets)]
-    s = bench_pairs.summary(base, change, "lower")
+    s = bench_pairs.summary(base, change, "lower", 0.25)
     assert s["base_iqr"] == pytest.approx(0.55)
     assert s["gain"] is gain
-    assert bench_pairs.summary(change, base, "higher")["gain"] is gain
+    assert bench_pairs.summary(change, base, "higher", 0.25)["gain"] is gain
+
+
+# The base runs 10.0 .. 10.9: median 10.45, IQR 0.55. A bound of 0.1
+# allows the change's median to be worse by 1.045, and one of 0.02 by
+# 0.209, which that IQR exceeds.
+@pytest.mark.parametrize("offset, bound, verdict", [
+    (1.2, 0.1, "worse"),         # worse by 1.2 > 1.045
+    (1.0, 0.1, "held"),          # worse by 1.0, within the bound; IQR 0.55 < 1.045
+    (0.0, 0.02, "unresolved"),   # same median, but IQR 0.55 > 0.209
+    (-0.5, 0.02, "unresolved"),  # better, yet the runs overlap
+    (-1.0, 0.02, "held"),        # every change run beats every base run
+    (0.3, 0.02, "worse"),        # worse by 0.3 > 0.209
+])
+def test_regression_verdict(offset, bound, verdict):
+    base = [10.0 + 0.1 * i for i in range(10)]
+    change = [b + offset for b in base]
+    assert bench_pairs.summary(base, change, "lower", bound)["regression"] == verdict
+    # mirrored, a higher-is-better metric gives the same verdict
+    mirror = bench_pairs.summary([-b for b in base], [-c for c in change],
+                                 "higher", bound)
+    assert mirror["regression"] == verdict
 
 
 def run(correct, failed=0, attempted=10):
@@ -58,7 +79,8 @@ def fake_pairs(tmp_path, monkeypatch, change_failed=0):
     for side in (base, change):
         side.mkdir()
     (change / "BENCHMARK.json").write_text(json.dumps({
-        "run_seconds": 60, "end_to_end": [{"name": "pass_s", "better": "lower"}]}))
+        "run_seconds": 60,
+        "end_to_end": [{"name": "pass_s", "better": "lower", "bound": 0.25}]}))
     runs = []
 
     def fake(checkout, workload, seed, seconds):
@@ -82,14 +104,14 @@ def test_pairs_alternate_and_a_failed_pair_is_left_out(tmp_path, monkeypatch, ca
     assert runs == [("base", 7), ("change", 7), ("change", 8), ("base", 8),
                     ("base", 9), ("change", 9), ("change", 10), ("base", 10)]
     row = capsys.readouterr().out.splitlines()[-1].split()
-    assert row[0] == "pass_s" and row[-4:] == ["3/3", "0.5", "0.02", "yes"]
+    assert row[0] == "pass_s" and row[-5:] == ["3/3", "0.5", "0.02", "yes", "held"]
 
 
 def test_failed_tasks_void_a_gain(tmp_path, monkeypatch, capsys):
     fake_pairs(tmp_path, monkeypatch, change_failed=1)
     out = capsys.readouterr().out.splitlines()
     assert out[-1].startswith("# no gain holds")
-    assert out[-2].split()[-4:] == ["3/3", "0.5", "0.02", "no"]
+    assert out[-2].split()[-5:] == ["3/3", "0.5", "0.02", "no", "held"]
 
 
 def test_write_records_each_workload(tmp_path, monkeypatch, capsys):
@@ -97,7 +119,8 @@ def test_write_records_each_workload(tmp_path, monkeypatch, capsys):
     for side in (base, change):
         side.mkdir()
     (change / "BENCHMARK.json").write_text(json.dumps({
-        "run_seconds": 60, "end_to_end": [{"name": "pass_s", "better": "lower"}],
+        "run_seconds": 60,
+        "end_to_end": [{"name": "pass_s", "better": "lower", "bound": 0.25}],
         "per_layer": [{"name": "hilbert.steady_state.calls", "better": "lower"},
                       {"name": "absent.metric", "better": "lower"}]}))
     traced = []
@@ -132,9 +155,11 @@ def test_write_records_each_workload(tmp_path, monkeypatch, capsys):
     assert (w1["pairs_asked"], w1["first_seed"], w1["run_seconds"], w1["sound"]) == (
         3, 7, 60, True)
     # the end-to-end entry is the row the tool prints
-    expected = bench_pairs.summary([1.07, 1.08, 1.09], [0.57, 0.58, 0.59], "lower")
+    expected = bench_pairs.summary([1.07, 1.08, 1.09], [0.57, 0.58, 0.59],
+                                   "lower", 0.25)
     entry = w1["end_to_end"]["pass_s"]
     assert entry["better"] == "lower" and entry["gain"] is True
+    assert entry["regression"] == "held"
     for key in ("wins", "pairs", "shift", "base_iqr"):
         assert entry[key] == pytest.approx(expected[key])
     for side in ("base", "change"):

@@ -1,7 +1,7 @@
 import math
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -280,13 +280,13 @@ class TestLiouvillian:
                                                         fock_dim):
         p = replace(ref_params, fock_dim=fock_dim)
         k = excitation_difference(fock_dim)
-        _, diag, parts, _ = hilbert._generator_parts(p)
+        parts = hilbert._generator_parts(p)
         l0 = build_liouvillian(p, 0.0)
         rows, cols = np.nonzero(l0)
         assert np.max(np.abs(k[rows] - k[cols])) == 1
         # N is read off the basis layout, so D is exactly the i 2pi k
         # that the elimination adds per block
-        assert np.array_equal(diag, 1j * TWO_PI * k)
+        assert np.array_equal(parts.table.diag_d, 1j * TWO_PI * k)
         assert np.all(k[np.nonzero(_trace_vector(p.dim))] == 0)
         # the solver's blocks are those of this ordering, read off the
         # bordered generator; block -k holds the transposes of block k
@@ -384,14 +384,14 @@ class TestLiouvillian:
         p = SystemParams(kappa=kappa, g3=g3, g4=g4, gamma_d3=gamma_d3,
                          gamma_d4=gamma_d4, omega_c=0.0, omega_x=omega_x,
                          delta_h=delta_h, fock_dim=fock_dim)
-        norms = hilbert._generator_parts(p)[3]
+        gen = hilbert._generator_parts(p)
         expected = np.linalg.norm(build_liouvillian(p, probe))
-        assert hilbert._generator_norm(norms, probe) == pytest.approx(
+        assert gen.norm(probe) == pytest.approx(
             expected, rel=1e-13, abs=0.0)
         # the norm of L0's rows on block 0, where D is zero
         l0 = build_liouvillian(p, 0.0)
         centre = np.linalg.norm(l0[excitation_difference(fock_dim) == 0])
-        assert norms[0] * norms[4] == pytest.approx(centre, rel=1e-13, abs=0.0)
+        assert gen.centre_norm == pytest.approx(centre, rel=1e-13, abs=0.0)
 
     def test_returns_a_fresh_writable_matrix(self, ref_params):
         first = build_liouvillian(ref_params, 3.0)
@@ -452,6 +452,27 @@ class TestSteadyState:
         info = hilbert._generator_table.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
+    @pytest.mark.parametrize("fock_dim", range(2, 7))
+    def test_cached_record_is_read_only(self, ref_params, fock_dim):
+        # The cache hands one record to every solve: no caller may change
+        # an array of it, the arrays those view, a block list or a field.
+        gen = hilbert._generator_parts(replace(ref_params, fock_dim=fock_dim))
+        seen = 0
+        for record in (gen, gen.table):
+            for field in fields(record):
+                value = getattr(record, field.name)
+                if field.name in ("diag", "up", "down"):
+                    assert type(value) is tuple
+                for array in value if isinstance(value, tuple) else (value,):
+                    while isinstance(array, np.ndarray):
+                        assert not array.flags.writeable, field.name
+                        array, seen = array.base, seen + 1
+            with pytest.raises(FrozenInstanceError):
+                record.scale = 0.0
+        assert seen > 3 * fock_dim
+        with pytest.raises(TypeError):
+            gen.diag[0] = np.zeros_like(gen.diag[0])
+
     @pytest.mark.parametrize("fock_dim", range(2, 9))
     def test_trace_column_solve_matches_the_general_solve(self, ref_params,
                                                           fock_dim):
@@ -460,7 +481,7 @@ class TestSteadyState:
         # The general solve's inward sweep leaves that right-hand side
         # e_0 exactly, so it must give the same bits.
         p = replace(ref_params, fock_dim=fock_dim, omega_c=1.5)
-        blocks = hilbert._generator_parts(p)[2]
+        blocks = hilbert._generator_parts(p)
         e0 = np.zeros(p.dim**2, dtype=complex)
         e0[0] = 1.0
         for probe in (-60.0, 0.0, 7.25, 41.0):
@@ -492,7 +513,7 @@ class TestSteadyState:
         # hermitian but not e_0, sweeps inwards through the kept S_k
         p = distinct_params(fock_dim, 0)
         rng = np.random.default_rng(fock_dim)
-        blocks = hilbert._generator_parts(p)[2]
+        blocks = hilbert._generator_parts(p)
         transpose = blocks.table.transpose
         for probe in (-60.0, 0.0, 41.0, 1e4):
             bordered = build_liouvillian(p, probe)
@@ -521,7 +542,7 @@ class TestSteadyState:
         # C is factored only by the first solve's one LU solve for e_0, so
         # a singular C raises in _block_solve, with the same error as a
         # singular block of the elimination
-        centre = hilbert._generator_parts(ref_params)[2].table.centre
+        centre = hilbert._generator_parts(ref_params).table.centre
         solve, refused = np.linalg.solve, []
 
         def singular_centre(a, b):
@@ -578,7 +599,7 @@ class TestSteadyState:
         p = replace(ref_params, kappa=kappa or ref_params.kappa)
         liou = build_liouvillian(p, probe)
         big = np.max(np.abs(liou))
-        scale = hilbert._generator_norm(hilbert._generator_parts(p)[3], probe)
+        scale = hilbert._generator_parts(p).norm(probe)
         assert scale == pytest.approx(big * np.linalg.norm(liou / big),
                                       rel=1e-13, abs=0.0)
         validate_density_matrix(steady_state(p, probe))
@@ -732,7 +753,7 @@ class TestRefinement:
                              gamma_d4=rng.uniform(0.5, 5), omega_c=0.0,
                              omega_x=rng.uniform(-20, 20),
                              delta_h=rng.uniform(0, 20))
-            blocks = hilbert._generator_parts(p)[2]
+            blocks = hilbert._generator_parts(p)
             span = max(abs(p.omega_x), abs(p.omega_x - p.delta_h)) + 3 * p.kappa
             for probe in rng.uniform(-span, span, 4):
                 factors = hilbert._eliminate(blocks, probe)
@@ -954,13 +975,15 @@ class TestTimeEvolveOracle:
         (dict(probe_freq=0.0, t_final=math.inf), "t_final"),
         (dict(probe_freq=0.0, t_final=2.0, dt=math.nan), "dt"),
         (dict(probe_freq=0.0, t_final=2.0, dt=math.inf), "dt"),
+        (dict(probe_freq=0.0, t_final=2.0, dt=0.0), "dt"),
+        (dict(probe_freq=0.0, t_final=2.0, dt=-0.0), "dt"),
+        (dict(probe_freq=0.0, t_final=2.0, dt=-1.0), "dt"),
     ])
     def test_nonfinite_inputs_refused(self, ref_params, kwargs, named):
         with pytest.raises(DomainError, match=named):
             time_evolve_oracle(ref_params, **kwargs)
 
     @pytest.mark.parametrize("dt, message", [
-        (0.0, r"^invalid integration step dt=0\.0$"),
         (1e-9, r"^step size dt=1\.000e-09 underflows the time span: "
                r"1000000000 steps$")])
     def test_unusable_step_refused(self, ref_params, dt, message):
@@ -1009,6 +1032,24 @@ class TestWeakDriveRegime:
         # the vacuum holds no photons at either cutoff
         p = replace(ref_params, drive_amp=0.0)
         assert fock_convergence_shift(p, 0.0) == 0.0
+
+    def test_shift_reads_the_solved_states_without_validating(self, ref_params,
+                                                              monkeypatch):
+        # steady_state has checked both states, so the shift reads their
+        # diagonals directly, to the same bits as the validating readout
+        sets = (ref_params, replace(ref_params, drive_amp=ref_params.kappa / 20.0),
+                distinct_params(3, 1))
+        expected = []
+        for p in sets:
+            n0, n1 = (expectation_photon_number(steady_state(q, 5.0)) for q in
+                      (p, replace(p, fock_dim=p.fock_dim + 2)))
+            expected.append(abs(n1 - n0) / n1)
+
+        def refuse(rho):
+            raise AssertionError("the shift validated a solved state")
+
+        monkeypatch.setattr(hilbert, "validate_density_matrix", refuse)
+        assert [fock_convergence_shift(p, 5.0) for p in sets] == expected
 
     def test_fock_truncation_converged(self, ref_params):
         p = replace(ref_params, drive_amp=ref_params.kappa / 20.0)

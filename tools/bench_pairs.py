@@ -17,8 +17,12 @@ wins, how far the change's median is better than the base's (its
 shift), the base's interquartile range (IQR), and whether a gain holds:
 the change wins at least nine pairs in ten with a shift above that IQR,
 every change run is correct, and the change fails no larger share of
-its tasks than the base. A run that is not correct or has failed tasks
-is reported and its pair kept; a pair in which either run exits with an
+its tasks than the base. The last column is the regression verdict,
+with the metric's ``bound`` taken as a fraction of the base median:
+"worse" when the change's median is worse than the base's by more than
+that, else "unresolved" when the base's IQR is wider than that and not
+every change run beats every base run, else "held". A run that is not
+correct or has failed tasks is reported and its pair kept; a pair in which either run exits with an
 error (as a warm-up failure does) is reported and left out. The runs
 themselves write what ``bench/run.py`` writes in their own checkout.
 
@@ -62,19 +66,33 @@ def wins(base, change, better):
     return sum(sign * (b - c) > 0 for b, c in zip(base, change))
 
 
-def summary(base, change, better):
-    """Quartiles of both sides, the change's wins, and whether a gain holds.
+def summary(base, change, better, bound):
+    """Quartiles of both sides, the change's wins, and the two verdicts.
 
     A gain holds when the change wins at least ``WIN_SHARE`` of the pairs
     and its median is better than the base's by more than the base's
-    interquartile range.
+    interquartile range. The regression verdict allows the change's
+    median to be worse by ``bound`` times the base median: beyond that it
+    is "worse"; within it, "unresolved" when the base's IQR is wider than
+    that allowance and some change run does not beat every base run, and
+    otherwise "held".
     """
     bq, cq = quartiles(base), quartiles(change)
     won = wins(base, change, better)
-    shift = (bq[1] - cq[1]) if better == "lower" else (cq[1] - bq[1])
+    sign = 1 if better == "lower" else -1
+    shift = sign * (bq[1] - cq[1])
+    allowed = bound * abs(bq[1])
+    beats_all = min(sign * b for b in base) > max(sign * c for c in change)
+    if -shift > allowed:
+        regression = "worse"
+    elif bq[2] - bq[0] > allowed and not beats_all:
+        regression = "unresolved"
+    else:
+        regression = "held"
     return {"base": bq, "change": cq, "wins": won, "pairs": len(base),
             "shift": shift, "base_iqr": bq[2] - bq[0],
-            "gain": won >= WIN_SHARE * len(base) and shift > bq[2] - bq[0]}
+            "gain": won >= WIN_SHARE * len(base) and shift > bq[2] - bq[0],
+            "regression": regression}
 
 
 def sound(base_runs, change_runs):
@@ -146,6 +164,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     values = {side: {name: [] for name in better} for side in ("base", "change")}
     outs = {"base": [], "change": []}
     for i in range(args.pairs):
@@ -172,18 +191,20 @@ def main(argv=None) -> int:
         return 1
     print(f"{'metric':12s} {'base q1 / median / q3':>30s} "
           f"{'change q1 / median / q3':>30s} {'wins':>7s} {'shift':>10s} "
-          f"{'base IQR':>10s} {'gain':>5s}")
+          f"{'base IQR':>10s} {'gain':>5s} {'regression':>10s}")
     runs_sound = sound(outs["base"], outs["change"])
     table = {}
     for name, direction in better.items():
-        s = summary(values["base"][name], values["change"][name], direction)
+        s = summary(values["base"][name], values["change"][name], direction,
+                    bounds[name])
         s["gain"] = s["gain"] and runs_sound
         table[name] = {"better": direction, **s}
         cells = ["{:.4g} / {:.4g} / {:.4g}".format(*s[side])
                  for side in ("base", "change")]
         print(f"{name:12s} {cells[0]:>30s} {cells[1]:>30s} "
               f"{s['wins']:>3d}/{s['pairs']:<3d} {s['shift']:>10.4g} "
-              f"{s['base_iqr']:>10.4g} {'yes' if s['gain'] else 'no':>5s}")
+              f"{s['base_iqr']:>10.4g} {'yes' if s['gain'] else 'no':>5s} "
+              f"{s['regression']:>10s}")
     if not runs_sound:
         print("# no gain holds: a change run is not correct, or the change "
               "fails a larger share of its tasks than the base")
