@@ -90,13 +90,16 @@ _CONVERGENCE_EXTRA = 2
 # say 1: a product of two matrices runs near the BLAS peak, a matvec at
 # memory speed.
 _SQUARING_MATVECS = 0.2
+# Most RK4 steps the oracle takes to reach t_final.
+_MAX_STEPS = 50_000_000
 
 # Largest dense generator, 16 (3 fock_dim)^4 bytes, that SystemParams
-# admits. A steady-state solve holds one matrix of this size, L(omega):
-# the cache keeps only L0's nonzero values and its blocks, about 0.6 of
-# it at fock_dim 8. A failed solve adds a bordered copy and SVD workspace
-# for its condition number; the RK4 oracle holds up to three, its real
-# step matrices being half the size.
+# admits. A steady-state solve holds one matrix of this size, L(omega);
+# the cutoff's table and the parameter set's record (L0's nonzeros and
+# blocks) hold 1.0 + 0.8 of its 5.1 MiB at fock_dim 8 and 6.1 + 9.3 of
+# 161 MiB at fock_dim 19. A failed solve adds a bordered copy and SVD
+# workspace for its condition number; the RK4 oracle holds up to three,
+# its real step matrices being half the size.
 _GENERATOR_BYTES_LIMIT = 256 * 2**20
 
 # The signs of the four gathers that fold the side k < 0 into the real
@@ -217,10 +220,11 @@ class _Table:
     ``coeffs`` holds M_t there, real and imaginary parts interleaved, so
     c @ coeffs, for the values c of the terms ``names``, is L0.flat[at]
     viewed as floats. The blocks k >= 0 of the bordered L0 lie side by
-    side in one buffer: ``base`` (zero but for the trace row in block 0)
-    with the values ``src`` of L0 written at ``dst``. ``layout`` gives each
-    block's (start, stop, shape), the diagonal blocks first, then the
-    couplings to k + 1 and to k - 1. ``diag_d`` is D, and ``d_norm2`` its
+    side in one buffer of ``layout[-1][1]`` entries that each parameter
+    set allocates: zeros, the trace row on row 0 of block 0 and the values
+    ``src`` of L0 written at ``dst``. ``layout`` gives each block's
+    (start, stop, shape), the diagonal blocks first, then the couplings
+    to k + 1 and to k - 1. ``diag_d`` is D, and ``d_norm2`` its
     squared norm. ``im_on_diag`` picks, in the float view, the imaginary
     parts of the diagonal entries of L0 where D is not zero, and D is
     ``1j * d_on_diag`` there. ``centre_rows`` picks, in the float view, the
@@ -247,7 +251,6 @@ class _Table:
     im_on_diag: np.ndarray
     d_on_diag: np.ndarray
     centre_rows: np.ndarray
-    base: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     layout: tuple
@@ -338,10 +341,10 @@ def _generator_table(fock_dim: int) -> _Table:
             which.append(np.full(r.size, t))
     at, where = np.unique(np.concatenate(rows) * n + np.concatenate(cols),
                           return_inverse=True)
-    coeffs = np.zeros((at.size, len(terms)), dtype=complex)
-    np.add.at(coeffs, (where, np.concatenate(which)), np.concatenate(values))
-    nonzero = coeffs.any(axis=1)
-    at, coeffs = at[nonzero], coeffs[nonzero]
+    coeffs = np.zeros((len(terms), at.size), dtype=complex)
+    np.add.at(coeffs, (np.concatenate(which), where), np.concatenate(values))
+    nonzero = coeffs.any(axis=0)
+    at, coeffs = at[nonzero], coeffs.compress(nonzero, axis=1)
     row, col = np.divmod(at, n)
 
     # The probe enters H only as -2pi omega N, N = a'a + s3's3 + s4's4:
@@ -364,8 +367,6 @@ def _generator_table(fock_dim: int) -> _Table:
         dst.append(start + local[row[hit]] * shape[1] + local[col[hit]])
         layout.append((start, start + shape[0] * shape[1], shape))
         start += shape[0] * shape[1]
-    base = np.zeros(start, dtype=complex)
-    base[:index[0].size] = _trace_vector(d)[index[0]]
 
     centre = index[0]
     upper = np.concatenate(index[1:])
@@ -379,11 +380,10 @@ def _generator_table(fock_dim: int) -> _Table:
     fold = np.stack((re, im[:, swap], re[swap][:, swap], im[swap, :]))
     on_diag = np.flatnonzero((row == col) & (k_of[row] != 0))
     return _read_only(_Table(
-        tuple(name for name, _, _ in terms), at,
-        np.ascontiguousarray(coeffs.T).view(float), diag_d,
+        tuple(name for name, _, _ in terms), at, coeffs.view(float), diag_d,
         float(np.vdot(diag_d, diag_d).real), 2 * on_diag + 1,
         diag_d[row[on_diag]].imag, np.flatnonzero(np.repeat(k_of[row] == 0, 2)),
-        base, np.concatenate(src), np.concatenate(dst), tuple(layout), centre,
+        np.concatenate(src), np.concatenate(dst), tuple(layout), centre,
         order, np.argsort(order), tuple(map(slice, ends, ends[1:])), transpose,
         swap, fold.reshape(4, -1)))
 
@@ -407,7 +407,9 @@ def _generator_parts(params: SystemParams) -> _Generator:
         raise NumericalError("the generator L0 overflows for these "
                              "parameters; no steady-state solve can use it")
     values = floats.view(complex)
-    buffer = table.base.copy()
+    # Block 0 comes first, and its row 0, that of rho[0, 0], is the trace row.
+    buffer = np.zeros(table.layout[-1][1], dtype=complex)
+    buffer[:table.centre.size] = _trace_vector(params.dim)[table.centre]
     buffer[table.dst] = values[table.src]
     blocks = [buffer[lo:hi].reshape(shape) for lo, hi, shape in table.layout]
     top = len(table.spans) - 1
@@ -735,6 +737,17 @@ def _real_form(liou: np.ndarray, d: int):
     return real, _generator_table(d // 3).transpose
 
 
+def _step_count(t_final: float, dt: float) -> int:
+    """The number of steps of at most ``dt`` that span ``t_final``; more than
+    ``_MAX_STEPS``, read off the float quotient, raise NumericalError."""
+    steps = float(t_final) / float(dt)
+    if steps > _MAX_STEPS:
+        count = f"{math.ceil(steps)}" if steps < 1e15 else f"{steps:.3e}"
+        raise NumericalError(
+            f"step size dt={dt:.3e} underflows the time span: {count} steps")
+    return math.ceil(steps)
+
+
 def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
                        dt: float | None = None,
                        rho0: np.ndarray | None = None) -> np.ndarray:
@@ -751,8 +764,8 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
     The default step is 2/sqrt(||M^2||_1). By Gelfand's formula that
     bound is never below the spectral radius of M, which is that of L,
     so every eigenvalue of dt L lies in the left half-disk of radius 2,
-    inside the RK4 stability region. kappa > 0 keeps the norm above 0;
-    one that overflows gives a zero step, which is refused.
+    inside the RK4 stability region. A norm that overflows gives a zero
+    step and one that underflows to 0 an infinite one; both are refused.
 
     The n steps are applied as P^n, where P = I + X + X^2 (I/2 + X/6 +
     X^2/24), X = dt M, is the exact RK4 step matrix, built from M^2 with
@@ -761,9 +774,11 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
     steps are matrix-vector products. No linear system is solved.
 
     Time is in ns (1/GHz). t_final must be a finite real number of at least
-    20/kappa, and an explicit dt a finite real number above 0. ``rho0``
-    (default: the ground state) must be a finite density matrix on the
-    3*fock_dim space of ``params`` (``validate_density_matrix``), else StateError.
+    20/kappa, and an explicit dt a finite real number above 0 that spans
+    t_final in at most ``_MAX_STEPS`` steps, checked before the generator
+    is built. ``rho0`` (default: the ground state) must be a finite density
+    matrix on the 3*fock_dim space of ``params``
+    (``validate_density_matrix``), else StateError.
     """
     _require_finite_real("t_final", t_final)
     if dt is not None:
@@ -779,19 +794,19 @@ def time_evolve_oracle(params: SystemParams, probe_freq: float, t_final: float,
             raise StateError(f"rho0 of shape {rho0.shape} is not on the "
                              f"fock_dim={params.fock_dim} space")
         validate_density_matrix(rho0)
+    if dt is not None:
+        _step_count(t_final, dt)
     d = params.dim
     n = d * d
     real, swap = _real_form(build_liouvillian(params, probe_freq), d)
     with np.errstate(over="ignore", invalid="ignore"):   # refused below
         square = real @ real
     if dt is None:
-        dt = 2.0 / math.sqrt(float(np.linalg.norm(square, 1)))
+        norm = float(np.linalg.norm(square, 1))
+        dt = 2.0 / math.sqrt(norm) if norm else math.inf
     if dt <= 0 or not math.isfinite(dt):
         raise NumericalError(f"invalid integration step dt={dt}")
-    n_steps = int(math.ceil(t_final / dt))
-    if n_steps > 50_000_000:
-        raise NumericalError(
-            f"step size dt={dt:.3e} underflows the time span: {n_steps} steps")
+    n_steps = _step_count(t_final, dt)
     dt = t_final / n_steps
 
     v = (0.5 * (rho0 + rho0.conj().T)).reshape(-1, order="F")

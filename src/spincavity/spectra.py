@@ -236,12 +236,11 @@ def dit_spectrum(g: float, kappa: float, gamma: float, delta: float,
     return Spectrum(f, r)
 
 
-def two_transition_spectrum(params: SystemParams, cfg: ScanConfig,
-                            meta: dict | None = None) -> Spectrum:
+def two_transition_spectrum(params: SystemParams, cfg: ScanConfig) -> Spectrum:
     """Closed-form reflectivity with both transitions of the spin-down dot."""
     f = cfg.grid()
     r = cfg.background + cfg.scale * two_transition_response(f, params)
-    return Spectrum(f, r, meta=dict(meta or {}))
+    return Spectrum(f, r)
 
 
 def master_equation_spectrum(params: SystemParams, cfg: ScanConfig) -> Spectrum:

@@ -326,6 +326,25 @@ class TestLiouvillian:
         assert np.array_equal(parts.centre_real, parts.diag[0].real
                               + parts.diag[0].imag[:, swap])
 
+    @pytest.mark.parametrize("fock_dim", range(2, 9))
+    def test_cutoff_table_holds_no_block_template(self, fock_dim):
+        # Each parameter set writes its blocks into a buffer of its own, so
+        # the cached table keeps no complex array of that buffer's size,
+        # and its coefficients are one C-ordered row per term.
+        table = hilbert._generator_table(fock_dim)
+        size = table.layout[-1][1]
+        seen = 0
+        for field in fields(table):
+            value = getattr(table, field.name)
+            for array in value if isinstance(value, tuple) else (value,):
+                while isinstance(array, np.ndarray):
+                    assert not (np.iscomplexobj(array) and array.size == size), \
+                        field.name
+                    array, seen = array.base, seen + 1
+        assert seen > 10
+        assert table.coeffs.flags.c_contiguous
+        assert table.coeffs.shape == (len(table.names), 2 * table.at.size)
+
     def test_assembly_holds_about_one_generator(self, ref_params):
         # The assembly lists each term sparsely and keeps L0 as its
         # nonzero values, so it holds less than one dense generator.
@@ -985,11 +1004,26 @@ class TestTimeEvolveOracle:
 
     @pytest.mark.parametrize("dt, message", [
         (1e-9, r"^step size dt=1\.000e-09 underflows the time span: "
-               r"1000000000 steps$")])
+               r"1000000000 steps$"),
+        (1e-300, r"^step size dt=1\.000e-300 underflows the time span: "
+                 r"1\.000e\+300 steps$"),
+        (5e-324, r"^step size dt=4\.941e-324 underflows the time span: "
+                 r"inf steps$")])
     def test_unusable_step_refused(self, ref_params, dt, message):
         # refused before any step is taken
         with pytest.raises(NumericalError, match=message):
             time_evolve_oracle(ref_params, 0.0, t_final=1.0, dt=dt)
+
+    def test_unusable_step_refused_before_the_generator(self, ref_params,
+                                                        monkeypatch):
+        # an explicit step is checked against the time span before the
+        # generator is built, and the refusal stays one short line
+        def refuse(*args, **kwargs):
+            raise AssertionError("the generator was built")
+        monkeypatch.setattr(hilbert, "build_liouvillian", refuse)
+        with pytest.raises(NumericalError, match="underflows") as info:
+            time_evolve_oracle(ref_params, 0.0, t_final=1.0, dt=1e-300)
+        assert len(str(info.value)) < 100
 
     def test_overflowing_step_matrix_refused_quietly(self, ref_params):
         # ||L||_F is finite at this probe, but M^2 overflows: the default
@@ -997,6 +1031,16 @@ class TestTimeEvolveOracle:
         with pytest.raises(NumericalError, match=r"^invalid integration "
                            r"step dt=0\.0$"):
             time_evolve_oracle(ref_params, 1e160, t_final=1.0)
+
+    def test_vanishing_step_matrix_refused(self):
+        # every entry of M^2 underflows, so its norm is 0 and the default
+        # step would be infinite: refused, not divided by
+        p = SystemParams(kappa=1e-300, g3=0, g4=0, gamma_d3=0, gamma_d4=0,
+                         omega_c=0, omega_x=0, delta_h=0, gamma3=0, gamma4=0,
+                         fock_dim=2)
+        with pytest.raises(NumericalError, match=r"^invalid integration "
+                           r"step dt=inf$"):
+            time_evolve_oracle(p, 0.0, t_final=1e302)
 
     def test_randomized_oracle_equivalence(self):
         rng = np.random.default_rng(2024)
