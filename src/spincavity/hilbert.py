@@ -28,10 +28,12 @@ parameter enters linearly, so the generator is
 with D diagonal, c_t = 2pi times one of the eleven parameters kappa,
 gamma3, gamma4, gamma_d3, gamma_d4, omega_c, omega_x, delta_h, g3, g4
 and drive_amp, and M_t its fixed superoperator (``_terms``). The M_t of
-a Fock cutoff are tabulated once, sparsely; a parameter set's
-L0 = sum_t c_t M_t is one product of that table with the c_t, the route
-of QuTiP's coefficient-weighted superoperators (Johansson, Nation and
-Nori, Comput. Phys. Commun. 183, 1760 (2012)).
+a Fock cutoff are tabulated once, sparsely, one entry per nonzero; a
+parameter set's L0 = sum_t c_t M_t is one sum of c_t times those
+entries per position of L0, in term order, the route of QuTiP's
+coefficient-weighted superoperators (Johansson, Nation and Nori, Comput.
+Phys. Commun. 183, 1760 (2012)) in the compressed-row layout of Saad,
+Iterative Methods for Sparse Linear Systems, 2nd ed., 2003, sec. 3.4.
 
 Ordered by the excitation difference k = N_i - N_j of rho[i, j],
 L(omega) is block tridiagonal (the undriven generator conserves k, the
@@ -96,10 +98,10 @@ _MAX_STEPS = 50_000_000
 # Largest dense generator, 16 (3 fock_dim)^4 bytes, that SystemParams
 # admits. A steady-state solve holds one matrix of this size, L(omega);
 # the cutoff's table and the parameter set's record (L0's nonzeros and
-# blocks) hold 1.0 + 0.8 of its 5.1 MiB at fock_dim 8 and 6.1 + 9.3 of
-# 161 MiB at fock_dim 19. A failed solve adds a bordered copy and SVD
-# workspace for its condition number; the RK4 oracle holds up to three,
-# its real step matrices being half the size.
+# blocks) hold 0.44 + 0.76 of its 5.1 MiB at fock_dim 8 and 2.6 + 9.3 of
+# 161 MiB at fock_dim 19 (tools/holdings.py). A failed solve adds a
+# bordered copy and SVD workspace for its condition number; the RK4
+# oracle holds up to three, its real step matrices being half the size.
 _GENERATOR_BYTES_LIMIT = 256 * 2**20
 
 # The signs of the four gathers that fold the side k < 0 into the real
@@ -216,16 +218,19 @@ def _terms(fock_dim: int):
 class _Table:
     """What ``_generator_parts`` needs of one cutoff.
 
-    L0 is zero but at the row-major flat positions ``at``. Row t of
-    ``coeffs`` holds M_t there, real and imaginary parts interleaved, so
-    c @ coeffs, for the values c of the terms ``names``, is L0.flat[at]
-    viewed as floats. The blocks k >= 0 of the bordered L0 lie side by
-    side in one buffer of ``layout[-1][1]`` entries that each parameter
-    set allocates: zeros, the trace row on row 0 of block 0 and the values
-    ``src`` of L0 written at ``dst``. ``layout`` gives each block's
-    (start, stop, shape), the diagonal blocks first, then the couplings
-    to k + 1 and to k - 1. ``diag_d`` is D, and ``d_norm2`` its
-    squared norm. ``im_on_diag`` picks, in the float view, the imaginary
+    L0 is zero but at the row-major flat positions ``at``. The M_t are
+    held as one entry per nonzero (position, term) pair, in position
+    order and by term within a position: entry e holds, in ``coeff[e]``,
+    the entry of M_t at its position, t = ``term[e]``; the entries of
+    position ``at[i]`` start at ``starts[i]``. For the values c of the
+    terms ``names``, the sums of c[term] * coeff from each start are
+    L0.flat[at] (``sum_terms``). The blocks k >= 0 of the
+    bordered L0 lie side by side in one buffer of ``layout[-1][1]``
+    entries that each parameter set allocates: zeros, the trace row on
+    row 0 of block 0 and the values ``src`` of L0 written at ``dst``.
+    ``layout`` gives each block's (start, stop, shape), the diagonal
+    blocks first, then the couplings to k + 1 and to k - 1. ``diag_d`` is
+    D, and ``d_norm2`` its squared norm. ``im_on_diag`` picks, in the float view, the imaginary
     parts of the diagonal entries of L0 where D is not zero, and D is
     ``1j * d_on_diag`` there. ``centre_rows`` picks, in the float view, the
     entries of L0 on the rows of block 0, where D is zero.
@@ -245,7 +250,9 @@ class _Table:
 
     names: tuple
     at: np.ndarray
-    coeffs: np.ndarray
+    term: np.ndarray
+    coeff: np.ndarray
+    starts: np.ndarray
     diag_d: np.ndarray
     d_norm2: float
     im_on_diag: np.ndarray
@@ -261,6 +268,15 @@ class _Table:
     transpose: np.ndarray
     swap: np.ndarray
     fold: np.ndarray
+
+    def sum_terms(self, c: np.ndarray) -> np.ndarray:
+        """L0.flat[at] for the term values c, real and imaginary parts
+        interleaved: each position's entries times c, summed left to
+        right in term order, with no BLAS call."""
+        parts = c[self.term] * self.coeff
+        owner = np.repeat(np.arange(self.at.size), np.diff(self.starts, append=parts.size))
+        return np.stack([np.bincount(owner, part) for part in (parts.real, parts.imag)],
+                        axis=1).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -306,9 +322,10 @@ def _generator_table(fock_dim: int) -> _Table:
     term. Each part is listed sparsely from the nonzeros of the d x d
     operators: for column-major vec, G[i, k] maps rho[k, j] to
     (L rho)[i, j] for every j, conj(G[j, l]) maps rho[i, l] to it for
-    every i, and f C[i, k] conj(C[j, l]) maps rho[k, l] to it. Entries at
-    one position are summed per term, in a fixed order; positions where
-    every term cancels are dropped.
+    every i, and f C[i, k] conj(C[j, l]) maps rho[k, l] to it. The parts
+    of one term at one position are summed in a fixed order into one
+    entry; entries that cancel to zero are dropped, and so are the
+    positions left with none.
 
     The blocks group vec(rho) by the integer k = N_i - N_j behind D. The
     trace row that replaces row 0 (rho[0, 0]) lives on block 0. L0 maps
@@ -319,7 +336,7 @@ def _generator_table(fock_dim: int) -> _Table:
     n = d * d
     terms = _terms(fock_dim)
     every = np.arange(d)
-    rows, cols, values, which = [], [], [], []
+    keys, values = [], []
     for t, (_, op, rate) in enumerate(terms):
         parts = []
         if rate is None:
@@ -335,16 +352,14 @@ def _generator_table(fock_dim: int) -> _Table:
         parts.append((r[:, None] + d * every, c[:, None] + d * every, v[:, None]))
         parts.append((every[:, None] + d * r, every[:, None] + d * c, v.conj()))
         for r, c, v in parts:
-            rows.append(r.reshape(-1))
-            cols.append(c.reshape(-1))
+            keys.append(((r * n + c) * len(terms) + t).reshape(-1))
             values.append(np.broadcast_to(v, r.shape).reshape(-1))
-            which.append(np.full(r.size, t))
-    at, where = np.unique(np.concatenate(rows) * n + np.concatenate(cols),
-                          return_inverse=True)
-    coeffs = np.zeros((len(terms), at.size), dtype=complex)
-    np.add.at(coeffs, (np.concatenate(which), where), np.concatenate(values))
-    nonzero = coeffs.any(axis=0)
-    at, coeffs = at[nonzero], coeffs.compress(nonzero, axis=1)
+    keys, where = np.unique(np.concatenate(keys), return_inverse=True)
+    coeff = np.zeros(keys.size, dtype=complex)
+    np.add.at(coeff, where, np.concatenate(values))
+    nonzero = coeff != 0
+    position, term = np.divmod(keys[nonzero], len(terms))
+    at, starts = np.unique(position, return_index=True)
     row, col = np.divmod(at, n)
 
     # The probe enters H only as -2pi omega N, N = a'a + s3's3 + s4's4:
@@ -380,7 +395,7 @@ def _generator_table(fock_dim: int) -> _Table:
     fold = np.stack((re, im[:, swap], re[swap][:, swap], im[swap, :]))
     on_diag = np.flatnonzero((row == col) & (k_of[row] != 0))
     return _read_only(_Table(
-        tuple(name for name, _, _ in terms), at, coeffs.view(float), diag_d,
+        tuple(name for name, _, _ in terms), at, term, coeff[nonzero], starts, diag_d,
         float(np.vdot(diag_d, diag_d).real), 2 * on_diag + 1,
         diag_d[row[on_diag]].imag, np.flatnonzero(np.repeat(k_of[row] == 0, 2)),
         np.concatenate(src), np.concatenate(dst), tuple(layout), centre,
@@ -393,13 +408,14 @@ def _generator_table(fock_dim: int) -> _Table:
 def _generator_parts(params: SystemParams) -> _Generator:
     """The ``_Generator`` of ``params``, cached read-only.
 
-    Its ``values`` are the product of its ``table`` (``_generator_table``)
-    with the eleven values c_t of ``params``, its blocks are views of one
-    buffer of the bordered L0, and nothing is dense in the generator's size.
+    Its ``values`` sum, per position of its ``table`` (``_generator_table``),
+    that position's entries times the values c_t of ``params`` in term
+    order with no BLAS call, its blocks are views of one buffer of the
+    bordered L0, and nothing is dense in the generator's size.
     """
     table = _generator_table(params.fock_dim)
-    floats = (TWO_PI * np.array([getattr(params, name) for name in table.names])
-              ) @ table.coeffs
+    floats = table.sum_terms(
+        TWO_PI * np.array([getattr(params, name) for name in table.names]))
     # The largest real or imaginary part: the scale of the norms, and NaN
     # or inf when L0 overflows.
     scale = float(np.max(np.abs(floats)))

@@ -332,13 +332,25 @@ def synthesize_noisy(spectrum: Spectrum, noise_rel: float,
     Gaussian noise with standard deviation noise_rel times the local
     (fringed) value is added. Results are floored at zero so the output
     remains a valid reflectivity. Identical seeds give identical output;
-    the seed must be a non-negative integer.
+    the seed must be a non-negative integer. A fringe, fringed signal or
+    noise that overflows (a fringe period near 0, say) raises DomainError
+    naming what overflowed, with no numpy warning.
     """
     _require_finite_real("noise_rel", noise_rel, ">= 0")
     _require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    clean = spectrum.reflectivity * fringe.factor(spectrum.freq_ghz)
-    noisy = clean + rng.standard_normal(clean.size) * (noise_rel * clean)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = fringe.factor(spectrum.freq_ghz)
+        clean = spectrum.reflectivity * factor
+        noisy = clean + rng.standard_normal(clean.size) * (noise_rel * clean)
+    if not np.all(np.isfinite(factor)):
+        raise DomainError(f"fringe period {fringe.period!r} and phase "
+                          f"{fringe.phase!r} give a fringe phase that overflows")
+    if not np.all(np.isfinite(clean)):
+        raise DomainError(f"fringe amplitude {fringe.amplitude!r} makes the "
+                          f"signal overflow")
+    if not np.all(np.isfinite(noisy)):
+        raise DomainError(f"noise_rel={noise_rel!r} makes the noise overflow")
     meta = dict(spectrum.meta)
     meta.update(noise_rel=noise_rel, seed=int(seed),
                 fringe_amplitude=fringe.amplitude, fringe_period=fringe.period,

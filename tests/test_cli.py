@@ -497,6 +497,12 @@ class TestExitCodes:
         (["fit", "--constraint", "g=1"], "--constraint"),
         (["fit", "--free", ","], "--free"),
         (["simulate", "--scan", "-1e308,1e308,5"], "span"),
+        # a fringe phase, fringed signal or noise that overflows, with no
+        # numpy warning
+        (["synth", "--noise", "0.1", "--fringe", "0.4,1e-320,0"], "fringe period"),
+        (["synth", "--scale", "1e10", "--noise", "1e308"], "noise_rel"),
+        (["synth", "--background", "1.7e308", "--fringe", "0.4,37,1.1"],
+         "fringe amplitude"),
     ])
     def test_malformed_flag_exits_2(self, tmp_path, params_file, data_file,
                                     capsys, argv, named):

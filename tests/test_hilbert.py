@@ -330,7 +330,7 @@ class TestLiouvillian:
     def test_cutoff_table_holds_no_block_template(self, fock_dim):
         # Each parameter set writes its blocks into a buffer of its own, so
         # the cached table keeps no complex array of that buffer's size,
-        # and its coefficients are one C-ordered row per term.
+        # and its terms are one entry per nonzero (position, term) pair.
         table = hilbert._generator_table(fock_dim)
         size = table.layout[-1][1]
         seen = 0
@@ -342,8 +342,32 @@ class TestLiouvillian:
                         field.name
                     array, seen = array.base, seen + 1
         assert seen > 10
-        assert table.coeffs.flags.c_contiguous
-        assert table.coeffs.shape == (len(table.names), 2 * table.at.size)
+        # every position has an entry, the entries of one position follow
+        # its start, no entry is zero and each names one of the terms
+        starts = table.starts
+        assert starts.size == table.at.size and starts[0] == 0
+        assert np.all(np.diff(starts) > 0) and starts[-1] < table.term.size
+        assert np.all(table.coeff != 0)
+        assert table.term.min() >= 0 and table.term.max() < len(table.names)
+
+    @pytest.mark.parametrize("fock_dim", range(2, 9))
+    def test_values_are_the_sum_of_the_entries(self, ref_params, fock_dim):
+        # L0 at each position is sum_t c_t M_t, here formed densely from
+        # the table's entries in extended precision, to within 4 eps of
+        # sum_t |c_t M_t| there.
+        table = hilbert._generator_table(fock_dim)
+        count = np.diff(table.starts, append=table.term.size)
+        owner = np.repeat(np.arange(table.at.size), count)
+        dense = np.zeros((len(table.names), table.at.size), dtype=np.clongdouble)
+        dense[table.term, owner] = table.coeff
+        for p in [replace(ref_params, fock_dim=fock_dim)] + [
+                distinct_params(fock_dim, variant) for variant in range(3)]:
+            c = TWO_PI * np.array([getattr(p, name) for name in table.names])
+            exact = (c.astype(np.longdouble)[:, None] * dense).sum(axis=0)
+            bound = (4 * np.finfo(float).eps
+                     * (np.abs(c)[:, None] * np.abs(dense)).sum(axis=0))
+            values = hilbert._generator_parts(p).values
+            assert np.all(np.abs(values - exact) <= bound)
 
     def test_assembly_holds_about_one_generator(self, ref_params):
         # The assembly lists each term sparsely and keeps L0 as its

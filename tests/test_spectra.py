@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -504,6 +505,20 @@ class TestSynthesizeNoisy:
         clean = lorentzian_spectrum(KAPPA, 0.0, ref_scan)
         with pytest.raises(DomainError, match=named):
             synthesize_noisy(clean, **{"noise_rel": 0.01, "seed": 0, **kwargs})
+
+    # A fringe phase, fringed signal or noise that overflows is refused by
+    # name before any Spectrum is built; the suite turns a numpy warning
+    # into an error.
+    @pytest.mark.parametrize("peak, noise_rel, fringe, named", [
+        (1.0, 0.1, FringeModel(0.4, 1e-320), "fringe period 1e-320 and phase 0.0"),
+        (1e10, 1e308, FringeModel(0.0, 1.0), "noise_rel=1e+308"),
+        (1.5e308, 0.0, FringeModel(0.4, 37.0, 1.1), "fringe amplitude 0.4"),
+    ])
+    def test_refuses_overflow(self, ref_scan, peak, noise_rel, fringe, named):
+        clean = lorentzian_spectrum(KAPPA, 0.0, ref_scan)
+        clean = replace(clean, reflectivity=clean.reflectivity * peak)
+        with pytest.raises(DomainError, match=f"^{re.escape(named)}"):
+            synthesize_noisy(clean, noise_rel, fringe, seed=0)
 
     def test_accepts_numpy_integer_seed(self, ref_scan):
         clean = lorentzian_spectrum(KAPPA, 0.0, ref_scan)
